@@ -15,8 +15,11 @@ cargo build --release --offline
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --all-targets --offline -- -D warnings
 
-echo "==> cargo test -q"
-cargo test -q --offline
+# Every workspace crate's suites, not just the root package's: the
+# differential suites that pin exactness (service, sharded, evolving,
+# compact, adaptive, net, ...) live in crates/*.
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q --offline
 
 # The fault-injection differential suite is the robustness gate: it
 # proves panic isolation, budget-escalation recovery, and worker-death

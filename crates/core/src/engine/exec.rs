@@ -218,9 +218,19 @@ impl PredictionCache {
     }
 
     /// Hits on entries inserted in an earlier epoch (i.e. by an
-    /// earlier query, when the owner advances the epoch per query).
+    /// earlier query, when the owner advances the epoch per query),
+    /// since creation or the last
+    /// [`PredictionCache::take_cross_query_hits`].
     pub fn cross_query_hits(&self) -> u64 {
         self.cross_epoch_hits.load(Ordering::Relaxed)
+    }
+
+    /// Read and reset [`PredictionCache::cross_query_hits`]. A service
+    /// drains each job's hits into its lifetime counter this way, so
+    /// concurrent jobs on one cache count every hit exactly once and
+    /// dropping the cache loses none.
+    pub fn take_cross_query_hits(&self) -> u64 {
+        self.cross_epoch_hits.swap(0, Ordering::Relaxed)
     }
 
     /// Total entries across all shards.

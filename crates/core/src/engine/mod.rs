@@ -64,7 +64,7 @@ pub use net::{NetServer, NetServerConfig};
 pub use proto::{ErrorKind, ProtoError, Request};
 pub use service::{
     DrainReport, JobHandle, PsiService, ServiceStats, ABORTED_BY_SHUTDOWN_REASON,
-    DEADLINE_EXPIRED_REASON,
+    DEADLINE_EXPIRED_REASON, MAX_LIVE_SHAPES,
 };
 pub use shard::{
     ShardBalance, ShardSpec, ShardedJobHandle, ShardedService, ShardedUpdateReport, SubmitError,

@@ -72,6 +72,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
+use psi_graph::hash::FxHashMap;
 use psi_graph::PivotedQuery;
 use psi_obs::{Counter, Histogram, MetricsRecorder, Phase, Recorder};
 
@@ -79,7 +80,7 @@ use crate::limits::EvalLimits;
 use crate::smart::RunSpec;
 
 use super::proto::{self, ErrorKind, Request, WireStats};
-use super::service::{DrainReport, JobHandle, PsiService};
+use super::service::{DrainReport, JobHandle, PsiService, ServiceStats};
 
 /// Tuning for a [`NetServer`].
 #[derive(Debug, Clone)]
@@ -140,10 +141,12 @@ struct Shared {
     /// `Some` once a drain has completed (idempotency + the report for
     /// later callers). The lock also serializes concurrent drains.
     drain_result: Mutex<Option<DrainReport>>,
-    /// Read-half clones of every live connection, closed on drain to
-    /// unblock parked readers. Writers keep flushing pending
-    /// responses — only the read direction is shut.
-    conn_streams: Mutex<Vec<TcpStream>>,
+    /// Read-half clones of every live connection, keyed by connection
+    /// number, closed on drain to unblock parked readers. Writers keep
+    /// flushing pending responses — only the read direction is shut.
+    /// A connection removes its own entry when it ends, so a closed
+    /// client's socket closes with it.
+    conn_streams: Mutex<FxHashMap<u64, TcpStream>>,
     /// Front-door metrics: [`Counter::Admitted`]/[`Counter::Shed`]
     /// and the [`Phase::NetRead`]/[`Phase::NetWrite`] spans. Queue
     /// and service counters live in the service's own recorder.
@@ -176,7 +179,7 @@ impl NetServer {
             local_addr,
             draining: AtomicBool::new(false),
             drain_result: Mutex::new(None),
-            conn_streams: Mutex::new(Vec::new()),
+            conn_streams: Mutex::new(FxHashMap::default()),
             metrics: Arc::new(MetricsRecorder::new()),
         });
         let conn_threads = Arc::new(Mutex::new(Vec::new()));
@@ -201,6 +204,12 @@ impl NetServer {
     /// and the [`Phase::NetRead`]/[`Phase::NetWrite`] spans.
     pub fn metrics(&self) -> &MetricsRecorder {
         &self.shared.metrics
+    }
+
+    /// Lifetime counters of the served deployment (still readable
+    /// after a drain).
+    pub fn service_stats(&self) -> ServiceStats {
+        self.shared.service.read().stats()
     }
 
     /// Drain and stop: stop accepting, shed new requests, give queued
@@ -257,7 +266,7 @@ impl Shared {
         let report = self.service.write().shutdown(grace);
         // Unblock parked readers (EOF); their pending writes still go
         // out before each connection closes.
-        for s in self.conn_streams.lock().drain(..) {
+        for (_, s) in self.conn_streams.lock().drain() {
             let _ = s.shutdown(Shutdown::Read);
         }
         *done = Some(report);
@@ -355,7 +364,7 @@ fn accept_loop(
     shared: &Arc<Shared>,
     conn_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    for stream in listener.incoming() {
+    for (conn, stream) in (0u64..).zip(listener.incoming()) {
         if shared.draining.load(Ordering::Acquire) {
             break; // the drain poke (or any racing client) lands here
         }
@@ -366,10 +375,17 @@ fn accept_loop(
         let Ok(read_half) = stream.try_clone() else {
             continue;
         };
-        shared.conn_streams.lock().push(read_half);
+        shared.conn_streams.lock().insert(conn, read_half);
         let shared = shared.clone();
-        let handle = std::thread::spawn(move || conn_reader(&shared, stream));
-        conn_threads.lock().push(handle);
+        let handle = std::thread::spawn(move || {
+            conn_reader(&shared, stream);
+            shared.conn_streams.lock().remove(&conn);
+        });
+        // Keep handles of live connections only: a finished thread's
+        // handle is dropped here instead of piling up until shutdown.
+        let mut threads = conn_threads.lock();
+        threads.retain(|t| !t.is_finished());
+        threads.push(handle);
     }
 }
 

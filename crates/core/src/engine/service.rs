@@ -11,9 +11,12 @@
 //!   no per-query thread churn.
 //! * **Share across queries.** All jobs share the `Arc<GraphContext>`
 //!   (graph + signatures), and jobs with the *same query shape* share
-//!   a [`PredictionCache`] keyed by a query fingerprint, so query #2
+//!   a [`PredictionCache`] keyed by the exact shape, so query #2
 //!   starts with query #1's confirmed predictions
-//!   ([`ServiceStats::cross_query_cache_hits`] counts the reuse).
+//!   ([`ServiceStats::cross_query_cache_hits`] counts the reuse). At
+//!   most [`MAX_LIVE_SHAPES`] shapes keep a live cache; a new shape
+//!   evicts the least recently used one, so memory follows the graph
+//!   and that constant, not the query history.
 //! * **Survive worker trouble.** Each job runs under `catch_unwind`:
 //!   a panic that escapes a job (possible when the submitter disables
 //!   per-node panic isolation, or from an injected
@@ -47,8 +50,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use psi_graph::hash::{FxHashMap, FxHasher};
-use psi_graph::{GraphUpdate, PivotedQuery};
+use psi_graph::hash::FxHashMap;
+use psi_graph::{GraphUpdate, LabelId, NodeId, PivotedQuery};
 use psi_obs::{Counter, Histogram, MetricsRecorder, Phase, Recorder};
 
 use crate::fault::panic_reason;
@@ -84,10 +87,88 @@ pub const ABORTED_BY_SHUTDOWN_REASON: &str = "aborted by shutdown drain";
 /// query pivot. The shape every answered-without-running job takes
 /// (deadline expiry, shutdown abort) — distinguishable from a real
 /// answer by its non-empty failure ledger.
-fn structured_failure(pivot: psi_graph::NodeId, reason: &str) -> PsiResult {
+fn structured_failure(pivot: NodeId, reason: &str) -> PsiResult {
     let mut failed = PsiResult::empty(0, 0);
     failed.failures.record(pivot, reason, 0);
     failed
+}
+
+/// Most per-shape cross-query prediction caches one [`PsiService`]
+/// keeps live. A job whose shape has no live cache creates one; when
+/// the table is full, the least recently used shape's cache is dropped
+/// first ([`ServiceStats::cache_evictions`] counts the drops).
+///
+/// Worst case: 64 shapes × one entry per candidate — each shape's
+/// cache holds at most one `(method, plan)` entry per surviving
+/// candidate of its pivot, so the bound is set by the graph and this
+/// constant, never by uptime. Every in-repo workload and bench uses
+/// ≤ 16 shapes, so none of them evicts. Each shard of a
+/// [`ShardedService`](crate::ShardedService) is a `PsiService` and has
+/// its own bound.
+pub const MAX_LIVE_SHAPES: usize = 64;
+
+/// The exact structure of a query at one graph epoch: the key of a
+/// cross-query cache. Keying by the full shape rather than a hash of it
+/// means two shapes can never share a cache by collision — their
+/// cached `(method, plan)` indices refer to different plan lists.
+#[derive(PartialEq, Eq, Hash)]
+struct ShapeKey {
+    epoch: u64,
+    pivot: NodeId,
+    labels: Box<[LabelId]>,
+    edges: Box<[(NodeId, NodeId, LabelId)]>,
+}
+
+impl ShapeKey {
+    fn new(query: &PivotedQuery, epoch: u64) -> Self {
+        Self {
+            epoch,
+            pivot: query.pivot(),
+            labels: query.graph().labels().into(),
+            edges: query.graph().edges().collect(),
+        }
+    }
+}
+
+/// The live cross-query caches: at most [`MAX_LIVE_SHAPES`], evicted
+/// least recently used first.
+#[derive(Default)]
+struct ShapeCaches {
+    /// Each live cache with the clock value of its last use.
+    live: FxHashMap<ShapeKey, (Arc<PredictionCache>, u64)>,
+    /// Bumped on every lookup, so the smallest stamp marks the least
+    /// recently used shape.
+    clock: u64,
+}
+
+impl ShapeCaches {
+    /// The cache for `key`, created on first use. Returns `true` as
+    /// the second element when creating it evicted another shape.
+    fn get_or_create(&mut self, key: ShapeKey, shards: usize) -> (Arc<PredictionCache>, bool) {
+        self.clock += 1;
+        if let Some((cache, used)) = self.live.get_mut(&key) {
+            *used = self.clock;
+            return (cache.clone(), false);
+        }
+        let evict = self.live.len() >= MAX_LIVE_SHAPES;
+        if evict {
+            // Stamps are unique, so this drops exactly one shape. A
+            // job still holding its `Arc` finishes on it.
+            if let Some(oldest) = self.live.values().map(|&(_, used)| used).min() {
+                self.live.retain(|_, &mut (_, used)| used != oldest);
+            }
+        }
+        let cache = Arc::new(PredictionCache::new(shards));
+        self.live.insert(key, (cache.clone(), self.clock));
+        (cache, evict)
+    }
+
+    /// Drop every live cache; returns how many there were.
+    fn clear(&mut self) -> usize {
+        let n = self.live.len();
+        self.live.clear();
+        n
+    }
 }
 
 /// What a [`PsiService::shutdown`] drain window observed.
@@ -191,12 +272,13 @@ struct ServiceInner {
     /// predicate [`PsiService::shutdown`] waits on.
     in_flight: AtomicUsize,
     /// Cross-query prediction caches, one per `(graph epoch, query
-    /// shape)` pair. Keying by epoch (and clearing on update) is what
-    /// guarantees a pre-update prediction is never consulted by a
-    /// post-update job — even a racing job that grabbed the old
-    /// snapshot right as an update landed re-creates an *old-epoch*
-    /// entry that new-epoch jobs can never see.
-    caches: Mutex<FxHashMap<(u64, u64), Arc<PredictionCache>>>,
+    /// shape)` pair, at most [`MAX_LIVE_SHAPES`] of them. Keying by
+    /// epoch (and clearing on update) is what guarantees a pre-update
+    /// prediction is never consulted by a post-update job — even a
+    /// racing job that grabbed the old snapshot right as an update
+    /// landed re-creates an *old-epoch* entry that new-epoch jobs can
+    /// never see.
+    caches: Mutex<ShapeCaches>,
     /// Service-level counters and histograms (queries served, queue
     /// wait, worker deaths, …) — all order-independent sums.
     metrics: MetricsRecorder,
@@ -217,24 +299,25 @@ impl ServiceInner {
     }
 
     /// The shared cache for this query's shape at this graph epoch,
-    /// created on first use. The fingerprint hashes the query's exact
-    /// structure (labels, edges, pivot), so only structurally
+    /// created on first use (evicting the least recently used shape
+    /// when [`MAX_LIVE_SHAPES`] are live). The key is the query's
+    /// exact structure (labels, edges, pivot), so only structurally
     /// identical queries — whose trained models, and hence cached
     /// predictions, are deterministic and interchangeable — ever share
     /// a cache; the epoch half of the key separates graph versions.
     fn cache_for(&self, query: &PivotedQuery, ctx: &GraphContext) -> Arc<PredictionCache> {
-        use std::hash::Hasher;
-        let mut h = FxHasher::default();
-        std::hash::Hash::hash(query.graph().labels(), &mut h);
-        for (a, b, l) in query.graph().edges() {
-            std::hash::Hash::hash(&(a, b, l), &mut h);
+        let key = ShapeKey::new(query, ctx.epoch());
+        let (cache, evicted) = lock(&self.caches).get_or_create(key, ctx.config().cache_shards);
+        if evicted {
+            self.metrics.add(Counter::CacheEvictions, 1);
         }
-        std::hash::Hash::hash(&query.pivot(), &mut h);
-        let shards = ctx.config().cache_shards;
-        lock(&self.caches)
-            .entry((ctx.epoch(), h.finish()))
-            .or_insert_with(|| Arc::new(PredictionCache::new(shards)))
-            .clone()
+        cache
+    }
+
+    /// Retire every live cross-query cache (their epoch went stale).
+    fn invalidate_caches(&self) {
+        let retired = lock(&self.caches).clear();
+        self.metrics.add(Counter::CacheInvalidations, retired as u64);
     }
 
     /// Hand one admitted job's feedback to the adaptation loop (empty
@@ -252,14 +335,16 @@ pub struct ServiceStats {
     /// Jobs answered (including jobs answered with a failed result).
     pub queries_served: u64,
     /// Prediction-cache hits on entries inserted by an *earlier* job —
-    /// the cross-query reuse the service exists to provide.
+    /// the cross-query reuse the service exists to provide. A lifetime
+    /// count: eviction and update invalidation never lower it.
     pub cross_query_cache_hits: u64,
     /// Jobs whose first attempt died and were requeued.
     pub requeued_jobs: u64,
     /// Job attempts that escaped a `catch_unwind` (worker survived).
     pub worker_panics: u64,
     /// Distinct `(epoch, query shape)` pairs currently cached (= live
-    /// cross-query caches; resets when an update invalidates them).
+    /// cross-query caches). At most [`MAX_LIVE_SHAPES`]; resets to 0
+    /// when an update invalidates them.
     pub distinct_query_shapes: usize,
     /// Epoch of the currently published graph snapshot (0 = the
     /// initial deployment, static services stay there).
@@ -267,6 +352,9 @@ pub struct ServiceStats {
     /// Cross-query caches retired by [`PsiService::apply_update`]
     /// because their epoch went stale.
     pub cache_invalidations: u64,
+    /// Cross-query caches dropped, least recently used first, to make
+    /// room for a new shape once [`MAX_LIVE_SHAPES`] were live.
+    pub cache_evictions: u64,
     /// Jobs whose deadline expired while queued: answered with a
     /// structured [`DEADLINE_EXPIRED_REASON`] failure, never run.
     pub deadline_expired: u64,
@@ -355,7 +443,7 @@ impl PsiService {
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
-            caches: Mutex::new(FxHashMap::default()),
+            caches: Mutex::new(ShapeCaches::default()),
             metrics: MetricsRecorder::new(),
             adaptive,
         });
@@ -401,15 +489,7 @@ impl PsiService {
             .ctx
             .write()
             .unwrap_or_else(|e| e.into_inner()) = ev.current();
-        let retired = {
-            let mut caches = lock(&self.inner.caches);
-            let n = caches.len();
-            caches.clear();
-            n
-        };
-        self.inner
-            .metrics
-            .add(Counter::CacheInvalidations, retired as u64);
+        self.inner.invalidate_caches();
         // Drift hook: the adaptation loop drops its stale reservoir
         // and models and opens a forced refit window on the new epoch.
         if let Some(a) = &self.inner.adaptive {
@@ -433,15 +513,7 @@ impl PsiService {
             .ctx
             .write()
             .unwrap_or_else(|e| e.into_inner()) = ctx;
-        let retired = {
-            let mut caches = lock(&self.inner.caches);
-            let n = caches.len();
-            caches.clear();
-            n
-        };
-        self.inner
-            .metrics
-            .add(Counter::CacheInvalidations, retired as u64);
+        self.inner.invalidate_caches();
         if let Some(a) = &self.inner.adaptive {
             lock(a).note_drift(dim);
         }
@@ -594,15 +666,15 @@ impl PsiService {
     /// Lifetime counters of this service.
     pub fn stats(&self) -> ServiceStats {
         let m = &self.inner.metrics;
-        let caches = lock(&self.inner.caches);
         ServiceStats {
             queries_served: m.counter(Counter::QueriesServed),
-            cross_query_cache_hits: caches.values().map(|c| c.cross_query_hits()).sum(),
+            cross_query_cache_hits: m.counter(Counter::CrossQueryCacheHits),
             requeued_jobs: m.counter(Counter::Requeued),
             worker_panics: m.counter(Counter::WorkerDeaths),
-            distinct_query_shapes: caches.len(),
+            distinct_query_shapes: lock(&self.inner.caches).live.len(),
             graph_epoch: self.inner.current_ctx().epoch(),
             cache_invalidations: m.counter(Counter::CacheInvalidations),
+            cache_evictions: m.counter(Counter::CacheEvictions),
             deadline_expired: m.counter(Counter::DeadlineExpired),
             drained: m.counter(Counter::Drained),
         }
@@ -711,8 +783,13 @@ fn worker_loop(inner: &ServiceInner, spawn_t0: Instant) {
         // Mark the query boundary: whatever this job reads from before
         // this instant was produced by an earlier job.
         cache.advance_epoch();
-        let spec = job.spec.clone().cache(cache);
+        let spec = job.spec.clone().cache(cache.clone());
         let outcome = catch_unwind(AssertUnwindSafe(|| smart.run(&job.query, &spec)));
+        // Drain this job's reuse into the lifetime counter before its
+        // handle fills, so a caller that waited sees it in `stats`.
+        inner
+            .metrics
+            .add(Counter::CrossQueryCacheHits, cache.take_cross_query_hits());
         match outcome {
             Ok(result) => {
                 inner.metrics.add(Counter::QueriesServed, 1);

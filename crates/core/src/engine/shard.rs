@@ -415,17 +415,7 @@ impl ShardedService {
     /// Aggregate stats across all shards. `graph_epoch` reports the
     /// maximum shard epoch.
     pub fn stats(&self) -> ServiceStats {
-        let mut out = ServiceStats {
-            queries_served: 0,
-            cross_query_cache_hits: 0,
-            requeued_jobs: 0,
-            worker_panics: 0,
-            distinct_query_shapes: 0,
-            graph_epoch: 0,
-            cache_invalidations: 0,
-            deadline_expired: 0,
-            drained: 0,
-        };
+        let mut out = ServiceStats::default();
         for cell in &self.cells {
             let s = cell.service.stats();
             out.queries_served += s.queries_served;
@@ -435,6 +425,7 @@ impl ShardedService {
             out.distinct_query_shapes += s.distinct_query_shapes;
             out.graph_epoch = out.graph_epoch.max(s.graph_epoch);
             out.cache_invalidations += s.cache_invalidations;
+            out.cache_evictions += s.cache_evictions;
             out.deadline_expired += s.deadline_expired;
             out.drained += s.drained;
         }

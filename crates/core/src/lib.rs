@@ -60,7 +60,7 @@ pub use engine::exec::{PredictionCache, WorkStealingOptions};
 pub use engine::net::{NetServer, NetServerConfig};
 pub use engine::service::{
     DrainReport, JobHandle, PsiService, ServiceStats, ABORTED_BY_SHUTDOWN_REASON,
-    DEADLINE_EXPIRED_REASON,
+    DEADLINE_EXPIRED_REASON, MAX_LIVE_SHAPES,
 };
 pub use engine::shard::{
     ShardBalance, ShardSpec, ShardedJobHandle, ShardedService, ShardedUpdateReport, SubmitError,

@@ -180,6 +180,28 @@ fn service_after_updates_matches_cold_engine_across_worker_counts() {
 }
 
 #[test]
+fn cross_query_hits_are_a_lifetime_count_across_updates() {
+    let (smart, _mirror, queries) = deployment(43);
+    let service = evolving_service(&smart, 2);
+    for _ in 0..3 {
+        for q in &queries {
+            service.submit(q.clone(), RunSpec::new()).wait();
+        }
+    }
+    let before = service.stats();
+    assert!(before.cross_query_cache_hits > 0, "{before:?}");
+    service
+        .apply_update(&[GraphUpdate::AddNode { label: 0 }])
+        .unwrap();
+    let after = service.stats();
+    assert_eq!(after.distinct_query_shapes, 0, "the update retired every cache");
+    assert!(
+        after.cross_query_cache_hits >= before.cross_query_cache_hits,
+        "retiring caches must not lower the count: {before:?} -> {after:?}"
+    );
+}
+
+#[test]
 fn updates_under_chaos_preserve_answers() {
     install_quiet_panic_hook();
     let (smart, mut mirror, queries) = deployment(67);

@@ -256,10 +256,16 @@ pub enum Counter {
     /// Per-node feedback rows absorbed into an adaptive deployment's
     /// refit reservoir.
     FeedbackSamples,
+    /// Per-shape cross-query prediction caches a service dropped
+    /// because its bounded shape table was full and a new shape
+    /// arrived (least recently used first). Complements
+    /// [`Counter::CacheInvalidations`], which counts update-driven
+    /// retirements.
+    CacheEvictions,
 }
 
 /// Number of [`Counter`] variants.
-pub const COUNTER_COUNT: usize = 36;
+pub const COUNTER_COUNT: usize = 37;
 
 impl Counter {
     /// All counters, in declaration order.
@@ -300,6 +306,7 @@ impl Counter {
         Counter::Refits,
         Counter::ExplorationRuns,
         Counter::FeedbackSamples,
+        Counter::CacheEvictions,
     ];
 
     /// Stable snake_case name (used as the JSON key).
@@ -341,6 +348,7 @@ impl Counter {
             Counter::Refits => "refits",
             Counter::ExplorationRuns => "exploration_runs",
             Counter::FeedbackSamples => "feedback_samples",
+            Counter::CacheEvictions => "cache_evictions",
         }
     }
 }

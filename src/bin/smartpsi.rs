@@ -559,10 +559,12 @@ fn cmd_batch(opts: &Opts) -> Result<(), String> {
         submitted as f64 / elapsed.as_secs_f64().max(1e-9)
     );
     println!(
-        "service: {} served, {} cross-query cache hits, {} shapes, {} requeued, {} panics",
+        "service: {} served, {} cross-query cache hits, {} shapes, {} evictions, {} requeued, \
+         {} panics",
         stats.queries_served,
         stats.cross_query_cache_hits,
         stats.distinct_query_shapes,
+        stats.cache_evictions,
         stats.requeued_jobs,
         stats.worker_panics
     );
@@ -711,10 +713,12 @@ fn cmd_batch_sharded(
         service.shard_epochs()
     );
     println!(
-        "shards: {} served, {} cross-query cache hits, {} shapes, {} requeued, {} panics",
+        "shards: {} served, {} cross-query cache hits, {} shapes, {} evictions, {} requeued, \
+         {} panics",
         stats.queries_served,
         stats.cross_query_cache_hits,
         stats.distinct_query_shapes,
+        stats.cache_evictions,
         stats.requeued_jobs,
         stats.worker_panics
     );
@@ -798,9 +802,17 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         addr.port()
     );
     let report = server.wait();
+    let stats = server.service_stats();
     println!(
         "drained: {} jobs completed, {} aborted past deadline",
         report.drained, report.aborted
+    );
+    println!(
+        "service: {} served, {} cross-query cache hits, {} shapes, {} evictions",
+        stats.queries_served,
+        stats.cross_query_cache_hits,
+        stats.distinct_query_shapes,
+        stats.cache_evictions
     );
     Ok(())
 }
