@@ -170,15 +170,16 @@ fn main() {
         POST_DRIFT
     );
 
-    let frozen = smart
-        .deploy(&DeploymentSpec::new().workers(2).evolving(4))
-        .into_service();
+    let frozen = smart.deploy(&DeploymentSpec::new().workers(2).evolving(4));
     let (f, frozen_verdicts) = run_stream(&frozen, &queries, &order, &drift);
     drop(frozen);
 
-    let adaptive = smart
-        .deploy(&DeploymentSpec::new().workers(2).evolving(4).adaptive(CADENCE, EPSILON))
-        .into_service();
+    let adaptive = smart.deploy(
+        &DeploymentSpec::new()
+            .workers(2)
+            .evolving(4)
+            .adaptive(CADENCE, EPSILON),
+    );
     let (a, adaptive_verdicts) = run_stream(&adaptive, &queries, &order, &drift);
     let stats = adaptive.adaptive_stats().expect("adaptive deployment");
     drop(adaptive);

@@ -73,8 +73,11 @@ fn response_id(line: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
+/// One query shape on the wire: node labels, edges, pivot.
+type Shape = (Vec<u16>, Vec<(u32, u32)>, u32);
+
 /// One wire query line for the i-th shape in the workload.
-fn query_line(id: u64, shapes: &[(Vec<u16>, Vec<(u32, u32)>, u32)], i: usize) -> String {
+fn query_line(id: u64, shapes: &[Shape], i: usize) -> String {
     let (labels, edges, pivot) = &shapes[i % shapes.len()];
     let labels: Vec<String> = labels.iter().map(|l| l.to_string()).collect();
     let edges: Vec<String> = edges.iter().map(|(u, v)| format!("[{u},{v}]")).collect();
@@ -85,7 +88,7 @@ fn query_line(id: u64, shapes: &[(Vec<u16>, Vec<(u32, u32)>, u32)], i: usize) ->
     )
 }
 
-fn bind_server() -> (NetServer, Vec<(Vec<u16>, Vec<(u32, u32)>, u32)>) {
+fn bind_server() -> (NetServer, Vec<Shape>) {
     let g = generators::erdos_renyi(2_000, 8_000, 3, 7);
     let cfg = SmartPsiConfig {
         min_candidates_for_ml: 10,
@@ -104,9 +107,8 @@ fn bind_server() -> (NetServer, Vec<(Vec<u16>, Vec<(u32, u32)>, u32)>) {
     }
     assert!(shapes.len() >= 6, "need a shape mix, got {}", shapes.len());
     let capacity = g.label_count();
-    let service = SmartPsi::new(g, cfg)
-        .deploy(&DeploymentSpec::new().workers(WORKERS).evolving(capacity))
-        .into_service();
+    let service =
+        SmartPsi::new(g, cfg).deploy(&DeploymentSpec::new().workers(WORKERS).evolving(capacity));
     let net_cfg = NetServerConfig {
         max_queue: MAX_QUEUE,
         ..NetServerConfig::default()
@@ -126,7 +128,7 @@ fn connect(server: &NetServer) -> (TcpStream, BufReader<TcpStream>) {
 }
 
 /// Phase 1: closed-loop ceiling in jobs/sec.
-fn saturation_probe(server: &NetServer, shapes: &[(Vec<u16>, Vec<(u32, u32)>, u32)]) -> f64 {
+fn saturation_probe(server: &NetServer, shapes: &[Shape]) -> f64 {
     let answered = Arc::new(AtomicU64::new(0));
     let t0 = Instant::now();
     let deadline = t0 + Duration::from_secs_f64(LEVEL_SECS);
@@ -164,12 +166,7 @@ struct LevelOutcome {
 }
 
 /// Phase 2: one open-loop level at `mult` × the saturation rate.
-fn open_loop_level(
-    server: &NetServer,
-    shapes: &[(Vec<u16>, Vec<(u32, u32)>, u32)],
-    sat_jps: f64,
-    mult: f64,
-) -> LevelOutcome {
+fn open_loop_level(server: &NetServer, shapes: &[Shape], sat_jps: f64, mult: f64) -> LevelOutcome {
     let per_sender_rate = sat_jps * mult / SENDERS as f64;
     let interval = Duration::from_secs_f64(1.0 / per_sender_rate.max(1.0));
     let latencies = Mutex::new(Vec::<f64>::new());

@@ -105,7 +105,7 @@ fn main() {
     assert!(queries.len() >= 11, "need a real shape mix, got {}", queries.len());
 
     let mut order: Vec<usize> =
-        (0..queries.len()).flat_map(|i| std::iter::repeat(i).take(REPEATS)).collect();
+        (0..queries.len()).flat_map(|i| std::iter::repeat_n(i, REPEATS)).collect();
     shuffle(&mut order, 0xba7c4);
     assert!(order.len() >= 64, "acceptance requires a ≥64-job batch");
     eprintln!(
@@ -147,7 +147,7 @@ fn main() {
         // are all inside the timed region — the service pays its setup
         // once, not per job.
         let (_, t) = time(|| {
-            let service = smart.deploy(&deploy_spec()).into_service();
+            let service = smart.deploy(&deploy_spec());
             let handles: Vec<_> = order
                 .iter()
                 .map(|&i| service.submit(queries[i].clone(), RunSpec::new()))
@@ -177,7 +177,7 @@ fn main() {
     // Untimed verification pass: every service answer must be
     // bit-identical to the sequential reference, and the shared cache
     // must actually carry cross-query traffic.
-    let service = smart.deploy(&deploy_spec()).into_service();
+    let service = smart.deploy(&deploy_spec());
     let handles: Vec<(usize, _)> = order
         .iter()
         .map(|&i| (i, service.submit(queries[i].clone(), RunSpec::new())))

@@ -1,6 +1,6 @@
-//! Shard bench — scatter-gather [`ShardedService`] vs. one
-//! single-context [`PsiService`] with the same total worker count on a
-//! generated 500k-node graph. Writes `BENCH_shard.json`.
+//! Shard bench — a scatter-gather [`PsiService`] of 4 shards vs. a
+//! 1-shard one with the same total worker count on a generated
+//! 500k-node graph. Writes `BENCH_shard.json`.
 //!
 //! PR 6's serving claim is about *memory locality*, not raw speed: a
 //! range shard only materializes its owned range plus a depth-`D` halo,
@@ -24,7 +24,6 @@
 //!   single-context service's. A locality win with wrong answers is
 //!   no win.
 //!
-//! [`ShardedService`]: psi_core::ShardedService
 //! [`PsiService`]: psi_core::PsiService
 
 use std::fmt::Write as _;
@@ -116,11 +115,9 @@ fn main() {
         queries.len()
     );
 
-    let (sharded, t_cut) = time(|| {
-        smart
-            .deploy(&DeploymentSpec::new().shards(SHARDS).workers(WORKERS))
-            .into_sharded()
-    });
+    let (sharded, t_cut) =
+        time(|| smart.deploy(&DeploymentSpec::new().shards(SHARDS).workers(WORKERS)));
+    let halo = sharded.halo_depth().expect("a sharded deployment has a halo");
     eprintln!("[shard] {SHARDS} shards × {WORKERS} workers cut in {t_cut:.2?}");
 
     // Peak per-shard slab vs. the full matrix — the locality claim.
@@ -141,9 +138,7 @@ fn main() {
     let mut t_sharded = f64::MAX;
     for _ in 0..ROUNDS {
         let (_, t) = time(|| {
-            let service = smart
-                .deploy(&DeploymentSpec::new().workers(SHARDS * WORKERS))
-                .into_service();
+            let service = smart.deploy(&DeploymentSpec::new().workers(SHARDS * WORKERS));
             let handles: Vec<_> = queries
                 .iter()
                 .map(|q| service.submit(q.clone(), RunSpec::new()))
@@ -158,7 +153,7 @@ fn main() {
         let (_, t) = time(|| {
             let handles: Vec<_> = queries
                 .iter()
-                .map(|q| sharded.submit(q.clone(), RunSpec::new()).expect("within halo"))
+                .map(|q| sharded.submit(q.clone(), RunSpec::new()))
                 .collect();
             for h in handles {
                 let _ = h.wait();
@@ -169,16 +164,14 @@ fn main() {
 
     // Untimed differential pass: sharded answers against a
     // single-context service, projection-compared.
-    let service = smart
-        .deploy(&DeploymentSpec::new().workers(SHARDS * WORKERS))
-        .into_service();
+    let service = smart.deploy(&DeploymentSpec::new().workers(SHARDS * WORKERS));
     let truth: Vec<_> = queries
         .iter()
         .map(|q| service.submit(q.clone(), RunSpec::new()))
         .collect();
     let merged: Vec<_> = queries
         .iter()
-        .map(|q| sharded.submit(q.clone(), RunSpec::new()).expect("within halo"))
+        .map(|q| sharded.submit(q.clone(), RunSpec::new()))
         .collect();
     for (i, (t, m)) in truth.into_iter().zip(merged).enumerate() {
         assert_eq!(
@@ -212,7 +205,7 @@ fn main() {
     println!(
         "sharded vs single-context: {ratio:.2}x wall, {:.0}% peak slab, halo depth {}",
         slab_ratio * 100.0,
-        sharded.halo_depth()
+        halo
     );
 
     let mut json = String::new();
@@ -225,7 +218,7 @@ fn main() {
     );
     let _ = writeln!(json, "  \"shards\": {SHARDS},");
     let _ = writeln!(json, "  \"workers_per_shard\": {WORKERS},");
-    let _ = writeln!(json, "  \"halo_depth\": {},", sharded.halo_depth());
+    let _ = writeln!(json, "  \"halo_depth\": {halo},");
     let _ = writeln!(json, "  \"jobs\": {},", queries.len());
     let _ = writeln!(json, "  \"single_ms\": {t_single:.1},");
     let _ = writeln!(json, "  \"sharded_ms\": {t_sharded:.1},");

@@ -10,7 +10,7 @@
 //! is exact, so labels are never guesses), pool them in a bounded
 //! reservoir, and periodically refit the two forests on the pooled
 //! sample. The refit models then *replace* the per-query fit
-//! ([`TrainedSession::apply_adapted`](super::training::TrainedSession))
+//! (`TrainedSession::apply_adapted`)
 //! while budgets and plans still come from each query's own training
 //! pass — adaptation moves prediction quality, never exactness.
 //!
@@ -23,7 +23,7 @@
 //! fitter still benefits from the unbiased labels.
 //!
 //! **Determinism.** Admission (the ε draws) and reservoir sampling use
-//! two independent [`SplitMix64`] streams seeded from
+//! two independent `SplitMix64` streams seeded from
 //! [`AdaptiveConfig::seed`], feedback is drained in *submission order*
 //! (a [`BTreeMap`]-backed reorder buffer keyed by admission sequence
 //! number), and each refit's forest seed is a pure function of the
@@ -33,7 +33,7 @@
 //!
 //! **Drift.** A graph update
 //! ([`PsiService::apply_update`](super::service::PsiService::apply_update))
-//! calls [`AdaptiveState::note_drift`]: the reservoir is cleared (its
+//! calls `AdaptiveState::note_drift`: the reservoir is cleared (its
 //! rows describe the previous epoch's graph), the installed models
 //! are dropped (per-query training takes over, which is always
 //! correct), and a forced refit window opens — the first cadence-free
@@ -97,8 +97,8 @@ impl AdaptiveConfig {
     }
 
     /// The collection-only variant a sharded deployment installs on
-    /// its cells: rows accumulate into per-shard reservoirs, but ε
-    /// draws and cadence refits belong to the coordinator. (A cell can
+    /// its shards: rows accumulate into per-shard reservoirs, but ε
+    /// draws and cadence refits belong to the coordinator. (A shard can
     /// still self-refit inside a post-drift forced window — a useful
     /// local stopgap until the coordinator's merged refit lands.)
     pub(crate) fn collect_only(&self) -> Self {
@@ -139,8 +139,7 @@ impl AdaptedModels {
 }
 
 /// Observable state of one adaptation loop, returned by
-/// [`PsiService::adaptive_stats`](super::service::PsiService::adaptive_stats)
-/// and the sharded equivalent.
+/// [`PsiService::adaptive_stats`](super::service::PsiService::adaptive_stats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdaptiveStats {
     /// Feedback rows absorbed (before reservoir eviction), lifetime.
@@ -200,10 +199,9 @@ pub(crate) struct Admission {
     pub(crate) models: Option<Arc<AdaptedModels>>,
 }
 
-/// The mutable core of one adaptation loop. Owned behind a mutex by a
-/// [`PsiService`](super::service::PsiService) (and, in collect-only
-/// mode, by each shard cell of a
-/// [`ShardedService`](super::shard::ShardedService)).
+/// The mutable core of one adaptation loop. Owned behind a mutex by
+/// each shard of a [`PsiService`](super::service::PsiService) — in
+/// collect-only mode when the deployment has more than one shard.
 pub(crate) struct AdaptiveState {
     cfg: AdaptiveConfig,
     forest: ForestConfig,
@@ -353,16 +351,6 @@ impl AdaptiveState {
         self.since_refit = 0;
     }
 
-    /// Install externally fitted models (the sharded coordinator's
-    /// merged refit pushes through here for stats visibility).
-    pub(crate) fn install(&mut self, models: Arc<AdaptedModels>) {
-        self.stats.model_version = models.version;
-        self.stats.refits += 1;
-        self.models = Some(models);
-        self.since_refit = 0;
-        self.refit_forced = false;
-    }
-
     /// Snapshot of the current reservoir (the sharded coordinator
     /// gathers these for its merged refit).
     pub(crate) fn rows(&self) -> Vec<FeedbackRow> {
@@ -379,11 +367,6 @@ impl AdaptiveState {
             reservoir: self.reservoir.len(),
             ..self.stats
         }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn dim(&self) -> usize {
-        self.dim
     }
 }
 

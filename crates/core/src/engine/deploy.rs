@@ -1,19 +1,14 @@
-//! One front door for every deployment shape.
+//! One builder for every deployment shape.
 //!
-//! Historically each serving topology had its own constructor scattered
-//! across the stack: `SmartPsi::serve` (single service),
-//! `SmartPsi::serve_sharded{,_spec}` (scatter-gather),
-//! `EvolvingContext::serve` and `PsiService::new_evolving`
-//! (updatable deployments) — all deleted since. Picking a signature
-//! store on top of that would have doubled the matrix.
-//! [`DeploymentSpec`] collapses the whole product space into one
-//! builder:
+//! [`DeploymentSpec`] describes the whole serving product space:
 //!
 //! ```text
-//!   {workers} × {static | sharded} × {frozen | evolving} × {dense | compact}
+//!   {workers} × {1 shard | k shards} × {static | evolving}
+//!             × {dense | compact} × {frozen | adaptive}
 //! ```
 //!
-//! resolved by a single call, [`SmartPsi::deploy`]:
+//! resolved by a single call, [`SmartPsi::deploy`], into the one
+//! serving type, a [`PsiService`] of k ≥ 1 shards:
 //!
 //! ```
 //! use psi_core::{DeploymentSpec, RunSpec, SmartPsi, SmartPsiConfig};
@@ -22,36 +17,28 @@
 //! let q = psi_datasets::rwr::extract_query_seeded(&g, 4, 1).unwrap();
 //! let smart = SmartPsi::new(g, SmartPsiConfig::default());
 //!
-//! // A 2-worker single service on the compact store:
+//! // A 2-worker single-shard service on the compact store:
 //! let spec = DeploymentSpec::new()
 //!     .workers(2)
 //!     .sig_store(psi_signature::SigStoreKind::Compact);
-//! let mut dep = smart.deploy(&spec);
-//! let r = dep.submit(q, RunSpec::new()).unwrap().wait();
+//! let mut service = smart.deploy(&spec);
+//! let r = service.submit(q, RunSpec::new()).wait();
 //! # let _ = r;
-//! dep.shutdown(std::time::Duration::from_secs(1));
+//! service.shutdown(std::time::Duration::from_secs(1));
 //! ```
 //!
 //! [`SmartPsi::deploy`]: crate::SmartPsi::deploy
+//! [`PsiService`]: crate::PsiService
 
-use std::time::Duration;
-
-use psi_graph::{GraphUpdate, PivotedQuery};
 use psi_signature::SigStoreKind;
 
 use crate::engine::adapt::AdaptiveConfig;
-use crate::engine::service::{DrainReport, JobHandle, PsiService};
-use crate::engine::shard::{
-    ShardBalance, ShardSpec, ShardedJobHandle, ShardedService, SubmitError,
-};
-use crate::report::PsiResult;
-use crate::smart::RunSpec;
+use crate::engine::shard::{ShardBalance, DEFAULT_HALO_DEPTH};
 
 /// Builder-style description of one serving deployment: worker count,
 /// sharding, halo depth, partition balance, signature store backend,
 /// and static-vs-evolving. `DeploymentSpec::default()` is a 1-worker,
-/// unsharded, static deployment on the context's existing store —
-/// exactly what `serve(1)` used to build.
+/// 1-shard, static deployment on the context's existing store.
 #[derive(Debug, Clone, Default)]
 pub struct DeploymentSpec {
     workers: usize,
@@ -64,36 +51,36 @@ pub struct DeploymentSpec {
 }
 
 impl DeploymentSpec {
-    /// A 1-worker, unsharded, static deployment on the context's
+    /// A 1-worker, 1-shard, static deployment on the context's
     /// existing signature store (same as `default()`).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Worker threads — total for a single service, *per shard* when
-    /// [`DeploymentSpec::shards`] is set (clamped to ≥ 1 at deploy).
+    /// Worker threads *per shard* (clamped to ≥ 1 at deploy).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
     }
 
     /// Partition the graph into `shards` contiguous ranges served
-    /// scatter-gather (`0` or `1` = unsharded single service).
+    /// scatter-gather (`0` or `1` = one shard over the whole graph).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
     }
 
     /// Ghost-node halo depth for sharded deployments (default:
-    /// [`crate::engine::shard::DEFAULT_HALO_DEPTH`]). Ignored when
-    /// unsharded.
+    /// [`DEFAULT_HALO_DEPTH`]): a sharded deployment runs a query iff
+    /// its pivot eccentricity is `≤ depth`, and deeper halos cost more
+    /// resident memory per shard. Ignored with one shard.
     pub fn halo(mut self, depth: u32) -> Self {
         self.halo = Some(depth);
         self
     }
 
-    /// Partition balance policy for sharded deployments. Ignored when
-    /// unsharded.
+    /// Partition balance policy for sharded deployments. Ignored with
+    /// one shard.
     pub fn balance(mut self, balance: ShardBalance) -> Self {
         self.balance = balance;
         self
@@ -108,9 +95,9 @@ impl DeploymentSpec {
     }
 
     /// Make the deployment evolving: accept
-    /// [`apply_update`](Deployment::apply_update) batches, reserving
-    /// signature label space for `label_capacity` labels (clamped up
-    /// to the graph's current label count).
+    /// [`apply_update`](crate::PsiService::apply_update) batches,
+    /// reserving signature label space for `label_capacity` labels
+    /// (clamped up to the graph's current label count).
     pub fn evolving(mut self, label_capacity: usize) -> Self {
         self.evolving = Some(label_capacity);
         self
@@ -120,11 +107,13 @@ impl DeploymentSpec {
     /// feeds its `(features, method, outcome, steps)` back into a
     /// bounded reservoir, an `epsilon` fraction of queries explores
     /// the non-predicted method, and pooled models are refit every
-    /// `cadence` queries (0 = refit only on drift / explicit install).
+    /// `cadence` queries (0 = refit only on drift).
     /// Off by default — a frozen deployment stays bit-identical to
     /// pre-adaptive behavior. Tune capacity/seed via
     /// [`DeploymentSpec::adaptive_config`] with a hand-built
-    /// [`AdaptiveConfig`].
+    /// [`AdaptiveConfig`]. A sharded deployment's shards collect
+    /// feedback while one coordinator explores and refits merged
+    /// models over all of them.
     pub fn adaptive(mut self, cadence: u64, epsilon: f64) -> Self {
         self.adaptive = Some(AdaptiveConfig::new(cadence, epsilon));
         self
@@ -142,8 +131,16 @@ impl DeploymentSpec {
         self.workers.max(1)
     }
 
-    pub(crate) fn is_sharded(&self) -> bool {
-        self.shards > 1
+    pub(crate) fn shard_count(&self) -> usize {
+        self.shards.max(1)
+    }
+
+    pub(crate) fn halo_depth(&self) -> u32 {
+        self.halo.unwrap_or(DEFAULT_HALO_DEPTH)
+    }
+
+    pub(crate) fn shard_balance(&self) -> ShardBalance {
+        self.balance
     }
 
     pub(crate) fn label_capacity(&self) -> Option<usize> {
@@ -157,128 +154,14 @@ impl DeploymentSpec {
     pub(crate) fn adaptive_cfg(&self) -> Option<AdaptiveConfig> {
         self.adaptive
     }
-
-    pub(crate) fn shard_spec(&self) -> ShardSpec {
-        let mut spec = ShardSpec::new(self.shards)
-            .workers_per_shard(self.worker_count())
-            .balance(self.balance);
-        if let Some(d) = self.halo {
-            spec = spec.halo_depth(d);
-        }
-        if let Some(cfg) = self.adaptive {
-            spec = spec.adaptive(cfg);
-        }
-        spec
-    }
-}
-
-/// A live deployment resolved from a [`DeploymentSpec`]: either a
-/// single [`PsiService`] or a scatter-gather [`ShardedService`],
-/// fronted by one uniform submit/update/drain surface.
-pub enum Deployment {
-    /// An unsharded worker-pool service (static or evolving).
-    Service(PsiService),
-    /// A scatter-gather sharded service (static or evolving).
-    Sharded(ShardedService),
-}
-
-/// An in-flight query submitted through a [`Deployment`]; resolves to
-/// one [`PsiResult`] regardless of the topology behind it.
-pub enum DeploymentHandle {
-    /// Job on a single service.
-    Single(JobHandle),
-    /// Scatter-gather job across shards.
-    Sharded(ShardedJobHandle),
-}
-
-impl DeploymentHandle {
-    /// Block until the query finishes and return the merged result.
-    pub fn wait(self) -> PsiResult {
-        match self {
-            DeploymentHandle::Single(h) => h.wait(),
-            DeploymentHandle::Sharded(h) => h.wait(),
-        }
-    }
-}
-
-impl Deployment {
-    /// Submit one query. On a sharded deployment this can reject
-    /// queries whose pivot eccentricity exceeds the halo depth (see
-    /// [`ShardedService::submit`]); a single service accepts
-    /// everything.
-    pub fn submit(
-        &self,
-        query: PivotedQuery,
-        spec: RunSpec,
-    ) -> Result<DeploymentHandle, SubmitError> {
-        match self {
-            Deployment::Service(s) => Ok(DeploymentHandle::Single(s.submit(query, spec))),
-            Deployment::Sharded(s) => s.submit(query, spec).map(DeploymentHandle::Sharded),
-        }
-    }
-
-    /// Apply a graph-update batch to an evolving deployment. Returns
-    /// the published epoch (on a sharded deployment: the highest
-    /// per-shard epoch after the batch). Use
-    /// [`Deployment::as_service`] / [`Deployment::as_sharded`] when
-    /// the full per-topology update report is needed.
-    pub fn apply_update(&self, updates: &[GraphUpdate]) -> Result<u64, crate::UpdateError> {
-        match self {
-            Deployment::Service(s) => s.apply_update(updates).map(|r| r.epoch),
-            Deployment::Sharded(s) => s
-                .apply_update(updates)
-                .map(|r| r.shard_epochs.iter().copied().max().unwrap_or(0)),
-        }
-    }
-
-    /// Gracefully drain the deployment (see [`PsiService::shutdown`]
-    /// and [`ShardedService::shutdown`]); idempotent.
-    pub fn shutdown(&mut self, grace: Duration) -> DrainReport {
-        match self {
-            Deployment::Service(s) => s.shutdown(grace),
-            Deployment::Sharded(s) => s.shutdown(grace),
-        }
-    }
-
-    /// The single service behind this deployment, if unsharded.
-    pub fn as_service(&self) -> Option<&PsiService> {
-        match self {
-            Deployment::Service(s) => Some(s),
-            Deployment::Sharded(_) => None,
-        }
-    }
-
-    /// The sharded service behind this deployment, if sharded.
-    pub fn as_sharded(&self) -> Option<&ShardedService> {
-        match self {
-            Deployment::Service(_) => None,
-            Deployment::Sharded(s) => Some(s),
-        }
-    }
-
-    /// Unwrap the single service. Panics on a sharded deployment —
-    /// callers using `into_service` asked for an unsharded spec.
-    pub fn into_service(self) -> PsiService {
-        match self {
-            Deployment::Service(s) => s,
-            Deployment::Sharded(_) => panic!("deployment is sharded; use into_sharded()"),
-        }
-    }
-
-    /// Unwrap the sharded service. Panics on an unsharded deployment.
-    pub fn into_sharded(self) -> ShardedService {
-        match self {
-            Deployment::Sharded(s) => s,
-            Deployment::Service(_) => panic!("deployment is unsharded; use into_service()"),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{RunSpec, SmartPsi, SmartPsiConfig};
-    use psi_signature::SigStoreKind;
+    use psi_graph::PivotedQuery;
+    use std::time::Duration;
 
     fn setup() -> (SmartPsi, PivotedQuery) {
         let g = psi_datasets::generators::erdos_renyi(400, 1800, 3, 5);
@@ -290,11 +173,12 @@ mod tests {
     fn default_spec_matches_run() {
         let (smart, q) = setup();
         let want = smart.run(&q, &RunSpec::new()).valid;
-        let mut dep = smart.deploy(&DeploymentSpec::new());
-        assert!(dep.as_service().is_some());
-        let got = dep.submit(q, RunSpec::new()).unwrap().wait().valid;
+        let mut service = smart.deploy(&DeploymentSpec::new());
+        assert_eq!(service.shard_count(), 1);
+        assert_eq!(service.halo_depth(), None);
+        let got = service.submit(q, RunSpec::new()).wait().valid;
         assert_eq!(want, got);
-        dep.shutdown(Duration::from_secs(2));
+        service.shutdown(Duration::from_secs(2));
     }
 
     #[test]
@@ -307,36 +191,29 @@ mod tests {
             .halo(4)
             .evolving(8)
             .sig_store(SigStoreKind::Compact);
-        let mut dep = smart.deploy(&spec);
-        assert!(dep.as_sharded().is_some());
-        let got = dep.submit(q.clone(), RunSpec::new()).unwrap().wait().valid;
+        let mut service = smart.deploy(&spec);
+        assert_eq!(service.shard_count(), 3);
+        assert_eq!(service.halo_depth(), Some(4));
+        let got = service.submit(q.clone(), RunSpec::new()).wait().valid;
         assert_eq!(want, got);
-        let epoch = dep
+        let report = service
             .apply_update(&[psi_graph::GraphUpdate::AddNode { label: 1 }])
             .unwrap();
-        assert_eq!(epoch, 1);
-        dep.shutdown(Duration::from_secs(2));
+        assert_eq!(report.epoch, 1);
+        service.shutdown(Duration::from_secs(2));
     }
 
     #[test]
     fn evolving_single_service_updates() {
         let (smart, q) = setup();
-        let mut dep = smart.deploy(&DeploymentSpec::new().workers(2).evolving(6));
-        let before = dep.submit(q.clone(), RunSpec::new()).unwrap().wait().valid;
-        let epoch = dep
+        let mut service = smart.deploy(&DeploymentSpec::new().workers(2).evolving(6));
+        let before = service.submit(q.clone(), RunSpec::new()).wait().valid;
+        let report = service
             .apply_update(&[psi_graph::GraphUpdate::AddNode { label: 0 }])
             .unwrap();
-        assert_eq!(epoch, 1);
-        let after = dep.submit(q, RunSpec::new()).unwrap().wait().valid;
+        assert_eq!(report.epoch, 1);
+        let after = service.submit(q, RunSpec::new()).wait().valid;
         assert_eq!(before, after, "an isolated new node can't change the answer");
-        dep.shutdown(Duration::from_secs(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "deployment is unsharded")]
-    fn into_sharded_panics_on_service() {
-        let (smart, _) = setup();
-        let dep = smart.deploy(&DeploymentSpec::new());
-        let _ = dep.into_sharded();
+        service.shutdown(Duration::from_secs(2));
     }
 }

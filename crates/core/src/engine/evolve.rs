@@ -40,8 +40,8 @@ use psi_signature::{IncrementalSignatures, SignatureMatrix};
 
 use super::context::{GraphContext, SmartPsiConfig};
 
-/// What one applied update batch did (see
-/// [`EvolvingContext::apply`] / `PsiService::apply_update`).
+/// What one applied update batch did (see [`EvolvingContext::apply`]
+/// and [`PsiService::apply_update`](crate::PsiService::apply_update)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateReport {
     /// The epoch the batch published (monotonic, starts at 1).
@@ -59,11 +59,10 @@ pub struct UpdateReport {
 /// Why an update could not be applied.
 #[derive(Debug)]
 pub enum UpdateError {
-    /// The service was built over a static [`GraphContext`] (a
+    /// The service was deployed static (a
     /// [`SmartPsi::deploy`](crate::SmartPsi::deploy) without
-    /// [`DeploymentSpec::evolving`](crate::DeploymentSpec::evolving))
-    /// rather than an [`EvolvingContext`]; it has no mutable graph to
-    /// update.
+    /// [`DeploymentSpec::evolving`](crate::DeploymentSpec::evolving));
+    /// it has no mutable graph to update.
     StaticDeployment,
     /// The batch itself was invalid; the graph and its signatures are
     /// unchanged (batches apply atomically).
@@ -74,7 +73,11 @@ impl std::fmt::Display for UpdateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             UpdateError::StaticDeployment => {
-                write!(f, "this deployment is static: serve an EvolvingContext to apply updates")
+                write!(
+                    f,
+                    "this deployment is static: deploy with DeploymentSpec::evolving to apply \
+                     updates"
+                )
             }
             UpdateError::Graph(e) => write!(f, "invalid update batch: {e}"),
         }

@@ -1,5 +1,5 @@
 //! The execution layer: every driver that sweeps a query's candidate
-//! set sits here, behind the internal [`Executor`] trait.
+//! set sits here, behind the internal `Executor` trait.
 //!
 //! Four drivers share the training and ladder layers:
 //!
@@ -34,7 +34,7 @@
 //!
 //! **Fault tolerance.** Every per-node evaluation inside a grab is
 //! panic-isolated and retried by the ladder
-//! ([`GraphContext::eval_rest_node`]), so a broken node costs one
+//! (`GraphContext::eval_rest_node`), so a broken node costs one
 //! entry in the result's
 //! [`FailureReport`](crate::report::FailureReport), not the pool. A
 //! worker *thread* dying entirely (a panic outside the isolated

@@ -11,8 +11,8 @@
 //!
 //! This module owns [`RetryPolicy`], the per-node outcome types, the
 //! batched phase-A sweep (`GraphContext::batch_plan`), the ladder
-//! itself ([`GraphContext::eval_rest_node`]) and the no-ML exact sweep
-//! used below the training threshold ([`GraphContext::plain_sweep`]).
+//! itself (`GraphContext::eval_rest_node`) and the no-ML exact sweep
+//! used below the training threshold (`GraphContext::plain_sweep`).
 //!
 //! **Phase A / phase B split.** Evaluation of the non-training
 //! candidates is two-phased. Phase A (`GraphContext::batch_plan`)
@@ -58,7 +58,7 @@ use super::training::TrainedSession;
 /// method otherwise). Both methods are exhaustive, so the final
 /// attempt is conclusive unless the node's matcher itself is broken,
 /// in which case the node is reported in
-/// [`FailureReport`](crate::report::FailureReport) instead of being
+/// [`FailureReport`] instead of being
 /// silently dropped.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {

@@ -17,26 +17,26 @@
 //!   exec      the drivers: sequential / two-thread baseline / static
 //!      │      chunks / work-stealing pool, behind one Executor trait
 //!      ▼
-//!   service   PsiService: a persistent worker pool serving a stream
-//!      │      of (query, spec) jobs with cross-query cache reuse
-//!      ▼
-//!   shard     ShardedService: scatter-gather over range-partitioned
-//!      │      shards, each a PsiService with a ghost-node halo
+//!   service   PsiService: k ≥ 1 shards, each a persistent worker
+//!   + shard   pool serving a stream of (query, spec) jobs with
+//!      │      cross-query cache reuse; k > 1 range-partitions the
+//!      │      graph with a ghost-node halo and scatter-gathers
 //!      ▼
 //!   net       NetServer: the TCP front door — line-JSON protocol
 //!             (proto), token-bucket quotas, cost-laddered queue
 //!             shedding, deadlines, graceful drain
 //! ```
 //!
-//! Three side modules ride on the stack: [`evolve`] maintains an
+//! Side modules ride on the stack: [`evolve`] maintains an
 //! incrementally-updated deployment ([`EvolvingContext`]), [`shard`]
-//! fans queries out across per-range contexts, and the crate-private
-//! `pool` owns the process-global lazy worker pool both parallel
-//! drivers draw their OS threads from.
+//! holds the k > 1 half of the service (partition, halo, routing,
+//! merge), [`deploy`] the one [`DeploymentSpec`] builder, and the
+//! crate-private `pool` owns the process-global lazy worker pool both
+//! parallel drivers draw their OS threads from.
 //!
 //! [`crate::smart`] remains the thin public facade: [`SmartPsi`]
 //! wraps an `Arc<GraphContext>` and `SmartPsi::run` dispatches through
-//! [`exec::executor_for`]; results are bit-identical to the
+//! the executor of its spec; results are bit-identical to the
 //! pre-refactor monolith.
 //!
 //! [`SmartPsi`]: crate::SmartPsi
@@ -56,7 +56,7 @@ pub mod training;
 
 pub use adapt::{AdaptedModels, AdaptiveConfig, AdaptiveStats, MIN_REFIT_SAMPLES};
 pub use context::{GraphContext, SmartPsiConfig};
-pub use deploy::{Deployment, DeploymentHandle, DeploymentSpec};
+pub use deploy::DeploymentSpec;
 pub use evolve::{EvolvingContext, UpdateError, UpdateReport};
 pub use exec::{ExecutorKind, PredictionCache, WorkStealingOptions};
 pub use ladder::RetryPolicy;
@@ -64,9 +64,6 @@ pub use net::{NetServer, NetServerConfig};
 pub use proto::{ErrorKind, ProtoError, Request};
 pub use service::{
     DrainReport, JobHandle, PsiService, ServiceStats, ABORTED_BY_SHUTDOWN_REASON,
-    DEADLINE_EXPIRED_REASON, MAX_LIVE_SHAPES,
+    DEADLINE_EXPIRED_REASON, MAX_LIVE_SHAPES, QUERY_TOO_DEEP_REASON,
 };
-pub use shard::{
-    ShardBalance, ShardSpec, ShardedJobHandle, ShardedService, ShardedUpdateReport, SubmitError,
-    DEFAULT_HALO_DEPTH,
-};
+pub use shard::{ShardBalance, DEFAULT_HALO_DEPTH};

@@ -1,5 +1,6 @@
-//! The network front door: TCP serving over [`PsiService`] with
-//! admission control, backpressure, and graceful degradation.
+//! The network front door: TCP serving over a [`PsiService`] of any
+//! shard count, with admission control, backpressure, and graceful
+//! degradation.
 //!
 //! # Architecture
 //!
@@ -153,8 +154,8 @@ struct Shared {
     metrics: Arc<MetricsRecorder>,
 }
 
-/// A TCP front door over one [`PsiService`] deployment. See the
-/// module docs for the admission and drain semantics; see
+/// A TCP front door over one [`PsiService`] deployment, sharded or
+/// not. See the module docs for the admission and drain semantics; see
 /// [`super::proto`] for the wire grammar.
 pub struct NetServer {
     shared: Arc<Shared>,
@@ -289,16 +290,9 @@ impl Shared {
     /// optimist/pessimist cost model — enough signal to shed the
     /// expensive tail first.
     fn cost_class(&self, query: &PivotedQuery) -> CostClass {
-        let ctx = self.service.read().context();
-        let g = ctx.graph();
-        let label = query.pivot_label();
-        let candidates = if (label as usize) < g.label_count() {
-            g.nodes_with_label(label).len()
-        } else {
-            0
-        };
+        let (candidates, nodes) = self.service.read().label_population(query.pivot_label());
         let cost = candidates.saturating_mul(query.graph().node_count());
-        let base = g.node_count().max(1);
+        let base = nodes.max(1);
         if cost >= base {
             CostClass::Heavy
         } else if cost * 4 >= base {

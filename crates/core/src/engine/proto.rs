@@ -34,6 +34,7 @@ use psi_graph::{GraphUpdate, LabelId, NodeId, PivotedQuery};
 use super::evolve::UpdateReport;
 use super::service::{
     DrainReport, ServiceStats, ABORTED_BY_SHUTDOWN_REASON, DEADLINE_EXPIRED_REASON,
+    QUERY_TOO_DEEP_REASON,
 };
 use crate::report::PsiResult;
 
@@ -543,7 +544,8 @@ fn parse_update(u: &Json) -> Result<GraphUpdate, ProtoError> {
 /// [`ErrorKind::wire_name`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
-    /// The line was not a valid protocol request.
+    /// The line was not a valid protocol request, or its query is
+    /// deeper than a sharded deployment's halo.
     BadRequest,
     /// The per-connection token-bucket quota is exhausted.
     Quota,
@@ -596,9 +598,10 @@ pub fn error_line(
 }
 
 /// Serialize a query result line. Results that are structured
-/// deadline/shutdown failures (see
-/// [`DEADLINE_EXPIRED_REASON`] / [`ABORTED_BY_SHUTDOWN_REASON`])
-/// become `"error":"deadline"` / `"error":"aborted"` responses, so a
+/// deadline/shutdown/too-deep failures (see
+/// [`DEADLINE_EXPIRED_REASON`], [`ABORTED_BY_SHUTDOWN_REASON`] and
+/// [`QUERY_TOO_DEEP_REASON`]) become `"error":"deadline"` /
+/// `"error":"aborted"` / `"error":"bad_request"` responses, so a
 /// client sees exactly one answer *or* one structured failure per
 /// accepted job.
 pub fn query_result_line(id: u64, r: &PsiResult) -> String {
@@ -608,6 +611,9 @@ pub fn query_result_line(id: u64, r: &PsiResult) -> String {
         }
         if r.valid.is_empty() && failure.reason == ABORTED_BY_SHUTDOWN_REASON {
             return error_line(Some(id), ErrorKind::Aborted, ABORTED_BY_SHUTDOWN_REASON, None);
+        }
+        if r.valid.is_empty() && failure.reason.starts_with(QUERY_TOO_DEEP_REASON) {
+            return error_line(Some(id), ErrorKind::BadRequest, &failure.reason, None);
         }
     }
     let mut out = format!("{{\"id\":{id},\"ok\":true,\"valid\":[");
@@ -782,6 +788,12 @@ mod tests {
         r.failures.record(3, ABORTED_BY_SHUTDOWN_REASON, 0);
         let line = query_result_line(9, &r);
         assert!(line.contains("\"error\":\"aborted\""), "{line}");
+        let mut r = PsiResult::empty(0, 0);
+        let reason = format!("{QUERY_TOO_DEEP_REASON} (eccentricity 5 > halo depth 4)");
+        r.failures.record(3, &reason, 0);
+        let line = query_result_line(9, &r);
+        assert!(line.contains("\"error\":\"bad_request\""), "{line}");
+        assert!(line.contains("eccentricity 5 > halo depth 4"), "{line}");
         // A real answer stays ok:true even with incidental failures.
         let mut r = PsiResult::empty(5, 10);
         r.valid = vec![1, 4];

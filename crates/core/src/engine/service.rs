@@ -1,22 +1,24 @@
-//! [`PsiService`]: a long-lived worker pool serving a stream of PSI
-//! queries against one shared [`GraphContext`].
+//! [`PsiService`]: the one serving type — a long-lived deployment of
+//! k ≥ 1 shards, each a private worker pool over one [`GraphContext`],
+//! serving a stream of PSI queries.
 //!
 //! [`SmartPsi::run`](crate::SmartPsi::run) answers *one* query; every
 //! parallel executor behind it spins its pool up and down per call.
 //! A query *stream* (the CLI `batch` subcommand, the `serve` bench, an
 //! embedding application) wants the opposite cost profile:
 //!
-//! * **Spawn once.** Workers are spawned at [`PsiService::new`], park
-//!   on a condvar while the queue is empty, and are joined on drop —
-//!   no per-query thread churn.
-//! * **Share across queries.** All jobs share the `Arc<GraphContext>`
-//!   (graph + signatures), and jobs with the *same query shape* share
-//!   a [`PredictionCache`] keyed by the exact shape, so query #2
-//!   starts with query #1's confirmed predictions
+//! * **Spawn once.** Workers are spawned at
+//!   [`SmartPsi::deploy`](crate::SmartPsi::deploy), park on a condvar
+//!   while their shard's queue is empty, and are joined on drop — no
+//!   per-query thread churn.
+//! * **Share across queries.** All jobs of a shard share its
+//!   `Arc<GraphContext>` (graph + signatures), and jobs with the *same
+//!   query shape* share a [`PredictionCache`] keyed by the exact shape,
+//!   so query #2 starts with query #1's confirmed predictions
 //!   ([`ServiceStats::cross_query_cache_hits`] counts the reuse). At
-//!   most [`MAX_LIVE_SHAPES`] shapes keep a live cache; a new shape
-//!   evicts the least recently used one, so memory follows the graph
-//!   and that constant, not the query history.
+//!   most [`MAX_LIVE_SHAPES`] shapes per shard keep a live cache; a new
+//!   shape evicts the least recently used one, so memory follows the
+//!   graph and that constant, not the query history.
 //! * **Survive worker trouble.** Each job runs under `catch_unwind`:
 //!   a panic that escapes a job (possible when the submitter disables
 //!   per-node panic isolation, or from an injected
@@ -26,22 +28,28 @@
 //!   result via the job's handle instead of a poisoned future. The
 //!   worker thread itself never unwinds out of its loop.
 //! * **Evolve without downtime.** A service deployed with
-//!   [`DeploymentSpec::evolving`](crate::DeploymentSpec::evolving)
-//!   owns an
-//!   [`EvolvingContext`]; [`PsiService::apply_update`] applies a
-//!   [`GraphUpdate`] batch, repairs signatures incrementally, and
-//!   swaps in the next epoch-numbered snapshot while in-flight jobs
-//!   finish on the one they pinned. Prediction caches are keyed by
-//!   `(epoch, query shape)` and dropped on update, so stale
-//!   predictions are unreachable by construction.
+//!   [`DeploymentSpec::evolving`] accepts
+//!   [`PsiService::apply_update`]: signatures are repaired
+//!   incrementally and the next epoch-numbered snapshot is swapped in
+//!   while in-flight jobs finish on the one they pinned. Prediction
+//!   caches are keyed by `(epoch, query shape)` and dropped on update,
+//!   so stale predictions are unreachable by construction.
+//!
+//! With k = 1 (the default) the single shard serves the deployment's
+//! own context: no halo, no routing, no merge. With k > 1
+//! ([`DeploymentSpec::shards`]) the graph is range-partitioned and
+//! every query is scattered to the shards owning candidates and its
+//! parts merged on [`JobHandle::wait`]; the [`shard`](super::shard)
+//! module holds that machinery and the exactness argument.
 //!
 //! Determinism: verdicts are scheduling-independent (see the
 //! [`exec`](super::exec) module docs), and the shared cache only ever
 //! holds *confirmed model predictions*, which are themselves
-//! deterministic per query shape — so a service answer is bit-identical
-//! to a fresh sequential [`SmartPsi::run`](crate::SmartPsi::run) of the
-//! same query, for any worker count, submission order, and cache warmth
-//! (property-tested in `crates/core/tests/service.rs`).
+//! deterministic per query shape — so a 1-shard answer is
+//! bit-identical to a fresh sequential
+//! [`SmartPsi::run`](crate::SmartPsi::run) of the same query, for any
+//! worker count, submission order, and cache warmth (property-tested
+//! in `crates/core/tests/service.rs`).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,16 +60,19 @@ use std::time::{Duration, Instant};
 
 use psi_graph::hash::FxHashMap;
 use psi_graph::{GraphUpdate, LabelId, NodeId, PivotedQuery};
-use psi_obs::{Counter, Histogram, MetricsRecorder, Phase, Recorder};
+use psi_obs::{timed, Counter, Histogram, MetricsRecorder, Phase, Recorder};
+use psi_signature::SigStoreKind;
 
 use crate::fault::panic_reason;
 use crate::report::{FeedbackRow, PsiResult};
 use crate::smart::{RunSpec, SmartPsi};
 
-use super::adapt::{AdaptedModels, AdaptiveConfig, AdaptiveState, AdaptiveStats};
+use super::adapt::{AdaptiveConfig, AdaptiveState, AdaptiveStats};
 use super::context::GraphContext;
+use super::deploy::DeploymentSpec;
 use super::evolve::{EvolvingContext, UpdateError, UpdateReport};
 use super::exec::PredictionCache;
+use super::shard::{merge_results, Sharding};
 
 /// Lock a mutex, riding through poisoning: a worker that panicked
 /// while holding the lock has already had its job accounted for by the
@@ -83,28 +94,35 @@ pub const DEADLINE_EXPIRED_REASON: &str = "deadline expired before evaluation";
 /// structured failure, never run.
 pub const ABORTED_BY_SHUTDOWN_REASON: &str = "aborted by shutdown drain";
 
+/// Failure reason prefix recorded on a query a sharded deployment
+/// refuses because its pivot eccentricity exceeds the halo depth:
+/// answering it could silently miss boundary-crossing embeddings, so
+/// it is answered with this structured failure (the full reason
+/// appends both numbers) and never run. The network front door answers
+/// it as `bad_request`.
+pub const QUERY_TOO_DEEP_REASON: &str = "query pivot eccentricity exceeds the shard halo depth";
+
 /// A structured failed result: no verdicts, one failure entry at the
 /// query pivot. The shape every answered-without-running job takes
-/// (deadline expiry, shutdown abort) — distinguishable from a real
-/// answer by its non-empty failure ledger.
-fn structured_failure(pivot: NodeId, reason: &str) -> PsiResult {
+/// (deadline expiry, shutdown abort, too-deep refusal) —
+/// distinguishable from a real answer by its non-empty failure ledger.
+pub(crate) fn structured_failure(pivot: NodeId, reason: &str) -> PsiResult {
     let mut failed = PsiResult::empty(0, 0);
     failed.failures.record(pivot, reason, 0);
     failed
 }
 
-/// Most per-shape cross-query prediction caches one [`PsiService`]
-/// keeps live. A job whose shape has no live cache creates one; when
-/// the table is full, the least recently used shape's cache is dropped
-/// first ([`ServiceStats::cache_evictions`] counts the drops).
+/// Most per-shape cross-query prediction caches one shard keeps live.
+/// A job whose shape has no live cache creates one; when the table is
+/// full, the least recently used shape's cache is dropped first
+/// ([`ServiceStats::cache_evictions`] counts the drops).
 ///
 /// Worst case: 64 shapes × one entry per candidate — each shape's
 /// cache holds at most one `(method, plan)` entry per surviving
 /// candidate of its pivot, so the bound is set by the graph and this
 /// constant, never by uptime. Every in-repo workload and bench uses
-/// ≤ 16 shapes, so none of them evicts. Each shard of a
-/// [`ShardedService`](crate::ShardedService) is a `PsiService` and has
-/// its own bound.
+/// ≤ 16 shapes, so none of them evicts. Each shard of a sharded
+/// deployment has its own bound.
 pub const MAX_LIVE_SHAPES: usize = 64;
 
 /// The exact structure of a query at one graph epoch: the key of a
@@ -184,14 +202,6 @@ pub struct DrainReport {
     pub aborted: u64,
 }
 
-impl DrainReport {
-    /// Merge another report into this one (the sharded fan-in).
-    pub fn absorb(&mut self, other: DrainReport) {
-        self.drained += other.drained;
-        self.aborted += other.aborted;
-    }
-}
-
 /// One submitted query plus everything needed to run and account it.
 struct Job {
     query: PivotedQuery,
@@ -201,17 +211,17 @@ struct Job {
     /// 0 on first submission; 1 after a requeue. A job whose second
     /// attempt also dies is failed, not retried again.
     attempt: u32,
-    /// Adaptive admission sequence number (`None` when the service
-    /// runs without adaptation). Every admitted seq is absorbed
-    /// exactly once — with the job's feedback on success, empty on
-    /// every failure path — so the adaptation loop's in-order drain
-    /// can never stall.
+    /// Adaptive admission sequence number (`None` when the shard runs
+    /// without adaptation). Every admitted seq is absorbed exactly
+    /// once — with the job's feedback on success, empty on every
+    /// failure path — so the adaptation loop's in-order drain can
+    /// never stall.
     seq: Option<u64>,
 }
 
 /// The rendezvous between a worker finishing a job and the caller
 /// waiting on its [`JobHandle`].
-struct JobSlot {
+pub(crate) struct JobSlot {
     result: Mutex<Option<PsiResult>>,
     ready: Condvar,
 }
@@ -228,41 +238,100 @@ impl JobSlot {
         *lock(&self.result) = Some(result);
         self.ready.notify_all();
     }
-}
 
-/// A handle to one submitted query; redeem it with [`JobHandle::wait`].
-pub struct JobHandle {
-    slot: Arc<JobSlot>,
-}
+    /// A slot answered at submit time, without a worker.
+    fn filled(result: PsiResult) -> Arc<Self> {
+        let slot = Self::new();
+        slot.fill(result);
+        slot
+    }
 
-impl JobHandle {
-    /// Block until the job's result is ready and take it.
-    pub fn wait(self) -> PsiResult {
-        let mut guard = lock(&self.slot.result);
+    fn is_filled(&self) -> bool {
+        lock(&self.result).is_some()
+    }
+
+    /// Block until the slot is filled and take the result.
+    fn take(&self) -> PsiResult {
+        let mut guard = lock(&self.result);
         loop {
             if let Some(r) = guard.take() {
                 return r;
             }
-            guard = self
-                .slot
-                .ready
-                .wait(guard)
-                .unwrap_or_else(|e| e.into_inner());
+            guard = self.ready.wait(guard).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+/// A handle to one submitted query; redeem it with [`JobHandle::wait`].
+pub struct JobHandle(Parts);
+
+enum Parts {
+    /// A 1-shard job, or an answer decided at submit time.
+    One(Arc<JobSlot>),
+    /// A k > 1 query: one slot per shard it was routed to, with that
+    /// shard's owned-range start, merged on `wait`.
+    Fanout {
+        pivot: NodeId,
+        parts: Vec<(NodeId, Arc<JobSlot>)>,
+        metrics: Arc<MetricsRecorder>,
+    },
+}
+
+impl JobHandle {
+    /// A handle that is already answered with `result`.
+    pub(crate) fn ready(result: PsiResult) -> Self {
+        Self(Parts::One(JobSlot::filled(result)))
+    }
+
+    /// A scatter-gather handle over per-shard `(lo, slot)` parts.
+    pub(crate) fn fanout(
+        pivot: NodeId,
+        parts: Vec<(NodeId, Arc<JobSlot>)>,
+        metrics: Arc<MetricsRecorder>,
+    ) -> Self {
+        Self(Parts::Fanout {
+            pivot,
+            parts,
+            metrics,
+        })
+    }
+
+    /// Block until the job's result is ready and take it. A sharded
+    /// query waits for every routed shard and merges their parts.
+    pub fn wait(self) -> PsiResult {
+        match self.0 {
+            Parts::One(slot) => slot.take(),
+            Parts::Fanout {
+                pivot,
+                parts,
+                metrics,
+            } => {
+                let results: Vec<(NodeId, PsiResult)> =
+                    parts.into_iter().map(|(lo, s)| (lo, s.take())).collect();
+                timed(metrics.as_ref(), Phase::ShardMerge, || {
+                    merge_results(pivot, results)
+                })
+            }
         }
     }
 
     /// Whether the result is already available (non-blocking).
     pub fn is_finished(&self) -> bool {
-        lock(&self.slot.result).is_some()
+        match &self.0 {
+            Parts::One(slot) => slot.is_filled(),
+            Parts::Fanout { parts, .. } => parts.iter().all(|(_, s)| s.is_filled()),
+        }
     }
 }
 
-/// State shared between the submitting side and the workers.
-struct ServiceInner {
-    /// The currently published snapshot. Behind a lock only so
-    /// [`PsiService::apply_update`] can swap it; workers take a cheap
-    /// read-clone per job, so an in-flight job keeps the `Arc` (and
-    /// hence the graph view) it started with.
+/// One shard of a deployment: the state its worker pool shares with
+/// the submitting side — the published context, the job queue, the
+/// shape caches and the shard's adaptation loop.
+pub(crate) struct Shard {
+    /// The currently published snapshot. Behind a lock only so an
+    /// update can swap it; workers take a cheap read-clone per job, so
+    /// an in-flight job keeps the `Arc` (and hence the graph view) it
+    /// started with.
     ctx: RwLock<Arc<GraphContext>>,
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
@@ -279,23 +348,71 @@ struct ServiceInner {
     /// landed re-creates an *old-epoch* entry that new-epoch jobs can
     /// never see.
     caches: Mutex<ShapeCaches>,
-    /// Service-level counters and histograms (queries served, queue
-    /// wait, worker deaths, …) — all order-independent sums.
-    metrics: MetricsRecorder,
+    /// The deployment's registry (shared by every shard): queries
+    /// served, queue wait, worker deaths, … — all order-independent
+    /// sums.
+    metrics: Arc<MetricsRecorder>,
     /// The online α/β adaptation loop (`None` = frozen deployment,
     /// the default — bit-identical to pre-adaptive behavior). Lock
     /// order: `queue` before `adaptive`, never the reverse.
     adaptive: Option<Mutex<AdaptiveState>>,
 }
 
-impl ServiceInner {
-    /// The snapshot new jobs should run against, riding poisoning like
-    /// [`lock`] (the swap in `apply_update` cannot leave it torn).
-    fn current_ctx(&self) -> Arc<GraphContext> {
+impl Shard {
+    /// A shard over `ctx`, with `workers` (minimum 1) pool threads
+    /// spawned into `handles`.
+    fn spawn(
+        ctx: Arc<GraphContext>,
+        workers: usize,
+        adaptive: Option<AdaptiveConfig>,
+        metrics: &Arc<MetricsRecorder>,
+        handles: &mut Vec<JoinHandle<()>>,
+    ) -> Arc<Self> {
+        let adaptive = adaptive.map(|cfg| {
+            let dim = ctx.signatures().label_count() + 1;
+            Mutex::new(AdaptiveState::new(cfg, dim, ctx.config().forest))
+        });
+        let shard = Arc::new(Self {
+            ctx: RwLock::new(ctx),
+            queue: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
+            caches: Mutex::new(ShapeCaches::default()),
+            metrics: metrics.clone(),
+            adaptive,
+        });
+        let spawn_t0 = Instant::now();
+        handles.extend((0..workers.max(1)).map(|_| {
+            let shard = shard.clone();
+            std::thread::spawn(move || worker_loop(&shard, spawn_t0))
+        }));
+        shard
+    }
+
+    /// The snapshot new jobs will pin, riding poisoning like [`lock`]
+    /// (the swap in [`Shard::publish`] cannot leave it torn).
+    pub(crate) fn context(&self) -> Arc<GraphContext> {
         self.ctx
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .clone()
+    }
+
+    /// Swap in the next snapshot: retire every cross-query cache
+    /// (their epoch key is stale, so no pre-update prediction can
+    /// drive a post-update evaluation —
+    /// [`ServiceStats::cache_invalidations`] counts the retirements),
+    /// and tell the adaptation loop the graph drifted (it drops its
+    /// reservoir and models and opens a forced refit window).
+    pub(crate) fn publish(&self, ctx: Arc<GraphContext>) {
+        let dim = ctx.signatures().label_count() + 1;
+        *self.ctx.write().unwrap_or_else(|e| e.into_inner()) = ctx;
+        let retired = lock(&self.caches).clear();
+        self.metrics.add(Counter::CacheInvalidations, retired as u64);
+        if let Some(a) = &self.adaptive {
+            lock(a).note_drift(dim);
+        }
     }
 
     /// The shared cache for this query's shape at this graph epoch,
@@ -314,248 +431,35 @@ impl ServiceInner {
         cache
     }
 
-    /// Retire every live cross-query cache (their epoch went stale).
-    fn invalidate_caches(&self) {
-        let retired = lock(&self.caches).clear();
-        self.metrics.add(Counter::CacheInvalidations, retired as u64);
-    }
-
     /// Hand one admitted job's feedback to the adaptation loop (empty
     /// rows on failure paths keep the in-order drain moving).
     fn absorb_feedback(&self, seq: Option<u64>, rows: Vec<FeedbackRow>) {
         if let (Some(a), Some(s)) = (&self.adaptive, seq) {
-            lock(a).absorb(s, rows, &self.metrics);
-        }
-    }
-}
-
-/// Snapshot of a service's lifetime counters ([`PsiService::stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServiceStats {
-    /// Jobs answered (including jobs answered with a failed result).
-    pub queries_served: u64,
-    /// Prediction-cache hits on entries inserted by an *earlier* job —
-    /// the cross-query reuse the service exists to provide. A lifetime
-    /// count: eviction and update invalidation never lower it.
-    pub cross_query_cache_hits: u64,
-    /// Jobs whose first attempt died and were requeued.
-    pub requeued_jobs: u64,
-    /// Job attempts that escaped a `catch_unwind` (worker survived).
-    pub worker_panics: u64,
-    /// Distinct `(epoch, query shape)` pairs currently cached (= live
-    /// cross-query caches). At most [`MAX_LIVE_SHAPES`]; resets to 0
-    /// when an update invalidates them.
-    pub distinct_query_shapes: usize,
-    /// Epoch of the currently published graph snapshot (0 = the
-    /// initial deployment, static services stay there).
-    pub graph_epoch: u64,
-    /// Cross-query caches retired by [`PsiService::apply_update`]
-    /// because their epoch went stale.
-    pub cache_invalidations: u64,
-    /// Cross-query caches dropped, least recently used first, to make
-    /// room for a new shape once [`MAX_LIVE_SHAPES`] were live.
-    pub cache_evictions: u64,
-    /// Jobs whose deadline expired while queued: answered with a
-    /// structured [`DEADLINE_EXPIRED_REASON`] failure, never run.
-    pub deadline_expired: u64,
-    /// Jobs answered during a [`PsiService::shutdown`] drain window.
-    pub drained: u64,
-}
-
-/// A persistent PSI query service over one graph deployment.
-///
-/// ```
-/// use psi_core::{PsiService, RunSpec, SmartPsi, SmartPsiConfig};
-///
-/// let g = psi_datasets::generators::erdos_renyi(300, 1000, 3, 7);
-/// let smart = SmartPsi::new(g.clone(), SmartPsiConfig::default());
-/// let service = smart
-///     .deploy(&psi_core::DeploymentSpec::new().workers(4)) // 4 persistent workers
-///     .into_service();
-/// let q = psi_datasets::rwr::extract_query_seeded(&g, 4, 1).unwrap();
-/// let handles: Vec<_> = (0..8)
-///     .map(|_| service.submit(q.clone(), RunSpec::new()))
-///     .collect();
-/// for h in handles {
-///     assert_eq!(h.wait().unresolved, 0);
-/// }
-/// assert_eq!(service.stats().queries_served, 8);
-/// ```
-pub struct PsiService {
-    inner: Arc<ServiceInner>,
-    workers: Vec<JoinHandle<()>>,
-    /// The mutable half of an evolving deployment; `None` for a
-    /// static service. Workers never touch it — they only see the
-    /// snapshots it publishes into `inner.ctx`.
-    evolving: Mutex<Option<EvolvingContext>>,
-}
-
-impl PsiService {
-    /// Spawn a service with `workers` persistent worker threads
-    /// (minimum 1) over the shared *static* deployment `ctx`
-    /// ([`PsiService::apply_update`] will refuse; deploy with
-    /// [`DeploymentSpec::evolving`](crate::DeploymentSpec::evolving)
-    /// for an updatable service).
-    pub fn new(ctx: Arc<GraphContext>, workers: usize) -> Self {
-        Self::spawn(ctx, workers, None, None)
-    }
-
-    /// [`PsiService::new`] with the online α/β adaptation loop
-    /// enabled: every served query contributes feedback, an ε
-    /// fraction explores, and the models refit on the configured
-    /// cadence (see [`AdaptiveConfig`]).
-    pub fn with_adaptive(
-        ctx: Arc<GraphContext>,
-        workers: usize,
-        adaptive: Option<AdaptiveConfig>,
-    ) -> Self {
-        Self::spawn(ctx, workers, None, adaptive)
-    }
-
-    /// Spawn a service over an evolving deployment: queries run
-    /// against the currently published snapshot, and
-    /// [`PsiService::apply_update`] advances it. Internal entry behind
-    /// the [`Deployment`] front door.
-    ///
-    /// [`Deployment`]: crate::Deployment
-    pub(crate) fn spawn_evolving(
-        evolving: EvolvingContext,
-        workers: usize,
-        adaptive: Option<AdaptiveConfig>,
-    ) -> Self {
-        let ctx = evolving.current();
-        Self::spawn(ctx, workers, Some(evolving), adaptive)
-    }
-
-    fn spawn(
-        ctx: Arc<GraphContext>,
-        workers: usize,
-        evolving: Option<EvolvingContext>,
-        adaptive: Option<AdaptiveConfig>,
-    ) -> Self {
-        let adaptive = adaptive.map(|cfg| {
-            let dim = ctx.signatures().label_count() + 1;
-            Mutex::new(AdaptiveState::new(cfg, dim, ctx.config().forest))
-        });
-        let inner = Arc::new(ServiceInner {
-            ctx: RwLock::new(ctx),
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
-            caches: Mutex::new(ShapeCaches::default()),
-            metrics: MetricsRecorder::new(),
-            adaptive,
-        });
-        let spawn_t0 = Instant::now();
-        let workers = (0..workers.max(1))
-            .map(|_| {
-                let inner = inner.clone();
-                std::thread::spawn(move || worker_loop(&inner, spawn_t0))
-            })
-            .collect();
-        Self {
-            inner,
-            workers,
-            evolving: Mutex::new(evolving),
+            lock(a).absorb(s, rows, self.metrics.as_ref());
         }
     }
 
-    /// Apply one [`GraphUpdate`] batch to an evolving deployment:
-    /// repair signatures incrementally, publish the next epoch
-    /// snapshot, and retire every cross-query prediction cache (their
-    /// epoch key is now stale, so no pre-update prediction can drive a
-    /// post-update evaluation — [`ServiceStats::cache_invalidations`]
-    /// counts the retirements).
-    ///
-    /// Jobs already running keep the snapshot (and old-epoch caches)
-    /// they started with; jobs picked up after this call — including
-    /// ones queued before it — see the new epoch. Per-query models are
-    /// refit lazily: training runs inside each job against the
-    /// snapshot it captured, so the first post-update job of a shape
-    /// simply trains against the new graph.
-    ///
-    /// Returns [`UpdateError::StaticDeployment`] on a service built
-    /// with [`PsiService::new`]. Erroneous batches are atomic: nothing
-    /// mutates, no epoch publishes, no cache drops.
-    pub fn apply_update(&self, updates: &[GraphUpdate]) -> Result<UpdateReport, UpdateError> {
-        let mut guard = lock(&self.evolving);
-        let Some(ev) = guard.as_mut() else {
-            return Err(UpdateError::StaticDeployment);
-        };
-        let report = ev.apply_recorded(updates, &self.inner.metrics)?;
-        *self
-            .inner
-            .ctx
-            .write()
-            .unwrap_or_else(|e| e.into_inner()) = ev.current();
-        self.inner.invalidate_caches();
-        // Drift hook: the adaptation loop drops its stale reservoir
-        // and models and opens a forced refit window on the new epoch.
-        if let Some(a) = &self.inner.adaptive {
-            let dim = self.inner.current_ctx().signatures().label_count() + 1;
-            lock(a).note_drift(dim);
-        }
-        Ok(report)
-    }
-
-    /// Swap in an externally built context snapshot, retiring every
-    /// cross-query prediction cache (their epoch key is stale).
-    ///
-    /// This is the publish half of [`PsiService::apply_update`] without
-    /// the signature repair: the sharded scatter-gather layer owns one
-    /// global incremental maintainer and pushes rebuilt per-shard
-    /// snapshots into each affected shard's service through here.
-    pub(crate) fn publish_ctx(&self, ctx: Arc<GraphContext>) {
-        let dim = ctx.signatures().label_count() + 1;
-        *self
-            .inner
-            .ctx
-            .write()
-            .unwrap_or_else(|e| e.into_inner()) = ctx;
-        self.inner.invalidate_caches();
-        if let Some(a) = &self.inner.adaptive {
-            lock(a).note_drift(dim);
-        }
-    }
-
-    /// The context snapshot new jobs will pin (the current epoch).
-    pub(crate) fn context(&self) -> Arc<GraphContext> {
-        self.inner.current_ctx()
-    }
-
-    /// Enqueue one query; returns immediately with a handle to its
-    /// eventual result. Jobs are served FIFO by whichever worker
-    /// parks first.
-    ///
-    /// A spec carrying an [`EvalLimits`](crate::EvalLimits) deadline is
-    /// deadline-aware end to end: if the deadline passes while the job
-    /// is still queued, a worker answers it with a structured
-    /// [`DEADLINE_EXPIRED_REASON`] failure instead of running it.
-    ///
-    /// Submitting to a service that [`PsiService::shutdown`] has
-    /// already stopped never loses the job: it is answered immediately
-    /// with an [`ABORTED_BY_SHUTDOWN_REASON`] structured failure.
-    pub fn submit(&self, query: PivotedQuery, mut spec: RunSpec) -> JobHandle {
+    /// Enqueue one job; its slot is filled by a worker (or right away
+    /// with an [`ABORTED_BY_SHUTDOWN_REASON`] failure once the shard
+    /// has shut down, so the job is never orphaned).
+    pub(crate) fn submit(&self, query: PivotedQuery, mut spec: RunSpec) -> Arc<JobSlot> {
         let slot = JobSlot::new();
         {
-            let mut q = lock(&self.inner.queue);
-            if self.inner.shutdown.load(Ordering::Acquire) {
-                // The workers are gone (or leaving); parking the job
-                // would orphan its handle.
+            let mut q = lock(&self.queue);
+            if self.shutdown.load(Ordering::Acquire) {
                 drop(q);
                 slot.fill(structured_failure(query.pivot(), ABORTED_BY_SHUTDOWN_REASON));
-                return JobHandle { slot };
+                return slot;
             }
             // Adaptive admission happens under the queue lock so a
             // serial client's admission order matches its submission
             // order (determinism of the ε stream and refit points).
-            // Or-semantics on explore/adapted let an outer coordinator
-            // (the sharded layer) pre-fill them; this service's own
-            // draw only applies when the spec arrives unset.
-            let seq = match &self.inner.adaptive {
+            // Or-semantics on explore/adapted let the sharded
+            // coordinator pre-fill them; this shard's own draw only
+            // applies when the spec arrives unset.
+            let seq = match &self.adaptive {
                 Some(a) => {
-                    let adm = lock(a).admit(&self.inner.metrics);
+                    let adm = lock(a).admit(self.metrics.as_ref());
                     spec.feedback = true;
                     if spec.explore.is_none() {
                         spec.explore = adm.explore;
@@ -576,8 +480,255 @@ impl PsiService {
                 seq,
             });
         }
-        self.inner.available.notify_one();
-        JobHandle { slot }
+        self.available.notify_one();
+        slot
+    }
+
+    /// Nothing queued and nothing running.
+    fn is_idle(&self) -> bool {
+        let q = lock(&self.queue);
+        q.is_empty() && self.in_flight.load(Ordering::Acquire) == 0
+    }
+
+    /// Stop the shard's workers. With `abort`, every job still queued
+    /// is answered with an [`ABORTED_BY_SHUTDOWN_REASON`] structured
+    /// failure first (returns how many); without, the workers drain
+    /// the queue before exiting. The flag flips under the queue lock,
+    /// so a worker checking "empty and not shut down" cannot park past
+    /// the signal and no new job can enqueue behind the sweep.
+    fn close(&self, abort: bool) -> u64 {
+        let mut q = lock(&self.queue);
+        let stranded = if abort { std::mem::take(&mut *q) } else { VecDeque::new() };
+        let aborted = stranded.len() as u64;
+        for job in stranded {
+            self.absorb_feedback(job.seq, Vec::new());
+            job.slot
+                .fill(structured_failure(job.query.pivot(), ABORTED_BY_SHUTDOWN_REASON));
+        }
+        self.shutdown.store(true, Ordering::Release);
+        drop(q);
+        self.available.notify_all();
+        aborted
+    }
+
+    fn pending(&self) -> usize {
+        lock(&self.queue).len()
+    }
+
+    fn live_shapes(&self) -> usize {
+        lock(&self.caches).live.len()
+    }
+
+    /// Snapshot of this shard's adaptation counters; `None` when
+    /// frozen.
+    pub(crate) fn adaptive_stats(&self) -> Option<AdaptiveStats> {
+        self.adaptive.as_ref().map(|a| lock(a).stats())
+    }
+
+    /// Clone of this shard's feedback reservoir (the sharded
+    /// coordinator's merged-refit input); `None` when frozen.
+    pub(crate) fn adaptive_rows(&self) -> Option<Vec<FeedbackRow>> {
+        self.adaptive.as_ref().map(|a| lock(a).rows())
+    }
+}
+
+/// Snapshot of a service's lifetime counters ([`PsiService::stats`]).
+/// Counters cover every shard of the deployment; on a sharded
+/// deployment a query counts once per shard it was routed to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ServiceStats {
+    /// Jobs answered (including jobs answered with a failed result).
+    pub queries_served: u64,
+    /// Prediction-cache hits on entries inserted by an *earlier* job —
+    /// the cross-query reuse the service exists to provide. A lifetime
+    /// count: eviction and update invalidation never lower it.
+    pub cross_query_cache_hits: u64,
+    /// Jobs whose first attempt died and were requeued.
+    pub requeued_jobs: u64,
+    /// Job attempts that escaped a `catch_unwind` (worker survived).
+    pub worker_panics: u64,
+    /// Distinct `(epoch, query shape)` pairs currently cached (= live
+    /// cross-query caches), summed over shards. At most
+    /// [`MAX_LIVE_SHAPES`] per shard; resets to 0 when an update
+    /// invalidates them.
+    pub distinct_query_shapes: usize,
+    /// Epoch of the currently published graph snapshot (0 = the
+    /// initial deployment, static services stay there); the highest
+    /// shard epoch on a sharded deployment.
+    pub graph_epoch: u64,
+    /// Cross-query caches retired by [`PsiService::apply_update`]
+    /// because their epoch went stale.
+    pub cache_invalidations: u64,
+    /// Cross-query caches dropped, least recently used first, to make
+    /// room for a new shape once [`MAX_LIVE_SHAPES`] were live.
+    pub cache_evictions: u64,
+    /// Jobs whose deadline expired while queued: answered with a
+    /// structured [`DEADLINE_EXPIRED_REASON`] failure, never run.
+    pub deadline_expired: u64,
+    /// Jobs answered during a [`PsiService::shutdown`] drain window.
+    pub drained: u64,
+}
+
+/// A persistent PSI query service: k ≥ 1 shards, each a private
+/// worker pool over one graph context, built by
+/// [`SmartPsi::deploy`](crate::SmartPsi::deploy).
+///
+/// ```
+/// use psi_core::{DeploymentSpec, RunSpec, SmartPsi, SmartPsiConfig};
+///
+/// let g = psi_datasets::generators::erdos_renyi(300, 1000, 3, 7);
+/// let smart = SmartPsi::new(g.clone(), SmartPsiConfig::default());
+/// let service = smart.deploy(&DeploymentSpec::new().workers(4)); // 4 persistent workers
+/// let q = psi_datasets::rwr::extract_query_seeded(&g, 4, 1).unwrap();
+/// let handles: Vec<_> = (0..8)
+///     .map(|_| service.submit(q.clone(), RunSpec::new()))
+///     .collect();
+/// for h in handles {
+///     assert_eq!(h.wait().unresolved, 0);
+/// }
+/// assert_eq!(service.stats().queries_served, 8);
+///
+/// // The same graph range-sharded four ways answers the same.
+/// let sharded = smart.deploy(&DeploymentSpec::new().shards(4));
+/// let merged = sharded.submit(q.clone(), RunSpec::new()).wait();
+/// assert_eq!(merged.valid, smart.run(&q, &RunSpec::new()).valid);
+/// ```
+pub struct PsiService {
+    /// The k ≥ 1 shards; a 1-shard deployment's only shard serves the
+    /// deployment's own context.
+    shards: Vec<Arc<Shard>>,
+    /// Every shard's worker threads.
+    workers: Vec<JoinHandle<()>>,
+    /// The deployment's one registry; every shard records into it.
+    metrics: Arc<MetricsRecorder>,
+    /// The mutable half of an evolving 1-shard deployment; `None` for
+    /// a static or sharded one. Workers never touch it — they only see
+    /// the snapshots it publishes into the shard.
+    evolving: Mutex<Option<EvolvingContext>>,
+    /// k > 1 only: the range map, halo, fault projection, merge-refit
+    /// coordinator and (evolving) global signature maintainer.
+    sharding: Option<Sharding>,
+}
+
+impl PsiService {
+    /// Resolve `spec` over `ctx`: the body of
+    /// [`SmartPsi::deploy`](crate::SmartPsi::deploy).
+    pub(crate) fn deploy(ctx: &Arc<GraphContext>, spec: &DeploymentSpec) -> Self {
+        let metrics = Arc::new(MetricsRecorder::new());
+        let mut adaptive = spec.adaptive_cfg();
+        let mut evolving = None;
+        let mut sharding = None;
+        let contexts = if spec.shard_count() > 1 {
+            let (sh, contexts) = Sharding::new(ctx, spec);
+            sharding = Some(sh);
+            // Shards only collect feedback; the coordinator explores
+            // and refits.
+            adaptive = adaptive.map(|c| c.collect_only());
+            contexts
+        } else if let Some(cap) = spec.label_capacity() {
+            // The maintainer seeds from the current dense rows and
+            // publishes snapshots on the requested backend itself;
+            // converting the static context first would only throw
+            // the f32 seed away.
+            let ev = EvolvingContext::from_context(ctx, cap, spec.store_kind());
+            let current = ev.current();
+            evolving = Some(ev);
+            vec![current]
+        } else {
+            vec![with_store(ctx, spec.store_kind())]
+        };
+        let mut workers = Vec::new();
+        let shards = contexts
+            .into_iter()
+            .map(|c| Shard::spawn(c, spec.worker_count(), adaptive, &metrics, &mut workers))
+            .collect();
+        Self {
+            shards,
+            workers,
+            metrics,
+            evolving: Mutex::new(evolving),
+            sharding,
+        }
+    }
+
+    /// Identity: [`SmartPsi::deploy`](crate::SmartPsi::deploy) already
+    /// returns a `PsiService`. Kept only for the `waterfall` bench
+    /// binary, whose sources are frozen with the repo benchmark.
+    #[doc(hidden)]
+    pub fn into_service(self) -> Self {
+        self
+    }
+
+    /// Apply one [`GraphUpdate`] batch to an evolving deployment and
+    /// publish the next epoch.
+    ///
+    /// With one shard, signatures are repaired incrementally, a full
+    /// snapshot is published, and every cross-query prediction cache is
+    /// retired ([`ServiceStats::cache_invalidations`] counts them).
+    /// With k > 1, the one global maintainer repairs the matrix and
+    /// only the shards whose residents intersect the batch's blast
+    /// zone are rebuilt, each bumping its own epoch (see the
+    /// [`shard`](super::shard) module docs).
+    ///
+    /// Jobs already running keep the snapshot (and old-epoch caches)
+    /// they started with; jobs picked up after this call — including
+    /// ones queued before it — see the new epoch. Per-query models are
+    /// refit lazily: training runs inside each job against the
+    /// snapshot it captured, so the first post-update job of a shape
+    /// simply trains against the new graph.
+    ///
+    /// Returns [`UpdateError::StaticDeployment`] on a deployment built
+    /// without [`DeploymentSpec::evolving`]. Erroneous batches are
+    /// atomic: nothing mutates, no epoch publishes, no cache drops.
+    pub fn apply_update(&self, updates: &[GraphUpdate]) -> Result<UpdateReport, UpdateError> {
+        if let Some(sh) = &self.sharding {
+            return sh.apply_update(&self.shards, updates, &self.metrics);
+        }
+        let mut guard = lock(&self.evolving);
+        let Some(ev) = guard.as_mut() else {
+            return Err(UpdateError::StaticDeployment);
+        };
+        let report = ev.apply_recorded(updates, self.metrics.as_ref())?;
+        self.shards[0].publish(ev.current());
+        Ok(report)
+    }
+
+    /// Enqueue one query; returns immediately with a handle to its
+    /// eventual result. Jobs are served FIFO by whichever worker of
+    /// their shard parks first; a sharded deployment enqueues one part
+    /// per shard owning candidates.
+    ///
+    /// A spec carrying an [`EvalLimits`](crate::EvalLimits) deadline is
+    /// deadline-aware end to end: if the deadline passes while the job
+    /// is still queued, it is answered with a structured
+    /// [`DEADLINE_EXPIRED_REASON`] failure instead of being run.
+    ///
+    /// Submitting to a service that [`PsiService::shutdown`] has
+    /// already stopped never loses the job: it is answered immediately
+    /// with an [`ABORTED_BY_SHUTDOWN_REASON`] structured failure.
+    ///
+    /// On a sharded deployment a query whose pivot eccentricity
+    /// exceeds the halo depth is never run: it could match embeddings
+    /// that leave a shard's resident ball, so its answer would
+    /// silently miss boundary-crossing embeddings. Its handle answers
+    /// with a [`QUERY_TOO_DEEP_REASON`] structured failure naming both
+    /// numbers, and the deployment keeps serving.
+    pub fn submit(&self, query: PivotedQuery, spec: RunSpec) -> JobHandle {
+        match &self.sharding {
+            None => JobHandle(Parts::One(self.shards[0].submit(query, spec))),
+            Some(sh) => sh.submit(&self.shards, query, spec, &self.metrics, true),
+        }
+    }
+
+    /// [`PsiService::submit`] without the halo-depth guard. Only for
+    /// tests that deliberately build an undersized halo to prove the
+    /// guard is load-bearing; never correct in production.
+    #[doc(hidden)]
+    pub fn submit_unchecked(&self, query: PivotedQuery, spec: RunSpec) -> JobHandle {
+        match &self.sharding {
+            None => self.submit(query, spec),
+            Some(sh) => sh.submit(&self.shards, query, spec, &self.metrics, false),
+        }
     }
 
     /// Graceful shutdown with an explicit grace period and observable
@@ -586,9 +737,9 @@ impl PsiService {
     ///
     /// Semantics, in order:
     ///
-    /// 1. **Finish in-flight and queued work** while the grace period
-    ///    lasts — workers keep popping jobs as usual (jobs whose own
-    ///    deadline expires in the queue still take the
+    /// 1. **Finish in-flight and queued work** on every shard while the
+    ///    one grace period lasts — workers keep popping jobs as usual
+    ///    (jobs whose own deadline expires in the queue still take the
     ///    [`DEADLINE_EXPIRED_REASON`] path and count as drained:
     ///    answered, not lost).
     /// 2. **Abort what remains** when the grace period runs out: every
@@ -606,73 +757,50 @@ impl PsiService {
             return DrainReport::default();
         }
         let deadline = Instant::now() + grace;
-        let served_at_entry = self.inner.metrics.counter(Counter::QueriesServed);
+        let served_at_entry = self.metrics.counter(Counter::QueriesServed);
 
-        // Phase 1: wait for the backlog to drain or the grace period
+        // Phase 1: wait for every backlog to drain or the grace period
         // to lapse. Plain bounded polling — shutdown is not a hot
         // path, and the 1 ms granularity only delays the abort sweep,
         // never an answer.
-        loop {
-            {
-                let q = lock(&self.inner.queue);
-                if q.is_empty() && self.inner.in_flight.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-            }
-            if Instant::now() >= deadline {
-                break;
-            }
+        while !self.shards.iter().all(|s| s.is_idle()) && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
 
-        // Phase 2 + 3: under the queue lock, abort the remnants and
-        // flip the shutdown flag so no worker can park past it (and no
-        // new job can enqueue behind the sweep).
-        let mut aborted = 0u64;
-        {
-            let mut q = lock(&self.inner.queue);
-            while let Some(job) = q.pop_front() {
-                self.inner.absorb_feedback(job.seq, Vec::new());
-                job.slot
-                    .fill(structured_failure(job.query.pivot(), ABORTED_BY_SHUTDOWN_REASON));
-                aborted += 1;
-            }
-            self.inner.shutdown.store(true, Ordering::Release);
-        }
-        self.inner.available.notify_all();
+        // Phase 2 + 3: abort the remnants, stop and join the workers.
+        let aborted = self.shards.iter().map(|s| s.close(true)).sum();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
 
         let drained = self
-            .inner
             .metrics
             .counter(Counter::QueriesServed)
             .saturating_sub(served_at_entry);
-        self.inner.metrics.add(Counter::Drained, drained);
+        self.metrics.add(Counter::Drained, drained);
         DrainReport { drained, aborted }
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads, over all shards.
     pub fn workers(&self) -> usize {
         self.workers.len()
     }
 
-    /// Jobs currently queued (not yet picked up).
+    /// Jobs currently queued (not yet picked up), over all shards.
     pub fn pending(&self) -> usize {
-        lock(&self.inner.queue).len()
+        self.shards.iter().map(|s| s.pending()).sum()
     }
 
-    /// Lifetime counters of this service.
+    /// Lifetime counters of this deployment.
     pub fn stats(&self) -> ServiceStats {
-        let m = &self.inner.metrics;
+        let m = &self.metrics;
         ServiceStats {
             queries_served: m.counter(Counter::QueriesServed),
             cross_query_cache_hits: m.counter(Counter::CrossQueryCacheHits),
             requeued_jobs: m.counter(Counter::Requeued),
             worker_panics: m.counter(Counter::WorkerDeaths),
-            distinct_query_shapes: lock(&self.inner.caches).live.len(),
-            graph_epoch: self.inner.current_ctx().epoch(),
+            distinct_query_shapes: self.shards.iter().map(|s| s.live_shapes()).sum(),
+            graph_epoch: self.shard_epochs().into_iter().max().unwrap_or(0),
             cache_invalidations: m.counter(Counter::CacheInvalidations),
             cache_evictions: m.counter(Counter::CacheEvictions),
             deadline_expired: m.counter(Counter::DeadlineExpired),
@@ -680,31 +808,73 @@ impl PsiService {
         }
     }
 
-    /// The service-level metrics registry (queue-wait histogram,
-    /// pool-spawn spans, the counters behind [`PsiService::stats`]).
+    /// The deployment's metrics registry: the queue-wait histogram,
+    /// pool-spawn spans and the counters behind [`PsiService::stats`],
+    /// plus [`Counter::ShardFanout`] and [`Phase::ShardMerge`] spans
+    /// on a sharded deployment.
     pub fn metrics(&self) -> &MetricsRecorder {
-        &self.inner.metrics
+        &self.metrics
     }
 
     /// Snapshot of the adaptation loop's counters, or `None` on a
-    /// frozen (non-adaptive) service.
+    /// frozen (non-adaptive) deployment. A sharded deployment reports
+    /// its coordinator's exploration and merged-refit state plus its
+    /// shards' feedback sums.
     pub fn adaptive_stats(&self) -> Option<AdaptiveStats> {
-        self.inner.adaptive.as_ref().map(|a| lock(a).stats())
+        match &self.sharding {
+            None => self.shards[0].adaptive_stats(),
+            Some(sh) => sh.adaptive_stats(&self.shards),
+        }
     }
 
-    /// Clone of the current feedback reservoir (the sharded layer's
-    /// merged-refit input); `None` on a frozen service.
-    pub(crate) fn adaptive_rows(&self) -> Option<Vec<FeedbackRow>> {
-        self.inner.adaptive.as_ref().map(|a| lock(a).rows())
+    /// Number of shards (1 unless [`DeploymentSpec::shards`] asked for
+    /// more).
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
     }
 
-    /// Install externally fit models into the adaptation loop (the
-    /// sharded layer pushes its merged refit down through here). A
-    /// no-op on a frozen service.
-    #[allow(dead_code)]
-    pub(crate) fn adaptive_install(&self, models: Arc<AdaptedModels>) {
-        if let Some(a) = &self.inner.adaptive {
-            lock(a).install(models);
+    /// The ghost-node halo depth `D` every shard was built with;
+    /// `None` on a 1-shard deployment, which needs no halo.
+    pub fn halo_depth(&self) -> Option<u32> {
+        self.sharding.as_ref().map(|sh| sh.halo_depth())
+    }
+
+    /// Owned node range `[lo, hi)` of one shard.
+    pub fn owned_range(&self, shard: usize) -> (NodeId, NodeId) {
+        match &self.sharding {
+            None => (0, self.shards[shard].context().graph().node_count() as NodeId),
+            Some(sh) => sh.owned_range(shard),
+        }
+    }
+
+    /// Every global node resident in a shard (owned + halo + rim),
+    /// ascending. Test/introspection surface for the halo proofs.
+    pub fn resident_nodes(&self, shard: usize) -> Vec<NodeId> {
+        match &self.sharding {
+            None => {
+                let (lo, hi) = self.owned_range(shard);
+                (lo..hi).collect()
+            }
+            Some(sh) => sh.resident_nodes(shard),
+        }
+    }
+
+    /// Current per-shard epochs (each starts at 0 and advances only
+    /// when an update batch touches that shard).
+    pub fn shard_epochs(&self) -> Vec<u64> {
+        self.shards.iter().map(|s| s.context().epoch()).collect()
+    }
+
+    /// Data nodes carrying `label`, and data nodes in all: the front
+    /// door's pre-evaluation cost signal.
+    pub(crate) fn label_population(&self, label: LabelId) -> (usize, usize) {
+        match &self.sharding {
+            None => {
+                let ctx = self.shards[0].context();
+                let g = ctx.graph();
+                (g.nodes_with_label(label).len(), g.node_count())
+            }
+            Some(sh) => sh.label_population(&self.shards, label),
         }
     }
 }
@@ -713,13 +883,9 @@ impl Drop for PsiService {
     /// Graceful shutdown: already-submitted jobs are drained and
     /// answered, then the workers exit and are joined.
     fn drop(&mut self) {
-        {
-            // Flip the flag under the queue lock so a worker checking
-            // "empty and not shut down" cannot park past the signal.
-            let _q = lock(&self.inner.queue);
-            self.inner.shutdown.store(true, Ordering::Release);
+        for s in &self.shards {
+            s.close(false);
         }
-        self.inner.available.notify_all();
         for w in self.workers.drain(..) {
             // A worker that somehow died is already accounted; joining
             // the corpse must not abort the drop of the others.
@@ -728,29 +894,38 @@ impl Drop for PsiService {
     }
 }
 
-fn worker_loop(inner: &ServiceInner, spawn_t0: Instant) {
-    inner
+/// `ctx` on the requested signature-store backend: converted once when
+/// `kind` names a different backend, otherwise the shared context as-is.
+pub(crate) fn with_store(ctx: &Arc<GraphContext>, kind: Option<SigStoreKind>) -> Arc<GraphContext> {
+    match kind {
+        Some(k) if k != ctx.config().sig_store => Arc::new(ctx.with_store_kind(k)),
+        _ => ctx.clone(),
+    }
+}
+
+fn worker_loop(shard: &Shard, spawn_t0: Instant) {
+    shard
         .metrics
         .span_ns(Phase::PoolSpawn, spawn_t0.elapsed().as_nanos() as u64);
-    let mut smart = SmartPsi::from_context(inner.current_ctx());
+    let mut smart = SmartPsi::from_context(shard.context());
     loop {
         let job = {
-            let mut q = lock(&inner.queue);
+            let mut q = lock(&shard.queue);
             loop {
                 if let Some(job) = q.pop_front() {
                     // Count the job in-flight before the lock drops so
                     // the drain predicate (empty queue, nothing in
                     // flight) can never observe it in neither place.
-                    inner.in_flight.fetch_add(1, Ordering::AcqRel);
+                    shard.in_flight.fetch_add(1, Ordering::AcqRel);
                     break job;
                 }
-                if inner.shutdown.load(Ordering::Acquire) {
+                if shard.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                q = inner.available.wait(q).unwrap_or_else(|e| e.into_inner());
+                q = shard.available.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
-        inner
+        shard
             .metrics
             .observe(Histogram::QueueWait, job.enqueued.elapsed().as_nanos() as u64);
 
@@ -761,12 +936,12 @@ fn worker_loop(inner: &ServiceInner, spawn_t0: Instant) {
         // nobody can use in time, and shedding it here frees the
         // worker for jobs that can still meet their deadlines.
         if job.spec.limits.expired() {
-            inner.metrics.add(Counter::DeadlineExpired, 1);
-            inner.metrics.add(Counter::QueriesServed, 1);
-            inner.absorb_feedback(job.seq, Vec::new());
+            shard.metrics.add(Counter::DeadlineExpired, 1);
+            shard.metrics.add(Counter::QueriesServed, 1);
+            shard.absorb_feedback(job.seq, Vec::new());
             job.slot
                 .fill(structured_failure(job.query.pivot(), DEADLINE_EXPIRED_REASON));
-            inner.in_flight.fetch_sub(1, Ordering::AcqRel);
+            shard.in_flight.fetch_sub(1, Ordering::AcqRel);
             continue;
         }
 
@@ -774,12 +949,12 @@ fn worker_loop(inner: &ServiceInner, spawn_t0: Instant) {
         // (lazy refit: a worker whose facade is from an older epoch
         // rebuilds it here, and the per-query model trains against the
         // new graph inside `run`).
-        let ctx = inner.current_ctx();
+        let ctx = shard.context();
         if !Arc::ptr_eq(smart.context(), &ctx) {
             smart = SmartPsi::from_context(ctx);
         }
 
-        let cache = inner.cache_for(&job.query, smart.context());
+        let cache = shard.cache_for(&job.query, smart.context());
         // Mark the query boundary: whatever this job reads from before
         // this instant was produced by an earlier job.
         cache.advance_epoch();
@@ -787,17 +962,17 @@ fn worker_loop(inner: &ServiceInner, spawn_t0: Instant) {
         let outcome = catch_unwind(AssertUnwindSafe(|| smart.run(&job.query, &spec)));
         // Drain this job's reuse into the lifetime counter before its
         // handle fills, so a caller that waited sees it in `stats`.
-        inner
+        shard
             .metrics
             .add(Counter::CrossQueryCacheHits, cache.take_cross_query_hits());
         match outcome {
             Ok(result) => {
-                inner.metrics.add(Counter::QueriesServed, 1);
+                shard.metrics.add(Counter::QueriesServed, 1);
                 // Absorb before fill: a serial client that waits on
                 // each handle before submitting the next job observes
                 // admissions and absorptions strictly interleaved, so
                 // refit points are deterministic for it.
-                inner.absorb_feedback(job.seq, result.feedback.clone());
+                shard.absorb_feedback(job.seq, result.feedback.clone());
                 job.slot.fill(result);
             }
             Err(payload) => {
@@ -809,28 +984,28 @@ fn worker_loop(inner: &ServiceInner, spawn_t0: Instant) {
                 // worker (or a second try) can still answer. Second
                 // death: answer with a structured failure.
                 let reason = panic_reason(payload.as_ref());
-                inner.metrics.add(Counter::WorkerDeaths, 1);
+                shard.metrics.add(Counter::WorkerDeaths, 1);
                 if job.attempt == 0 {
-                    inner.metrics.add(Counter::Requeued, 1);
-                    lock(&inner.queue).push_back(Job {
+                    shard.metrics.add(Counter::Requeued, 1);
+                    lock(&shard.queue).push_back(Job {
                         enqueued: Instant::now(),
                         attempt: 1,
                         ..job
                     });
-                    inner.available.notify_one();
+                    shard.available.notify_one();
                 } else {
                     let mut failed = PsiResult::empty(0, 0);
                     failed
                         .failures
                         .record(job.query.pivot(), reason, job.attempt + 1);
                     failed.failures.worker_deaths = job.attempt as usize + 1;
-                    inner.metrics.add(Counter::QueriesServed, 1);
-                    inner.absorb_feedback(job.seq, Vec::new());
+                    shard.metrics.add(Counter::QueriesServed, 1);
+                    shard.absorb_feedback(job.seq, Vec::new());
                     job.slot.fill(failed);
                 }
             }
         }
-        inner.in_flight.fetch_sub(1, Ordering::AcqRel);
+        shard.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -840,21 +1015,19 @@ mod tests {
     use crate::engine::context::SmartPsiConfig;
     use psi_graph::Graph;
 
-    fn deployment() -> (Graph, Arc<GraphContext>) {
+    fn deployment() -> (Graph, SmartPsi) {
         let g = psi_datasets::generators::erdos_renyi(300, 1100, 3, 31);
         let cfg = SmartPsiConfig {
             min_candidates_for_ml: 10,
             ..SmartPsiConfig::default()
         };
-        let ctx = Arc::new(GraphContext::new(g.clone(), cfg));
-        (g, ctx)
+        (g.clone(), SmartPsi::new(g, cfg))
     }
 
     #[test]
     fn service_answers_match_direct_runs() {
-        let (g, ctx) = deployment();
-        let smart = SmartPsi::from_context(ctx.clone());
-        let service = PsiService::new(ctx, 3);
+        let (g, smart) = deployment();
+        let service = smart.deploy(&DeploymentSpec::new().workers(3));
         let queries: Vec<_> = (0..6)
             .filter_map(|s| psi_datasets::rwr::extract_query_seeded(&g, 4, s))
             .collect();
@@ -872,8 +1045,8 @@ mod tests {
 
     #[test]
     fn repeated_shapes_share_a_cache() {
-        let (g, ctx) = deployment();
-        let service = PsiService::new(ctx, 2);
+        let (g, smart) = deployment();
+        let service = smart.deploy(&DeploymentSpec::new().workers(2));
         let q = psi_datasets::rwr::extract_query_seeded(&g, 4, 5).unwrap();
         let first = service.submit(q.clone(), RunSpec::new()).wait();
         // Serve the same shape repeatedly: later jobs must hit the
@@ -891,8 +1064,8 @@ mod tests {
 
     #[test]
     fn drop_drains_pending_jobs() {
-        let (g, ctx) = deployment();
-        let service = PsiService::new(ctx, 1);
+        let (g, smart) = deployment();
+        let service = smart.deploy(&DeploymentSpec::new());
         let q = psi_datasets::rwr::extract_query_seeded(&g, 3, 2).unwrap();
         let handles: Vec<_> = (0..5)
             .map(|_| service.submit(q.clone(), RunSpec::new()))

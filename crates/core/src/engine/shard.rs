@@ -1,8 +1,9 @@
-//! Sharded scatter-gather serving: partition the data graph into
-//! contiguous node ranges, give every shard its own [`GraphContext`]
-//! (signature slab + worker pool + epoch), and answer PSI queries by
-//! fanning out to the shards that own candidates and merging their
-//! partial valid sets.
+//! Sharded scatter-gather serving: the k > 1 half of [`PsiService`].
+//! Partition the data graph into contiguous node ranges, give every
+//! shard its own [`GraphContext`] (signature slab + worker pool +
+//! epoch), and answer PSI queries by fanning out to the shards that own
+//! candidates and merging their partial valid sets. None of this runs
+//! on a 1-shard deployment.
 //!
 //! # Why PSI shards cleanly
 //!
@@ -46,9 +47,10 @@
 //! signature, adjacency between embedding nodes) matches the global
 //! graph. Scheduling-dependent *cost* (steps, escalations) may differ —
 //! per-shard training samples differ — but verdicts cannot.
-//! [`ShardedService::submit`] therefore rejects queries with
-//! `ecc(q) > D`; `crates/core/tests/sharded.rs` proves both directions
-//! (exactness at depth `D`, detectable wrongness at `D − 1`).
+//! [`PsiService::submit`] therefore refuses queries with `ecc(q) > D`
+//! (a [`QUERY_TOO_DEEP_REASON`] failure through the handle);
+//! `crates/core/tests/sharded.rs` proves both directions (exactness at
+//! depth `D`, detectable wrongness at `D − 1`).
 //!
 //! # Merge semantics
 //!
@@ -57,21 +59,27 @@
 //! republishes) and merged under a [`Phase::ShardMerge`] span: valid
 //! sets concatenate and sort, candidate/step/unresolved totals add,
 //! failure reports merge with node ids and injected-panic reasons
-//! rewritten to global space. A shard job that died twice (PR-2 fault
-//! isolation at the shard-job boundary) collapses the whole query to
-//! the same empty-result-plus-failure shape a single-context
-//! [`PsiService`] produces, so differential suites can compare the two
-//! deployments bit-for-bit.
+//! rewritten to global space. A shard part answered without running —
+//! its deadline expired in the queue, a drain aborted it, or its job
+//! died twice (fault isolation at the shard-job boundary) —
+//! collapses the whole query to the same empty-result-plus-failure
+//! shape a 1-shard deployment produces, so differential suites can
+//! compare the two bit-for-bit.
 //!
 //! # Updates
 //!
 //! An evolving sharded deployment owns one global
-//! [`IncrementalSignatures`] maintainer. [`ShardedService::apply_update`]
+//! [`IncrementalSignatures`] maintainer. [`PsiService::apply_update`]
 //! repairs the global matrix, then rebuilds only the shards whose
 //! resident set intersects the batch's blast zone — the endpoints plus
 //! the `(depth − 1)`-ball of repaired rows — bumping each affected
 //! shard's epoch independently. Appended nodes are owned by the last
 //! shard (its range is open-ended).
+//!
+//! [`PsiService`]: super::service::PsiService
+//! [`PsiService::submit`]: super::service::PsiService::submit
+//! [`PsiService::apply_update`]: super::service::PsiService::apply_update
+//! [`QUERY_TOO_DEEP_REASON`]: super::service::QUERY_TOO_DEEP_REASON
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -79,7 +87,7 @@ use std::time::Duration;
 use parking_lot::{Mutex, RwLock};
 use psi_graph::dynamic::DynamicGraph;
 use psi_graph::hash::FxHashSet;
-use psi_graph::{Graph, GraphBuilder, GraphUpdate, NodeId, PivotedQuery};
+use psi_graph::{Graph, GraphBuilder, GraphUpdate, LabelId, NodeId, PivotedQuery};
 use psi_obs::{timed, Counter, MetricsRecorder, Phase, QueryProfile, Recorder};
 use psi_signature::{IncrementalSignatures, SigStore, SignatureStore};
 
@@ -94,42 +102,12 @@ use super::adapt::{
     MIN_REFIT_SAMPLES,
 };
 use super::context::{GraphContext, SmartPsiConfig};
-use super::evolve::UpdateError;
-use super::service::{DrainReport, JobHandle, PsiService, ServiceStats};
+use super::deploy::DeploymentSpec;
+use super::evolve::{UpdateError, UpdateReport};
+use super::service::{structured_failure, with_store, JobHandle, Shard, QUERY_TOO_DEEP_REASON};
 
-/// Why [`ShardedService::submit`] refused a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The query's pivot eccentricity exceeds the deployment's halo
-    /// depth: answering it could silently miss boundary-crossing
-    /// embeddings, so the serving tier rejects it instead.
-    QueryTooDeep {
-        /// Eccentricity of the pivot inside the query graph.
-        eccentricity: u32,
-        /// Halo depth `D` every shard was built with.
-        halo_depth: u32,
-    },
-}
-
-impl std::fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::QueryTooDeep {
-                eccentricity,
-                halo_depth,
-            } => write!(
-                f,
-                "query pivot eccentricity {eccentricity} exceeds the shard halo depth \
-                 {halo_depth}; rebuild the sharded deployment with \
-                 ShardSpec::halo_depth({eccentricity}) or more"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
-
-/// How [`ShardSpec`] cuts the node range into contiguous owned ranges.
+/// How a sharded deployment cuts the node range into contiguous owned
+/// ranges ([`DeploymentSpec::balance`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardBalance {
     /// Equal node counts per shard.
@@ -142,62 +120,9 @@ pub enum ShardBalance {
     LabelAware,
 }
 
-/// Deployment plan for a [`ShardedService`].
-#[derive(Debug, Clone)]
-pub struct ShardSpec {
-    shards: usize,
-    workers_per_shard: usize,
-    halo_depth: u32,
-    balance: ShardBalance,
-    adaptive: Option<AdaptiveConfig>,
-}
-
 /// Default halo depth: supports query pivot eccentricities up to 4
 /// (e.g. any connected query of ≤ 5 nodes).
 pub const DEFAULT_HALO_DEPTH: u32 = 4;
-
-impl ShardSpec {
-    /// A spec with `shards` shards, one worker per shard,
-    /// [`DEFAULT_HALO_DEPTH`], and an even-node cut.
-    pub fn new(shards: usize) -> Self {
-        Self {
-            shards: shards.max(1),
-            workers_per_shard: 1,
-            halo_depth: DEFAULT_HALO_DEPTH,
-            balance: ShardBalance::EvenNodes,
-            adaptive: None,
-        }
-    }
-
-    /// Worker threads per shard (clamped to ≥ 1).
-    pub fn workers_per_shard(mut self, workers: usize) -> Self {
-        self.workers_per_shard = workers.max(1);
-        self
-    }
-
-    /// Ghost-node halo depth `D`. [`ShardedService::submit`] accepts a
-    /// query iff its pivot eccentricity is `≤ D`; deeper halos cost
-    /// more resident memory per shard.
-    pub fn halo_depth(mut self, depth: u32) -> Self {
-        self.halo_depth = depth;
-        self
-    }
-
-    /// Partition balance policy.
-    pub fn balance(mut self, balance: ShardBalance) -> Self {
-        self.balance = balance;
-        self
-    }
-
-    /// Enable the online α/β adaptation loop across the deployment:
-    /// cells collect feedback into per-shard reservoirs; the
-    /// scatter-gather coordinator owns the ε draws and refits merged
-    /// models over all reservoirs on the configured cadence.
-    pub fn adaptive(mut self, cfg: AdaptiveConfig) -> Self {
-        self.adaptive = Some(cfg);
-        self
-    }
-}
 
 /// What one shard rebuild produced.
 struct ShardBuild {
@@ -216,37 +141,29 @@ struct ShardMeta {
     /// Owned range end (exclusive). Only the last shard's `hi` grows.
     hi: NodeId,
     /// local → global for every resident node (owned, halo, rim).
-    locals: Arc<Vec<NodeId>>,
-    /// Shard-local epoch, bumped once per republish of this shard.
-    epoch: u64,
+    locals: Vec<NodeId>,
 }
 
-struct ShardCell {
+/// Where one shard sits in the global id space.
+struct ShardRange {
     /// Owned range start. Never changes, so `owned local ↔ global`
     /// translation (`global = lo + local`) is stable across epochs.
     lo: NodeId,
-    service: PsiService,
     meta: RwLock<ShardMeta>,
 }
 
-/// The evolving half of a sharded deployment: one global incremental
-/// signature maintainer shared by all shards.
-struct EvolvingShards {
-    inc: IncrementalSignatures,
-}
-
-/// The deployment-level half of a sharded adaptation loop. Cells run
+/// The deployment-level half of a sharded adaptation loop. Shards run
 /// collection-only adaptation (per-shard reservoirs, no ε, no
 /// cadence); this coordinator owns the ε draws, the merged-refit
 /// cadence over all reservoirs, and the installed models. Admission
-/// or-semantics on [`RunSpec`] (a cell only fills `explore`/`adapted`
-/// when unset) are what let the coordinator's draw survive each cell's
-/// own admission.
+/// or-semantics on [`RunSpec`] (a shard only fills `explore`/`adapted`
+/// when unset) are what let the coordinator's draw survive each
+/// shard's own admission.
 struct AdaptCoordinator {
     cfg: AdaptiveConfig,
     forest: ForestConfig,
     /// Feature width of the *global* signature matrix (+1 score) —
-    /// identical in every cell, whose slabs reserve global label space.
+    /// identical in every shard, whose slabs reserve global label space.
     dim: usize,
     explore_rng: SplitMix64,
     since_refit: u64,
@@ -255,24 +172,12 @@ struct AdaptCoordinator {
     stats: AdaptiveStats,
 }
 
-/// Scatter-gather PSI serving over a range-partitioned graph. See the
-/// module docs for the partitioning, halo and merge arguments.
-///
-/// ```
-/// use psi_core::{DeploymentSpec, SmartPsi, SmartPsiConfig};
-///
-/// let g = psi_datasets::generators::erdos_renyi(400, 1400, 3, 11);
-/// let q = psi_datasets::rwr::extract_query_seeded(&g, 4, 2).unwrap();
-/// let smart = SmartPsi::new(g, SmartPsiConfig::default());
-/// let single = smart.run(&q, &psi_core::RunSpec::new());
-/// let sharded = smart
-///     .deploy(&DeploymentSpec::new().shards(4).workers(1))
-///     .into_sharded();
-/// let merged = sharded.submit(q, psi_core::RunSpec::new()).unwrap().wait();
-/// assert_eq!(merged.valid, single.valid);
-/// ```
-pub struct ShardedService {
-    cells: Vec<ShardCell>,
+/// Everything a k > 1 deployment keeps beside its shards: the range
+/// map, the halo depth, the fault plan it projects per query, the
+/// adaptation coordinator and, when evolving, the one global signature
+/// maintainer. Its methods take the deployment's shards, in range
+/// order.
+pub(crate) struct Sharding {
     halo_depth: u32,
     /// Per-shard deployment config (fault plan stripped; faults are
     /// projected per query instead).
@@ -280,52 +185,55 @@ pub struct ShardedService {
     /// The deployment-level fault plan, projected onto each shard's
     /// candidate subset at submit time.
     base_fault: Option<Arc<FaultPlan>>,
-    metrics: Arc<MetricsRecorder>,
-    evolving: Mutex<Option<EvolvingShards>>,
-    adaptive: Option<Mutex<AdaptCoordinator>>,
+    ranges: Vec<ShardRange>,
+    /// The global incremental maintainer of an evolving deployment.
+    inc: Mutex<Option<IncrementalSignatures>>,
+    coordinator: Option<Mutex<AdaptCoordinator>>,
 }
 
-impl ShardedService {
-    /// Shard a static deployment: partition `ctx`'s graph and gather
-    /// per-shard signature slabs out of its precomputed matrix.
-    pub fn new(ctx: &GraphContext, spec: &ShardSpec) -> Self {
-        Self::from_parts(ctx.graph(), ctx.signatures(), &ctx.config, spec)
-    }
-
-    /// Shard an evolving deployment. `label_capacity` reserves label
-    /// ids for labels that only appear in later updates (clamped up to
-    /// the graph's current label count); all shards share one global
-    /// incremental signature maintainer.
-    pub fn new_evolving(
-        g: Graph,
-        config: SmartPsiConfig,
-        label_capacity: usize,
-        spec: &ShardSpec,
-    ) -> Self {
-        let capacity = label_capacity.max(g.label_count());
+impl Sharding {
+    /// Partition `ctx`'s graph per `spec` and build every shard's
+    /// context. A static deployment gathers slabs out of the context's
+    /// precomputed matrix (converted to the spec's store first); an
+    /// evolving one builds its global maintainer on the requested
+    /// backend and gathers from that.
+    pub(crate) fn new(
+        ctx: &Arc<GraphContext>,
+        spec: &DeploymentSpec,
+    ) -> (Self, Vec<Arc<GraphContext>>) {
+        let Some(capacity) = spec.label_capacity() else {
+            let ctx = with_store(ctx, spec.store_kind());
+            return Self::build(ctx.graph(), ctx.signatures(), ctx.config(), spec);
+        };
+        let mut config = ctx.config().clone();
+        if let Some(k) = spec.store_kind() {
+            config.sig_store = k;
+        }
+        let g = ctx.graph();
         let inc = IncrementalSignatures::with_store(
-            DynamicGraph::from_graph(&g),
+            DynamicGraph::from_graph(g),
             config.depth,
-            capacity,
+            capacity.max(g.label_count()),
             config.sig_store,
         );
-        let mut service = Self::from_parts(&g, inc.store(), &config, spec);
-        *service.evolving.get_mut() = Some(EvolvingShards { inc });
-        service
+        let (mut sharding, contexts) = Self::build(g, inc.store(), &config, spec);
+        *sharding.inc.get_mut() = Some(inc);
+        (sharding, contexts)
     }
 
-    fn from_parts(
+    fn build(
         g: &Graph,
         sigs: &dyn SignatureStore,
         config: &SmartPsiConfig,
-        spec: &ShardSpec,
-    ) -> Self {
+        spec: &DeploymentSpec,
+    ) -> (Self, Vec<Arc<GraphContext>>) {
         let mut shard_config = config.clone();
         let base_fault = shard_config.fault.take();
-        let cells = partition(g, spec)
+        let halo_depth = spec.halo_depth();
+        let (ranges, contexts) = partition(g, spec.shard_count(), spec.shard_balance())
             .into_iter()
             .map(|(lo, hi)| {
-                let b = build_shard(g, sigs, lo, hi, spec.halo_depth);
+                let b = build_shard(g, sigs, lo, hi, halo_depth);
                 let ctx = GraphContext::from_precomputed(
                     b.graph,
                     b.slab,
@@ -333,22 +241,11 @@ impl ShardedService {
                     0,
                     Duration::ZERO,
                 );
-                ShardCell {
-                    lo,
-                    service: PsiService::with_adaptive(
-                        Arc::new(ctx),
-                        spec.workers_per_shard.max(1),
-                        spec.adaptive.map(|c| c.collect_only()),
-                    ),
-                    meta: RwLock::new(ShardMeta {
-                        hi,
-                        locals: Arc::new(b.locals),
-                        epoch: 0,
-                    }),
-                }
+                let meta = RwLock::new(ShardMeta { hi, locals: b.locals });
+                (ShardRange { lo, meta }, Arc::new(ctx))
             })
-            .collect();
-        let adaptive = spec.adaptive.map(|cfg| {
+            .unzip();
+        let coordinator = spec.adaptive_cfg().map(|cfg| {
             Mutex::new(AdaptCoordinator {
                 forest: shard_config.forest,
                 dim: sigs.label_count() + 1,
@@ -360,133 +257,88 @@ impl ShardedService {
                 cfg,
             })
         });
-        Self {
-            cells,
-            halo_depth: spec.halo_depth,
+        let sharding = Self {
+            halo_depth,
             shard_config,
             base_fault,
-            metrics: Arc::new(MetricsRecorder::new()),
-            evolving: Mutex::new(None),
-            adaptive,
-        }
+            ranges,
+            inc: Mutex::new(None),
+            coordinator,
+        };
+        (sharding, contexts)
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// The ghost-node halo depth `D` every shard was built with.
-    pub fn halo_depth(&self) -> u32 {
+    pub(crate) fn halo_depth(&self) -> u32 {
         self.halo_depth
     }
 
-    /// Owned node range `[lo, hi)` of one shard.
-    pub fn owned_range(&self, shard: usize) -> (NodeId, NodeId) {
-        let cell = &self.cells[shard];
-        (cell.lo, cell.meta.read().hi)
+    pub(crate) fn owned_range(&self, shard: usize) -> (NodeId, NodeId) {
+        let range = &self.ranges[shard];
+        (range.lo, range.meta.read().hi)
     }
 
-    /// Every global node resident in a shard (owned + halo + rim),
-    /// ascending. Test/introspection surface for the halo proofs.
-    pub fn resident_nodes(&self, shard: usize) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.cells[shard].meta.read().locals.as_ref().clone();
+    pub(crate) fn resident_nodes(&self, shard: usize) -> Vec<NodeId> {
+        let mut nodes = self.ranges[shard].meta.read().locals.clone();
         nodes.sort_unstable();
         nodes
     }
 
-    /// Current per-shard epochs (each starts at 0 and advances only
-    /// when an update batch touches that shard).
-    pub fn shard_epochs(&self) -> Vec<u64> {
-        self.cells.iter().map(|c| c.meta.read().epoch).collect()
-    }
-
-    /// Lifetime counters of one shard's service (queue waits, requeues,
-    /// cache reuse — the per-shard PR-3 surface).
-    pub fn shard_stats(&self, shard: usize) -> ServiceStats {
-        self.cells[shard].service.stats()
-    }
-
-    /// One shard's metrics registry (per-shard queue-wait histogram).
-    pub fn shard_metrics(&self, shard: usize) -> &MetricsRecorder {
-        self.cells[shard].service.metrics()
-    }
-
-    /// Aggregate stats across all shards. `graph_epoch` reports the
-    /// maximum shard epoch.
-    pub fn stats(&self) -> ServiceStats {
-        let mut out = ServiceStats::default();
-        for cell in &self.cells {
-            let s = cell.service.stats();
-            out.queries_served += s.queries_served;
-            out.cross_query_cache_hits += s.cross_query_cache_hits;
-            out.requeued_jobs += s.requeued_jobs;
-            out.worker_panics += s.worker_panics;
-            out.distinct_query_shapes += s.distinct_query_shapes;
-            out.graph_epoch = out.graph_epoch.max(s.graph_epoch);
-            out.cache_invalidations += s.cache_invalidations;
-            out.cache_evictions += s.cache_evictions;
-            out.deadline_expired += s.deadline_expired;
-            out.drained += s.drained;
+    /// Owned nodes carrying `label`, and owned nodes in all, summed
+    /// over shards.
+    pub(crate) fn label_population(&self, shards: &[Arc<Shard>], label: LabelId) -> (usize, usize) {
+        let mut out = (0, 0);
+        for (range, shard) in self.ranges.iter().zip(shards) {
+            let owned = (range.meta.read().hi - range.lo) as usize;
+            // Owned nodes are the local-id prefix, and the label index
+            // is sorted by id.
+            let ctx = shard.context();
+            out.0 += ctx
+                .graph()
+                .nodes_with_label(label)
+                .partition_point(|&l| (l as usize) < owned);
+            out.1 += owned;
         }
         out
     }
 
-    /// The scatter-gather-level metrics registry:
-    /// [`Counter::ShardFanout`] increments and [`Phase::ShardMerge`]
-    /// spans.
-    pub fn metrics(&self) -> &MetricsRecorder {
-        &self.metrics
-    }
-
-    /// Fan a query out to every shard owning candidates; returns a
-    /// handle that merges the per-shard partial answers on
-    /// [`ShardedJobHandle::wait`].
-    ///
-    /// # Errors
-    /// Returns [`SubmitError::QueryTooDeep`] if the query's pivot
-    /// eccentricity exceeds the halo depth `D` — such a query could
-    /// match embeddings that leave a shard's resident ball, so its
-    /// answers would silently miss boundary-crossing embeddings.
-    /// Rebuild with a deeper [`ShardSpec::halo_depth`] instead. A
-    /// serving tier must be able to reject one bad client query
-    /// without tearing the deployment down, so this is a recoverable
-    /// error, not a panic.
-    pub fn submit(
+    /// Fan a query out to every shard owning candidates; the handle
+    /// merges the per-shard parts on [`JobHandle::wait`]. With
+    /// `checked`, a query whose pivot eccentricity exceeds the halo
+    /// depth is refused through its handle instead of being run.
+    pub(crate) fn submit(
         &self,
+        shards: &[Arc<Shard>],
         query: PivotedQuery,
         spec: RunSpec,
-    ) -> Result<ShardedJobHandle, SubmitError> {
-        let ecc = pivot_eccentricity(&query);
-        if ecc > self.halo_depth {
-            return Err(SubmitError::QueryTooDeep {
-                eccentricity: ecc,
-                halo_depth: self.halo_depth,
-            });
+        metrics: &Arc<MetricsRecorder>,
+        checked: bool,
+    ) -> JobHandle {
+        if checked {
+            let ecc = pivot_eccentricity(&query);
+            if ecc > self.halo_depth {
+                let reason = format!(
+                    "{QUERY_TOO_DEEP_REASON} (eccentricity {ecc} > halo depth {}); deploy \
+                     with DeploymentSpec::halo({ecc}) or more",
+                    self.halo_depth
+                );
+                return JobHandle::ready(structured_failure(query.pivot(), &reason));
+            }
         }
-        Ok(self.submit_unchecked(query, spec))
-    }
-
-    /// [`ShardedService::submit`] without the halo-depth guard. Only
-    /// for tests that deliberately build an undersized halo to prove
-    /// the guard is load-bearing; never correct in production.
-    #[doc(hidden)]
-    pub fn submit_unchecked(&self, query: PivotedQuery, spec: RunSpec) -> ShardedJobHandle {
-        let spec = self.adapt_submit(spec);
+        let spec = self.adapt_submit(shards, spec, metrics);
         let pivot_degree = query.graph().degree(query.pivot());
         let label = query.pivot_label();
         let fault = spec.fault.clone().or_else(|| self.base_fault.clone());
         let mut parts = Vec::new();
-        for cell in &self.cells {
+        for (range, shard) in self.ranges.iter().zip(shards) {
             // Pin this shard's current snapshot for candidate routing.
             // Owned locals are `global - lo` under every epoch, so a
             // concurrent republish cannot invalidate the subset ids.
-            let ctx = cell.service.context();
+            let ctx = shard.context();
             let local_g = ctx.graph();
             if (label as usize) >= local_g.label_count() {
                 continue;
             }
-            let owned_len = (cell.meta.read().hi - cell.lo) as usize;
+            let owned_len = (range.meta.read().hi - range.lo) as usize;
             // Exactly the global candidate filter, restricted to owned
             // nodes: owned nodes keep full adjacency, so local degree
             // equals global degree and the union over shards is the
@@ -502,60 +354,53 @@ impl ShardedService {
             }
             let mut shard_spec = spec.clone();
             if let Some(plan) = &fault {
-                let projected = plan.project(subset.iter().map(|&l| (cell.lo + l, l)));
+                let projected = plan.project(subset.iter().map(|&l| (range.lo + l, l)));
                 shard_spec = shard_spec.faults(Arc::new(projected));
             }
             shard_spec = shard_spec.candidates(subset);
-            parts.push(ShardPart {
-                lo: cell.lo,
-                handle: cell.service.submit(query.clone(), shard_spec),
-            });
+            parts.push((range.lo, shard.submit(query.clone(), shard_spec)));
         }
-        self.metrics.add(Counter::ShardFanout, parts.len() as u64);
-        ShardedJobHandle {
-            pivot: query.pivot(),
-            parts,
-            metrics: self.metrics.clone(),
-        }
+        metrics.add(Counter::ShardFanout, parts.len() as u64);
+        JobHandle::fanout(query.pivot(), parts, metrics.clone())
     }
 
     /// Coordinator half of sharded adaptation, run once per submitted
     /// query: fire the merged refit when the cadence (or a
     /// drift-forced window) is due, draw the ε floor, and attach the
-    /// installed models to the spec fanned out to every cell. A
+    /// installed models to the spec fanned out to every shard. A
     /// caller-pinned `explore`/`adapted` stays authoritative (the
     /// coordinator only fills unset fields), and the same or-semantics
-    /// in each cell's admission keep the coordinator's values intact
+    /// in each shard's admission keep the coordinator's values intact
     /// downstream.
-    fn adapt_submit(&self, mut spec: RunSpec) -> RunSpec {
-        let Some(adaptive) = &self.adaptive else {
+    fn adapt_submit(
+        &self,
+        shards: &[Arc<Shard>],
+        mut spec: RunSpec,
+        metrics: &MetricsRecorder,
+    ) -> RunSpec {
+        let Some(coordinator) = &self.coordinator else {
             return spec;
         };
-        let mut co = adaptive.lock();
+        let mut co = coordinator.lock();
         co.since_refit += 1;
         let due = (co.cfg.cadence > 0 && co.since_refit >= co.cfg.cadence) || co.refit_forced;
         if due {
-            // Merged refit: gather every cell's reservoir in cell
+            // Merged refit: gather every shard's reservoir in shard
             // order. Feedback features carry no node ids, so the
             // concatenation needs no re-sorting to be deterministic
             // for serial clients.
-            let mut rows = Vec::new();
-            for cell in &self.cells {
-                if let Some(r) = cell.service.adaptive_rows() {
-                    rows.extend(r);
-                }
-            }
+            let rows: Vec<_> = shards.iter().filter_map(|s| s.adaptive_rows()).flatten().collect();
             if rows.len() >= MIN_REFIT_SAMPLES {
                 let version = co.stats.model_version + 1;
                 let seed = co.cfg.seed ^ version.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let fitted = timed(self.metrics.as_ref(), Phase::Refit, || {
+                let fitted = timed(metrics, Phase::Refit, || {
                     fit_feedback_models(&rows, co.dim, co.forest, seed, version)
                 });
                 if let Some(m) = fitted {
                     co.models = Some(Arc::new(m));
                     co.stats.refits += 1;
                     co.stats.model_version = version;
-                    self.metrics.add(Counter::Refits, 1);
+                    metrics.add(Counter::Refits, 1);
                 }
                 co.since_refit = 0;
                 co.refit_forced = false;
@@ -571,7 +416,7 @@ impl ShardedService {
             && co.explore_rng.next_f64() < co.cfg.epsilon
         {
             co.stats.exploration_runs += 1;
-            self.metrics.add(Counter::ExplorationRuns, 1);
+            metrics.add(Counter::ExplorationRuns, 1);
             spec.explore = Some(co.explore_rng.below(2) as u8);
         }
         if spec.adapted.is_none() {
@@ -581,40 +426,19 @@ impl ShardedService {
     }
 
     /// Aggregated adaptation counters, `None` on a non-adaptive
-    /// deployment: per-cell feedback/reservoir/refit sums plus the
+    /// deployment: per-shard feedback/reservoir/refit sums plus the
     /// coordinator's exploration, merged-refit, and model-version
     /// state.
-    pub fn adaptive_stats(&self) -> Option<AdaptiveStats> {
-        let co = self.adaptive.as_ref()?.lock();
+    pub(crate) fn adaptive_stats(&self, shards: &[Arc<Shard>]) -> Option<AdaptiveStats> {
+        let co = self.coordinator.as_ref()?.lock();
         let mut out = co.stats;
-        for cell in &self.cells {
-            if let Some(s) = cell.service.adaptive_stats() {
-                out.feedback_samples += s.feedback_samples;
-                out.reservoir += s.reservoir;
-                out.refits += s.refits;
-                out.exploration_runs += s.exploration_runs;
-            }
+        for s in shards.iter().filter_map(|s| s.adaptive_stats()) {
+            out.feedback_samples += s.feedback_samples;
+            out.reservoir += s.reservoir;
+            out.refits += s.refits;
+            out.exploration_runs += s.exploration_runs;
         }
         Some(out)
-    }
-
-    /// Gracefully drain every shard within one shared `grace` window:
-    /// each shard stops accepting work, finishes what it can before
-    /// the common deadline, and aborts the rest with structured
-    /// [`super::service::ABORTED_BY_SHUTDOWN_REASON`] failures. The
-    /// returned [`DrainReport`] sums drained/aborted counts across
-    /// shards. Idempotent: a second call returns an empty report.
-    ///
-    /// Shards drain sequentially against one absolute deadline, not
-    /// `grace` each — a sharded drain must not take `shards × grace`.
-    pub fn shutdown(&mut self, grace: Duration) -> DrainReport {
-        let deadline = std::time::Instant::now() + grace;
-        let mut report = DrainReport::default();
-        for cell in &mut self.cells {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            report.absorb(cell.service.shutdown(left));
-        }
-        report
     }
 
     /// Apply one update batch to an evolving sharded deployment:
@@ -624,20 +448,26 @@ impl ShardedService {
     /// (edge endpoints, appended nodes, and the `(depth − 1)`-ball of
     /// repaired signature rows). Each rebuilt shard bumps its own
     /// epoch and retires its cross-query caches; untouched shards keep
-    /// serving their current snapshot.
+    /// serving their current snapshot. The report's epoch is the
+    /// highest shard epoch after the batch.
     ///
     /// Appended nodes are owned by the last shard, whose range is
     /// open-ended.
-    pub fn apply_update(&self, updates: &[GraphUpdate]) -> Result<ShardedUpdateReport, UpdateError> {
-        let mut guard = self.evolving.lock();
-        let Some(ev) = guard.as_mut() else {
+    pub(crate) fn apply_update(
+        &self,
+        shards: &[Arc<Shard>],
+        updates: &[GraphUpdate],
+        metrics: &MetricsRecorder,
+    ) -> Result<UpdateReport, UpdateError> {
+        let mut guard = self.inc.lock();
+        let Some(inc) = guard.as_mut() else {
             return Err(UpdateError::StaticDeployment);
         };
-        let pre_nodes = ev.inc.graph().node_count() as NodeId;
-        let (stats, affected_shards) = timed(self.metrics.as_ref(), Phase::GraphUpdate, || {
-            let stats = ev.inc.apply_batch(updates).map_err(UpdateError::Graph)?;
-            let snapshot = ev.inc.graph().snapshot();
-            let sigs = ev.inc.store();
+        let pre_nodes = inc.graph().node_count() as NodeId;
+        let (stats, republished) = timed(metrics, Phase::GraphUpdate, || {
+            let stats = inc.apply_batch(updates).map_err(UpdateError::Graph)?;
+            let snapshot = inc.graph().snapshot();
+            let sigs = inc.store();
 
             // Blast zone: batch endpoints + appended nodes, dilated by
             // the signature repair radius (rows within depth−1 of an
@@ -657,150 +487,90 @@ impl ShardedService {
                     }
                 }
             }
-            let touched = ball(&snapshot, &seeds, ev.inc.depth().saturating_sub(1));
+            let touched = ball(&snapshot, &seeds, inc.depth().saturating_sub(1));
 
-            let last = self.cells.len() - 1;
-            let mut affected_shards = Vec::new();
-            for (idx, cell) in self.cells.iter().enumerate() {
+            let last = self.ranges.len() - 1;
+            let mut republished = 0u64;
+            for (idx, (range, shard)) in self.ranges.iter().zip(shards).enumerate() {
                 let grows = idx == last && stats.nodes_added > 0;
                 let hit = grows || {
-                    let meta = cell.meta.read();
+                    let meta = range.meta.read();
                     touched.iter().any(|&t| {
-                        (t >= cell.lo && t < meta.hi)
-                            || meta.locals[(meta.hi - cell.lo) as usize..].binary_search(&t).is_ok()
+                        (t >= range.lo && t < meta.hi)
+                            || meta.locals[(meta.hi - range.lo) as usize..]
+                                .binary_search(&t)
+                                .is_ok()
                     })
                 };
                 if !hit {
                     continue;
                 }
-                let mut meta = cell.meta.write();
+                let mut meta = range.meta.write();
                 let hi = if idx == last {
                     snapshot.node_count() as NodeId
                 } else {
                     meta.hi
                 };
-                let b = build_shard(&snapshot, sigs, cell.lo, hi, self.halo_depth);
-                meta.epoch += 1;
+                let b = build_shard(&snapshot, sigs, range.lo, hi, self.halo_depth);
                 let ctx = GraphContext::from_precomputed(
                     b.graph,
                     b.slab,
                     self.shard_config.clone(),
-                    meta.epoch,
+                    shard.context().epoch() + 1,
                     Duration::ZERO,
                 );
-                cell.service.publish_ctx(Arc::new(ctx));
+                shard.publish(Arc::new(ctx));
                 meta.hi = hi;
-                meta.locals = Arc::new(b.locals);
-                affected_shards.push(idx);
+                meta.locals = b.locals;
+                republished += 1;
             }
-            Ok::<_, UpdateError>((stats, affected_shards))
+            Ok::<_, UpdateError>((stats, republished))
         })?;
-        self.metrics
-            .add(Counter::RowsRepaired, stats.rows_repaired as u64);
-        self.metrics
-            .add(Counter::EpochsPublished, affected_shards.len() as u64);
+        metrics.add(Counter::RowsRepaired, stats.rows_repaired as u64);
+        metrics.add(Counter::EpochsPublished, republished);
         // Drift hook: drop the merged models (per-query training takes
-        // over) and open a forced refit window. Cells the rebuild
+        // over) and open a forced refit window. Shards the rebuild
         // republished already cleared their own reservoirs; untouched
-        // cells keep theirs — their subgraphs did not change, so their
+        // shards keep theirs — their subgraphs did not change, so their
         // rows are still valid refit input (stale-width rows from a
         // label-growing batch are filtered by the fitter).
-        if let Some(adaptive) = &self.adaptive {
-            let mut co = adaptive.lock();
+        if let Some(coordinator) = &self.coordinator {
+            let mut co = coordinator.lock();
             co.stats.epoch += 1;
-            co.dim = guard
-                .as_ref()
-                .map(|ev| ev.inc.store().label_count() + 1)
-                .unwrap_or(co.dim);
+            co.dim = inc.store().label_count() + 1;
             co.models = None;
             co.refit_forced = true;
             co.since_refit = 0;
         }
-        Ok(ShardedUpdateReport {
+        Ok(UpdateReport {
+            epoch: shards.iter().map(|s| s.context().epoch()).max().unwrap_or(0),
             nodes_added: stats.nodes_added,
             edges_added: stats.edges_added,
             duplicate_edges: stats.duplicate_edges,
             rows_repaired: stats.rows_repaired,
-            affected_shards,
-            shard_epochs: self.shard_epochs(),
-        })
-    }
-}
-
-/// What one sharded update batch did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedUpdateReport {
-    /// Nodes appended (owned by the last shard).
-    pub nodes_added: usize,
-    /// Edges newly inserted.
-    pub edges_added: usize,
-    /// Edge updates that were no-ops.
-    pub duplicate_edges: usize,
-    /// Global signature rows recomputed by the incremental repair.
-    pub rows_repaired: usize,
-    /// Shards rebuilt and republished by this batch, ascending.
-    pub affected_shards: Vec<usize>,
-    /// Per-shard epochs after the batch.
-    pub shard_epochs: Vec<u64>,
-}
-
-/// One shard's slice of an in-flight scatter-gather query.
-struct ShardPart {
-    lo: NodeId,
-    handle: JobHandle,
-}
-
-/// Handle to a fanned-out query; [`ShardedJobHandle::wait`] blocks for
-/// every routed shard and merges the partial answers.
-pub struct ShardedJobHandle {
-    pivot: NodeId,
-    parts: Vec<ShardPart>,
-    metrics: Arc<MetricsRecorder>,
-}
-
-impl ShardedJobHandle {
-    /// Whether every routed shard has finished (non-blocking).
-    pub fn is_finished(&self) -> bool {
-        self.parts.iter().all(|p| p.handle.is_finished())
-    }
-
-    /// Number of shards this query was routed to.
-    pub fn fanout(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Block until every routed shard answers, then merge.
-    pub fn wait(self) -> PsiResult {
-        let pivot = self.pivot;
-        let results: Vec<(NodeId, PsiResult)> = self
-            .parts
-            .into_iter()
-            .map(|p| (p.lo, p.handle.wait()))
-            .collect();
-        timed(self.metrics.as_ref(), Phase::ShardMerge, || {
-            merge_results(pivot, results)
         })
     }
 }
 
 /// Merge per-shard partial results into one global-id result.
-fn merge_results(pivot: NodeId, parts: Vec<(NodeId, PsiResult)>) -> PsiResult {
-    // A shard job that died twice is reported by its service as an
-    // empty result plus one failure at the query pivot. Mirror the
-    // single-context service: the whole query collapses to that shape
-    // (partial answers from surviving shards are discarded so the two
-    // deployments stay bit-identical).
-    for (lo, r) in &parts {
-        let job_died = r.candidates == 0 && r.failures.worker_deaths > 0 && !r.failures.nodes.is_empty();
-        if job_died {
-            let mut out = PsiResult::empty(0, 0);
-            for f in &r.failures.nodes {
-                debug_assert_eq!(f.node, pivot, "a dead shard job records the query pivot");
-                out.failures.record(f.node, translate_reason(&f.reason, *lo), f.attempts);
-            }
-            out.failures.worker_deaths = r.failures.worker_deaths;
-            return out;
+pub(crate) fn merge_results(pivot: NodeId, parts: Vec<(NodeId, PsiResult)>) -> PsiResult {
+    // A part answered without running — deadline expired in its queue,
+    // aborted by a drain, or a job that died twice — comes back as an
+    // empty result plus failures at the query pivot. Mirror the 1-shard
+    // deployment: the whole query collapses to that shape (partial
+    // answers from other shards are discarded so the two deployments
+    // stay bit-identical and the wire reports the failure).
+    if let Some((lo, r)) = parts
+        .iter()
+        .find(|(_, r)| r.candidates == 0 && !r.failures.nodes.is_empty())
+    {
+        let mut out = PsiResult::empty(0, 0);
+        for f in &r.failures.nodes {
+            debug_assert_eq!(f.node, pivot, "an unrun shard part records the query pivot");
+            out.failures.record(f.node, translate_reason(&f.reason, *lo), f.attempts);
         }
+        out.failures.worker_deaths = r.failures.worker_deaths;
+        return out;
     }
     let mut out = PsiResult::empty(0, 0);
     let mut profile = QueryProfile::new();
@@ -888,11 +658,11 @@ fn pivot_eccentricity(q: &PivotedQuery) -> u32 {
         .unwrap_or(0)
 }
 
-/// Cut `[0, n)` into `spec.shards` contiguous ranges.
-fn partition(g: &Graph, spec: &ShardSpec) -> Vec<(NodeId, NodeId)> {
+/// Cut `[0, n)` into `k` contiguous ranges.
+fn partition(g: &Graph, k: usize, balance: ShardBalance) -> Vec<(NodeId, NodeId)> {
     let n = g.node_count();
-    let k = spec.shards.max(1);
-    match spec.balance {
+    let k = k.max(1);
+    match balance {
         ShardBalance::EvenNodes => (0..k)
             .map(|i| ((i * n / k) as NodeId, ((i + 1) * n / k) as NodeId))
             .collect(),
@@ -1036,7 +806,7 @@ mod tests {
     #[test]
     fn even_partition_covers_range() {
         let g = psi_datasets::generators::erdos_renyi(103, 300, 3, 1);
-        let cuts = partition(&g, &ShardSpec::new(4));
+        let cuts = partition(&g, 4, ShardBalance::EvenNodes);
         assert_eq!(cuts.len(), 4);
         assert_eq!(cuts[0].0, 0);
         assert_eq!(cuts[3].1, 103);
@@ -1062,7 +832,7 @@ mod tests {
             Ok(g) => g,
             Err(e) => unreachable!("{e}"),
         };
-        let cuts = partition(&g, &ShardSpec::new(2).balance(ShardBalance::LabelAware));
+        let cuts = partition(&g, 2, ShardBalance::LabelAware);
         assert_eq!(cuts[0].0, 0);
         assert_eq!(cuts[1].1, 100);
         assert_eq!(cuts[0].1, cuts[1].0);

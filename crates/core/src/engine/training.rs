@@ -1,9 +1,9 @@
 //! The training layer (§4.2): sample selection, ground truth, plan
 //! timing, and forest fitting.
 //!
-//! [`GraphContext::train_session`] runs exactly once per query —
+//! `GraphContext::train_session` runs exactly once per query —
 //! regardless of executor or worker count — and produces a
-//! [`TrainedSession`]: compiled plans, Models α and β, the step-budget
+//! `TrainedSession`: compiled plans, Models α and β, the step-budget
 //! tables, and the shuffled candidate split. The session is shared
 //! read-only by every executor worker of the query.
 //!

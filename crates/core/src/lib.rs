@@ -54,17 +54,15 @@ pub mod twothread;
 
 pub use engine::adapt::{AdaptedModels, AdaptiveConfig, AdaptiveStats, MIN_REFIT_SAMPLES};
 pub use engine::context::GraphContext;
-pub use engine::deploy::{Deployment, DeploymentHandle, DeploymentSpec};
+pub use engine::deploy::DeploymentSpec;
 pub use engine::evolve::{EvolvingContext, UpdateError, UpdateReport};
 pub use engine::exec::{PredictionCache, WorkStealingOptions};
 pub use engine::net::{NetServer, NetServerConfig};
 pub use engine::service::{
     DrainReport, JobHandle, PsiService, ServiceStats, ABORTED_BY_SHUTDOWN_REASON,
-    DEADLINE_EXPIRED_REASON, MAX_LIVE_SHAPES,
+    DEADLINE_EXPIRED_REASON, MAX_LIVE_SHAPES, QUERY_TOO_DEEP_REASON,
 };
-pub use engine::shard::{
-    ShardBalance, ShardSpec, ShardedJobHandle, ShardedService, ShardedUpdateReport, SubmitError,
-};
+pub use engine::shard::ShardBalance;
 pub use evaluator::{NodeEvaluator, QueryContext, Verdict};
 pub use fault::{
     install_quiet_panic_hook, ChaosMatcher, FaultKind, FaultPlan, NodeMatcher, PsiMatcher,
@@ -75,8 +73,8 @@ pub use report::{FailureReport, FeedbackRow, NodeFailure, PsiResult, StageTiming
 pub use smart::{ExecutorKind, RetryPolicy, RunSpec, SmartPsi, SmartPsiConfig, SmartPsiReport};
 
 /// Signature-store backends (re-exported `psi-signature` surface): the
-/// [`SignatureStore`](psi_signature::SignatureStore) trait, the
-/// [`SigStore`](psi_signature::SigStore) enum every
+/// [`SignatureStore`] trait, the
+/// [`SigStore`] enum every
 /// [`GraphContext`] carries, and the [`SigStoreKind`] selector used by
 /// [`SmartPsiConfig`] and [`DeploymentSpec::sig_store`].
 pub use psi_signature::{SigStore, SigStoreKind, SignatureStore};
@@ -96,10 +94,9 @@ pub use psi_obs as obs;
 pub mod prelude {
     pub use crate::engine::adapt::{AdaptedModels, AdaptiveConfig, AdaptiveStats};
     pub use crate::engine::context::GraphContext;
-    pub use crate::engine::deploy::{Deployment, DeploymentHandle, DeploymentSpec};
+    pub use crate::engine::deploy::DeploymentSpec;
     pub use crate::engine::evolve::{EvolvingContext, UpdateError, UpdateReport};
     pub use crate::engine::service::{DrainReport, JobHandle, PsiService, ServiceStats};
-    pub use crate::engine::shard::{ShardSpec, ShardedService, SubmitError};
     pub use psi_graph::GraphUpdate;
     pub use crate::fault::FaultPlan;
     pub use crate::limits::EvalLimits;

@@ -44,7 +44,7 @@ pub struct PsiResult {
     /// reached a verdict, sorted by node id. Empty otherwise. Like
     /// `profile`, excluded from equality — it describes how the answer
     /// was reached, not the answer. The adaptive serving layer
-    /// ([`AdaptiveState`](crate::engine::adapt::AdaptiveState)) absorbs
+    /// (`AdaptiveState` in [`crate::engine::adapt`]) absorbs
     /// these rows to refit the α/β models online.
     pub feedback: Vec<FeedbackRow>,
 }

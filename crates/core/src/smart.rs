@@ -40,8 +40,8 @@
 //! [`PsiResult`] carrying a [`QueryProfile`] — per-phase wall times,
 //! the metrics-registry counters, and log₂ step histograms (see
 //! [`psi_obs`]). For a *stream* of queries, [`SmartPsi::deploy`]
-//! spawns a persistent [`PsiService`]-backed deployment (single,
-//! sharded, or evolving) over the same context.
+//! spawns a persistent [`PsiService`] (one shard or k, static or
+//! evolving) over the same context.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,11 +52,9 @@ use psi_signature::SigStore;
 
 use crate::engine::adapt::AdaptedModels;
 use crate::engine::context::GraphContext;
-use crate::engine::deploy::{Deployment, DeploymentSpec};
-use crate::engine::evolve::EvolvingContext;
+use crate::engine::deploy::DeploymentSpec;
 use crate::engine::exec::{executor_for, unresolved_report, PredictionCache};
 use crate::engine::service::PsiService;
-use crate::engine::shard::ShardedService;
 use crate::fault::FaultPlan;
 use crate::limits::EvalLimits;
 use crate::report::{PsiResult, StageTimings};
@@ -413,66 +411,17 @@ impl SmartPsi {
         self.ctx.signature_build_time()
     }
 
-    /// Resolve a [`DeploymentSpec`] into a live [`Deployment`] — the
-    /// one front door over the whole serving matrix: single-service or
-    /// sharded, static or evolving, dense or compact signature store.
+    /// Resolve a [`DeploymentSpec`] into a live [`PsiService`] — the
+    /// one front door over the whole serving matrix: one shard or k,
+    /// static or evolving, dense or compact signature store.
     ///
     /// When the spec names a [`psi_signature::SigStoreKind`] different
     /// from the context's, the store is converted once here (compact →
     /// dense recomputes the f32 matrix from the graph); a static
     /// deployment then serves the converted context, an evolving one
     /// rebuilds its maintainer with the requested backend.
-    pub fn deploy(&self, spec: &DeploymentSpec) -> Deployment {
-        let workers = spec.worker_count();
-        match (spec.is_sharded(), spec.label_capacity()) {
-            (false, None) => {
-                let ctx = self.ctx_with_store(spec);
-                Deployment::Service(PsiService::with_adaptive(ctx, workers, spec.adaptive_cfg()))
-            }
-            (false, Some(cap)) => {
-                // The maintainer seeds from the current dense rows and
-                // publishes snapshots on the requested backend itself;
-                // converting the static context first would only throw
-                // the f32 seed away.
-                let evolving = EvolvingContext::from_context(&self.ctx, cap, spec.store_kind());
-                Deployment::Service(PsiService::spawn_evolving(
-                    evolving,
-                    workers,
-                    spec.adaptive_cfg(),
-                ))
-            }
-            (true, None) => {
-                let ctx = self.ctx_with_store(spec);
-                Deployment::Sharded(ShardedService::new(&ctx, &spec.shard_spec()))
-            }
-            (true, Some(cap)) => {
-                // The evolving maintainer rebuilds from the graph
-                // anyway; skip the context-store conversion and hand
-                // the requested backend straight to the builder.
-                let mut config = self.ctx.config().clone();
-                if let Some(k) = spec.store_kind() {
-                    config.sig_store = k;
-                }
-                Deployment::Sharded(ShardedService::new_evolving(
-                    self.ctx.graph().clone(),
-                    config,
-                    cap,
-                    &spec.shard_spec(),
-                ))
-            }
-        }
-    }
-
-    /// The deployment context, converted to the spec's signature-store
-    /// backend when one is requested and differs; otherwise the shared
-    /// context as-is.
-    fn ctx_with_store(&self, spec: &DeploymentSpec) -> Arc<GraphContext> {
-        match spec.store_kind() {
-            Some(k) if k != self.ctx.config().sig_store => {
-                Arc::new(self.ctx.with_store_kind(k))
-            }
-            _ => self.ctx.clone(),
-        }
+    pub fn deploy(&self, spec: &DeploymentSpec) -> PsiService {
+        PsiService::deploy(&self.ctx, spec)
     }
 
     /// Evaluate one PSI query — the unified entry point fronting every

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use psi_core::fault::{install_quiet_panic_hook, FaultPlan};
 use psi_core::{
-    AdaptiveConfig, DeploymentSpec, GraphContext, PsiResult, RunSpec, ShardSpec, ShardedService,
+    AdaptiveConfig, DeploymentSpec, GraphContext, PsiResult, RunSpec,
     SmartPsi, SmartPsiConfig,
 };
 use psi_datasets::{generators, rwr};
@@ -52,7 +52,7 @@ fn serve_stream(
     rounds: usize,
     run: &RunSpec,
 ) -> (Vec<PsiResult>, Option<psi_core::AdaptiveStats>) {
-    let service = smart.deploy(spec).into_service();
+    let service = smart.deploy(spec);
     let mut results = Vec::with_capacity(rounds * queries.len());
     for _ in 0..rounds {
         for q in queries {
@@ -210,11 +210,14 @@ fn sharded_merged_refits_stay_answer_invariant() {
         let fresh = SmartPsi::from_context(ctx.clone());
         queries.iter().map(|q| fresh.run(q, &RunSpec::new())).collect()
     };
-    let spec = ShardSpec::new(3).workers_per_shard(2).adaptive(AdaptiveConfig::new(4, 0.1));
-    let service = ShardedService::new(&ctx, &spec);
+    let spec = DeploymentSpec::new()
+        .shards(3)
+        .workers(2)
+        .adaptive_config(AdaptiveConfig::new(4, 0.1));
+    let service = SmartPsi::from_context(ctx.clone()).deploy(&spec);
     for round in 0..4 {
         for (i, q) in queries.iter().enumerate() {
-            let r = service.submit(q.clone(), RunSpec::new()).expect("admitted").wait();
+            let r = service.submit(q.clone(), RunSpec::new()).wait();
             assert_eq!(
                 r.valid, truth[i].valid,
                 "round {round}: sharded adaptation moved a verdict on query {i}"

@@ -62,9 +62,7 @@ fn deployment(seed: u64) -> (SmartPsi, DynamicGraph, Vec<PivotedQuery>) {
 /// An evolving worker-pool service over `smart`, via the deploy front
 /// door.
 fn evolving_service(smart: &SmartPsi, workers: usize) -> PsiService {
-    smart
-        .deploy(&DeploymentSpec::new().workers(workers).evolving(CAPACITY))
-        .into_service()
+    smart.deploy(&DeploymentSpec::new().workers(workers).evolving(CAPACITY))
 }
 
 /// One random update batch over a graph that currently has `nodes`
@@ -235,7 +233,7 @@ fn updates_under_chaos_preserve_answers() {
 #[test]
 fn static_service_refuses_updates() {
     let g = generators::erdos_renyi(120, 400, 3, 5);
-    let service = PsiService::new(Arc::new(GraphContext::new(g, config())), 2);
+    let service = SmartPsi::new(g, config()).deploy(&DeploymentSpec::new().workers(2));
     let err = service
         .apply_update(&[GraphUpdate::AddNode { label: 0 }])
         .unwrap_err();

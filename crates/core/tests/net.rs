@@ -21,8 +21,7 @@ fn serve(nodes: usize, edges: usize, workers: usize, cfg: NetServerConfig) -> Ne
     let g = generators::erdos_renyi(nodes, edges, 3, 7);
     let capacity = g.label_count() + 4; // headroom for wire updates
     let service = SmartPsi::new(g, SmartPsiConfig::default())
-        .deploy(&DeploymentSpec::new().workers(workers).evolving(capacity))
-        .into_service();
+        .deploy(&DeploymentSpec::new().workers(workers).evolving(capacity));
     NetServer::bind(service, "127.0.0.1:0", cfg).expect("bind loopback")
 }
 
@@ -305,14 +304,19 @@ fn drain_closes_connections_and_refuses_new_ones() {
 
     // The bystander either races a final request in (answered with a
     // structured "draining" shed) or finds its connection already
-    // closed (write fails or EOF) — never a silent hang.
+    // closed (write fails, EOF, or — when its late bytes reach a socket
+    // the server already shut for reading — a reset) — never a silent
+    // hang.
     let late = b
         .stream
         .write_all(b"{\"op\":\"query\",\"id\":2,\"labels\":[0],\"edges\":[],\"pivot\":0}\n");
     if late.is_ok() {
-        match b.recv() {
-            None => {}
-            Some(r) => assert!(r.contains("\"error\":\"draining\""), "{r}"),
+        let mut r = String::new();
+        match b.reader.read_line(&mut r) {
+            Ok(0) => {}
+            Ok(_) => assert!(r.contains("\"error\":\"draining\""), "{r}"),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            Err(e) => panic!("read from server failed: {e}"),
         }
     }
 
@@ -329,5 +333,111 @@ fn drain_closes_connections_and_refuses_new_ones() {
             let mut line = String::new();
             assert_eq!(r.read_line(&mut line).unwrap_or(0), 0, "got {line:?}");
         }
+    }
+}
+
+/// A query request line for `q` with correlation id `id`.
+fn query_line(id: u64, q: &psi_graph::PivotedQuery) -> String {
+    let g = q.graph();
+    let labels: Vec<String> = g.labels().iter().map(|l| l.to_string()).collect();
+    let edges: Vec<String> = g.edges().map(|(u, v, _)| format!("[{u},{v}]")).collect();
+    format!(
+        r#"{{"op":"query","id":{id},"labels":[{}],"edges":[{}],"pivot":{}}}"#,
+        labels.join(","),
+        edges.join(","),
+        q.pivot()
+    )
+}
+
+/// A response line without its `"steps"` field: per-shard training
+/// samples legitimately move step counts, never the answer.
+fn answer(line: &str) -> String {
+    match line.find("\"steps\":") {
+        None => line.to_string(),
+        Some(at) => {
+            let rest = &line[at..];
+            let end = rest.find(',').map_or(rest.len(), |e| e + 1);
+            format!("{}{}", &line[..at], &rest[end..])
+        }
+    }
+}
+
+/// Send `line` to both servers' clients and return both responses.
+fn exchange(c1: &mut Client, c3: &mut Client, line: &str) -> (String, String) {
+    c1.send(line);
+    c3.send(line);
+    (
+        c1.recv().expect("1-shard response"),
+        c3.recv().expect("3-shard response"),
+    )
+}
+
+#[test]
+fn sharded_deployment_answers_over_the_wire_like_one_shard() {
+    let g = generators::erdos_renyi(300, 1200, 3, 11);
+    let queries: Vec<_> = (0..6)
+        .filter_map(|s| psi_datasets::rwr::extract_query_seeded(&g, 3 + (s as usize % 2), s))
+        .collect();
+    assert!(queries.len() >= 4, "need a real batch");
+    let smart = SmartPsi::new(g.clone(), SmartPsiConfig::default());
+    let spec = DeploymentSpec::new()
+        .workers(2)
+        .evolving(g.label_count() + 2);
+    let bind = |spec: &DeploymentSpec| {
+        NetServer::bind(
+            smart.deploy(spec),
+            "127.0.0.1:0",
+            NetServerConfig::default(),
+        )
+        .expect("bind loopback")
+    };
+    let mut one = bind(&spec);
+    let mut three = bind(&spec.clone().shards(3));
+    let (mut c1, mut c3) = (Client::connect(&one), Client::connect(&three));
+    let check_answers = |c1: &mut Client, c3: &mut Client, when: &str| {
+        for (i, q) in queries.iter().enumerate() {
+            let (r1, r3) = exchange(c1, c3, &query_line(i as u64, q));
+            assert!(r1.contains("\"ok\":true"), "{when}: {r1}");
+            assert_eq!(answer(&r3), answer(&r1), "{when}: query {i}");
+        }
+    };
+    check_answers(&mut c1, &mut c3, "before the update");
+
+    // A 6-node path pivoted at one end: eccentricity 5 exceeds the
+    // default halo of 4. The sharded server refuses it as a bad
+    // request; the 1-shard server has no halo and answers it.
+    let deep = concat!(
+        r#"{"op":"query","id":90,"labels":[0,1,2,0,1,2],"#,
+        r#""edges":[[0,1],[1,2],[2,3],[3,4],[4,5]],"pivot":0}"#
+    );
+    let (r1, r3) = exchange(&mut c1, &mut c3, deep);
+    assert!(r1.contains("\"ok\":true"), "{r1}");
+    assert!(
+        r3.contains("\"id\":90") && r3.contains("\"error\":\"bad_request\""),
+        "{r3}"
+    );
+    assert!(r3.contains("eccentricity 5 > halo depth 4"), "{r3}");
+
+    // The same update on both servers: the same report, and answers
+    // that still agree afterwards.
+    let update = concat!(
+        r#"{"op":"update","id":91,"updates":[{"add_node":1},{"add_edge":[300,0,0]},"#,
+        r#"{"add_edge":[5,17,0]},{"add_edge":[150,290,0]}]}"#
+    );
+    let (r1, r3) = exchange(&mut c1, &mut c3, update);
+    assert!(
+        r1.contains("\"ok\":true") && r1.contains("\"epoch\":1"),
+        "{r1}"
+    );
+    assert_eq!(r3, r1, "the sharded update report");
+    check_answers(&mut c1, &mut c3, "after the update");
+
+    let (r1, r3) = exchange(&mut c1, &mut c3, r#"{"op":"stats","id":92}"#);
+    assert!(r1.contains("\"workers\":2"), "{r1}");
+    assert!(r3.contains("\"workers\":6"), "3 shards × 2 workers: {r3}");
+    assert!(r3.contains("\"graph_epoch\":1"), "{r3}");
+
+    for server in [&mut one, &mut three] {
+        assert_eq!(server.shutdown(Duration::from_secs(5)).aborted, 0);
     }
 }

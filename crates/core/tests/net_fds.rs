@@ -22,9 +22,8 @@ fn open_fds() -> usize {
 #[test]
 fn closed_connections_release_their_sockets() {
     let g = generators::erdos_renyi(150, 600, 3, 7);
-    let service = SmartPsi::new(g, SmartPsiConfig::default())
-        .deploy(&DeploymentSpec::new().workers(1))
-        .into_service();
+    let service =
+        SmartPsi::new(g, SmartPsiConfig::default()).deploy(&DeploymentSpec::new().workers(1));
     let mut server =
         NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind loopback");
     let start = open_fds();

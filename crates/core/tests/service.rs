@@ -16,7 +16,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use psi_core::fault::{install_quiet_panic_hook, FaultKind, FaultPlan, ALWAYS};
 use psi_core::{
-    GraphContext, PsiResult, PsiService, RunSpec, SmartPsi, SmartPsiConfig,
+    DeploymentSpec, GraphContext, PsiResult, PsiService, RunSpec, SmartPsi, SmartPsiConfig,
 };
 use psi_datasets::{generators, rwr};
 use psi_graph::PivotedQuery;
@@ -44,6 +44,11 @@ fn deployment(seed: u64) -> (Arc<GraphContext>, Vec<PivotedQuery>) {
     (ctx, queries)
 }
 
+/// A 1-shard service with `workers` workers over the shared context.
+fn serve(ctx: Arc<GraphContext>, workers: usize) -> PsiService {
+    SmartPsi::from_context(ctx).deploy(&DeploymentSpec::new().workers(workers))
+}
+
 /// Sequential ground truth for each query, computed on a fresh facade
 /// with no shared cache.
 fn ground_truth(ctx: &Arc<GraphContext>, queries: &[PivotedQuery]) -> Vec<PsiResult> {
@@ -57,7 +62,7 @@ fn shuffled_batches_match_sequential_across_worker_counts() {
     assert!(queries.len() >= 4, "need a real batch");
     let truth = ground_truth(&ctx, &queries);
     for workers in [1usize, 2, 4, 8] {
-        let service = PsiService::new(ctx.clone(), workers);
+        let service = serve(ctx.clone(), workers);
         // Submit each query three times, in a worker-count-dependent
         // shuffled order, so cache warmth and interleaving vary.
         let mut jobs: Vec<usize> = (0..queries.len()).flat_map(|i| [i, i, i]).collect();
@@ -89,7 +94,7 @@ fn chaos_jobs_still_match_clean_sequential_answers() {
     install_quiet_panic_hook();
     let (ctx, queries) = deployment(17);
     let truth = ground_truth(&ctx, &queries);
-    let service = PsiService::new(ctx, 4);
+    let service = serve(ctx, 4);
     // One-shot seeded faults (panics, spurious interrupts, budget
     // burn): per-node isolation plus the retry ladder must absorb all
     // of them, so the *valid set* equals the clean run's. Steps and
@@ -112,7 +117,7 @@ fn job_that_kills_its_worker_is_requeued_then_failed_gracefully() {
     install_quiet_panic_hook();
     let (ctx, queries) = deployment(33);
     let truth = ground_truth(&ctx, &queries);
-    let service = PsiService::new(ctx.clone(), 2);
+    let service = serve(ctx.clone(), 2);
     // A sticky ALWAYS-panic on every candidate of one query, with
     // per-node panic isolation disabled: the job's panic escapes to
     // the service's catch_unwind on every attempt. First attempt is
@@ -172,7 +177,7 @@ proptest! {
             return Ok(());
         }
         let truth = ground_truth(&ctx, &queries);
-        let service = PsiService::new(ctx, workers);
+        let service = serve(ctx, workers);
         let mut jobs: Vec<usize> = (0..queries.len()).flat_map(|i| [i, i]).collect();
         shuffle(&mut jobs, shuffle_seed);
         let fault = chaos.then(|| Arc::new(FaultPlan::seeded(seed ^ 0xc4a5, 0.02, 0.02, 0.01)));
@@ -211,7 +216,7 @@ use psi_core::{EvalLimits, ABORTED_BY_SHUTDOWN_REASON, DEADLINE_EXPIRED_REASON};
 #[test]
 fn shutdown_with_zero_grace_aborts_queued_jobs_but_answers_every_handle() {
     let (ctx, queries) = deployment(17);
-    let mut service = PsiService::new(ctx, 1);
+    let mut service = serve(ctx, 1);
     let handles: Vec<_> = (0..200)
         .map(|i| service.submit(queries[i % queries.len()].clone(), RunSpec::new()))
         .collect();
@@ -246,7 +251,7 @@ fn shutdown_with_zero_grace_aborts_queued_jobs_but_answers_every_handle() {
 fn generous_grace_drains_everything_without_aborts() {
     let (ctx, queries) = deployment(18);
     let truth = ground_truth(&ctx, &queries);
-    let mut service = PsiService::new(ctx, 2);
+    let mut service = serve(ctx, 2);
     let handles: Vec<_> = queries
         .iter()
         .map(|q| service.submit(q.clone(), RunSpec::new()))
@@ -265,7 +270,7 @@ fn generous_grace_drains_everything_without_aborts() {
 #[test]
 fn jobs_expired_in_queue_report_deadline_expired_and_never_run() {
     let (ctx, queries) = deployment(19);
-    let service = PsiService::new(ctx, 1);
+    let service = serve(ctx, 1);
     let expired = EvalLimits::unlimited().with_deadline(Instant::now());
     let handles: Vec<_> = (0..8)
         .map(|i| {
@@ -308,8 +313,7 @@ fn apply_update_racing_a_drain_keeps_epoch_and_answer_invariants() {
     let smart = SmartPsi::new(g, SmartPsiConfig::default());
     let service = Arc::new(RwLock::new(
         smart
-            .deploy(&psi_core::DeploymentSpec::new().workers(2).evolving(label_capacity))
-            .into_service(),
+            .deploy(&DeploymentSpec::new().workers(2).evolving(label_capacity)),
     ));
 
     // A mutator thread interleaves updates and submissions through the
@@ -369,7 +373,7 @@ fn apply_update_racing_a_drain_keeps_epoch_and_answer_invariants() {
 // depend on which shapes happen to be resident.
 // ---------------------------------------------------------------
 
-use psi_core::{ShardSpec, ShardedService, MAX_LIVE_SHAPES};
+use psi_core::MAX_LIVE_SHAPES;
 
 /// `n` queries of pairwise distinct shape (labels, edges, pivot) on a
 /// fresh deployment, plus that deployment.
@@ -398,7 +402,7 @@ fn more_shapes_than_the_bound_evict_lru_and_stay_exact() {
     let shapes = MAX_LIVE_SHAPES + 16;
     let (ctx, queries) = distinct_shapes(61, shapes);
     let truth = ground_truth(&ctx, &queries);
-    let service = PsiService::new(ctx, 2);
+    let service = serve(ctx, 2);
     let handles: Vec<_> = queries
         .iter()
         .map(|q| service.submit(q.clone(), RunSpec::new()))
@@ -429,7 +433,7 @@ fn hot_shape_stays_resident_between_churned_shapes() {
     let (ctx, mut queries) = distinct_shapes(62, churn + 1);
     let hot = queries.pop().expect("hot query");
     let hot_truth = ground_truth(&ctx, std::slice::from_ref(&hot)).remove(0);
-    let service = PsiService::new(ctx, 1);
+    let service = serve(ctx, 1);
     assert_eq!(service.submit(hot.clone(), RunSpec::new()).wait(), hot_truth);
 
     // Serve the hot shape after every 8 one-off shapes: it is used far
@@ -462,23 +466,43 @@ fn every_shard_bounds_its_own_shape_table() {
         .flatten()
         .unwrap_or(1)
         .max(1);
-    let spec = ShardSpec::new(2).workers_per_shard(2).halo_depth(halo);
-    let service = ShardedService::new(&ctx, &spec);
+    let spec = DeploymentSpec::new().shards(2).workers(2).halo(halo);
+    let service = SmartPsi::from_context(ctx.clone()).deploy(&spec);
     let handles: Vec<_> = queries
         .iter()
-        .map(|q| service.submit(q.clone(), RunSpec::new()).expect("within halo"))
+        .map(|q| service.submit(q.clone(), RunSpec::new()))
         .collect();
     for (i, (h, t)) in handles.into_iter().zip(&truth).enumerate() {
         assert_eq!(h.wait().valid, t.valid, "query {i} diverged");
     }
-    for shard in 0..service.shard_count() {
-        let stats = service.shard_stats(shard);
-        assert!(stats.distinct_query_shapes <= MAX_LIVE_SHAPES, "shard {shard}: {stats:?}");
-        assert_eq!(
-            stats.cache_evictions,
-            stats.queries_served.saturating_sub(MAX_LIVE_SHAPES as u64),
-            "shard {shard}: every shape past the bound evicts one: {stats:?}"
-        );
-    }
-    assert!(service.stats().cache_evictions > 0, "the bound was exercised");
+    // A shard runs one job per query it owns a candidate of, and every
+    // shape is distinct, so each shard's table fills to the bound and
+    // then evicts once per further job — per shard, not deployment-wide.
+    let jobs: Vec<u64> = (0..service.shard_count())
+        .map(|s| {
+            let (lo, hi) = service.owned_range(s);
+            queries
+                .iter()
+                .filter(|q| {
+                    psi_core::single::pivot_candidates(ctx.graph(), q)
+                        .iter()
+                        .any(|c| (lo..hi).contains(c))
+                })
+                .count() as u64
+        })
+        .collect();
+    let bound = MAX_LIVE_SHAPES as u64;
+    let stats = service.stats();
+    assert_eq!(stats.queries_served, jobs.iter().sum::<u64>(), "{jobs:?}");
+    assert_eq!(
+        stats.distinct_query_shapes as u64,
+        jobs.iter().map(|&j| j.min(bound)).sum::<u64>(),
+        "every shard holds at most the bound: {jobs:?} {stats:?}"
+    );
+    assert_eq!(
+        stats.cache_evictions,
+        jobs.iter().map(|&j| j.saturating_sub(bound)).sum::<u64>(),
+        "every shape past a shard's bound evicts one: {jobs:?} {stats:?}"
+    );
+    assert!(stats.cache_evictions > 0, "the bound was exercised");
 }

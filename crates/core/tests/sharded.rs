@@ -1,6 +1,6 @@
-//! Differential suite for [`ShardedService`]: scatter-gather serving
-//! over a range-partitioned graph must be an *invisible* deployment
-//! choice. Every merged answer has to match a single-context run of
+//! Differential suite for sharded [`PsiService`] deployments:
+//! scatter-gather serving over a range-partitioned graph must be an
+//! *invisible* deployment choice. Every merged answer has to match a single-context run of
 //! the same query — for any shard count, any worker count, any cache
 //! warmth, under injected chaos, and across interleaved update
 //! streams.
@@ -15,8 +15,8 @@
 //! * **Full [`PsiResult`] equality** (steps and failure accounting
 //!   included) is asserted wherever determinism is claimed: a 1-shard
 //!   deployment against the sequential engine, a fixed partition
-//!   across worker counts and cache warmth, and the job-death mirror
-//!   against a single-context [`PsiService`].
+//!   across worker counts and cache warmth, and the job-death and
+//!   expired-deadline mirrors against a 1-shard deployment.
 //!
 //! The halo tests prove the exactness theorem in both directions: with
 //! halo depth ≥ the query pivot's eccentricity every D-ball is
@@ -25,12 +25,14 @@
 //! distance-D nodes.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use proptest::prelude::*;
+use psi_core::engine::proto::query_result_line;
 use psi_core::fault::{install_quiet_panic_hook, FaultKind, FaultPlan, ALWAYS, ONCE};
 use psi_core::{
-    GraphContext, PsiResult, PsiService, RunSpec, ShardBalance, ShardSpec, ShardedService,
-    SmartPsi, SmartPsiConfig, UpdateError,
+    DeploymentSpec, EvalLimits, GraphContext, PsiResult, PsiService, RunSpec, ShardBalance,
+    SmartPsi, SmartPsiConfig, UpdateError, QUERY_TOO_DEEP_REASON,
 };
 use psi_datasets::{generators, rwr};
 use psi_graph::dynamic::DynamicGraph;
@@ -56,6 +58,17 @@ fn deployment(seed: u64) -> (Arc<GraphContext>, Vec<PivotedQuery>) {
 fn ground_truth(ctx: &Arc<GraphContext>, queries: &[PivotedQuery]) -> Vec<PsiResult> {
     let smart = SmartPsi::from_context(ctx.clone());
     queries.iter().map(|q| smart.run(q, &RunSpec::new())).collect()
+}
+
+/// Deploy `spec` over the shared context.
+fn deploy(ctx: &Arc<GraphContext>, spec: DeploymentSpec) -> PsiService {
+    SmartPsi::from_context(ctx.clone()).deploy(&spec)
+}
+
+/// Shards whose epoch moved between two [`PsiService::shard_epochs`]
+/// readings.
+fn bumped(before: &[u64], after: &[u64]) -> Vec<usize> {
+    (0..after.len()).filter(|&s| after[s] > before[s]).collect()
 }
 
 /// The partition-independent slice of a result: verdicts and failure
@@ -86,12 +99,11 @@ fn scatter_gather_matches_sequential_across_shard_and_worker_counts() {
     let truth = ground_truth(&ctx, &queries);
     for shards in [1usize, 2, 4, 8] {
         for workers in [1usize, 2, 4] {
-            let spec = ShardSpec::new(shards).workers_per_shard(workers);
-            let service = ShardedService::new(&ctx, &spec);
+            let service = deploy(&ctx, DeploymentSpec::new().shards(shards).workers(workers));
             assert_eq!(service.shard_count(), shards);
             let handles: Vec<_> = queries
                 .iter()
-                .map(|q| service.submit(q.clone(), RunSpec::new()).expect("within halo"))
+                .map(|q| service.submit(q.clone(), RunSpec::new()))
                 .collect();
             for (i, h) in handles.into_iter().enumerate() {
                 let merged = h.wait();
@@ -112,12 +124,15 @@ fn scatter_gather_matches_sequential_across_shard_and_worker_counts() {
                 }
             }
             // Every routed shard job is accounted: the fanout counter
-            // equals the sum of per-shard served queries.
+            // equals the shard jobs served. One shard routes nothing.
             let fanout = service.metrics().counter(psi_core::obs::Counter::ShardFanout);
-            let per_shard: u64 =
-                (0..shards).map(|s| service.shard_stats(s).queries_served).sum();
-            assert_eq!(fanout, per_shard, "shards={shards}: fanout vs shard jobs");
-            assert!(fanout >= queries.len() as u64, "every query routes somewhere");
+            let served = service.stats().queries_served;
+            if shards == 1 {
+                assert_eq!((fanout, served), (0, queries.len() as u64), "one shard, no fanout");
+            } else {
+                assert_eq!(fanout, served, "shards={shards}: fanout vs shard jobs");
+                assert!(fanout >= queries.len() as u64, "every query routes somewhere");
+            }
             assert_eq!(service.stats().worker_panics, 0);
         }
     }
@@ -126,30 +141,30 @@ fn scatter_gather_matches_sequential_across_shard_and_worker_counts() {
 #[test]
 fn fixed_partition_is_bit_identical_across_worker_counts_and_cache_warmth() {
     let (ctx, queries) = deployment(57);
-    let spec = |w: usize| ShardSpec::new(4).workers_per_shard(w);
+    let spec = |w: usize| DeploymentSpec::new().shards(4).workers(w);
     // Reference pass: 1 worker per shard, cold caches, submit-and-wait
     // so cache warming is sequenced deterministically.
     let reference: Vec<PsiResult> = {
-        let service = ShardedService::new(&ctx, &spec(1));
+        let service = deploy(&ctx, spec(1));
         queries
             .iter()
             .flat_map(|q| {
                 [
-                    service.submit(q.clone(), RunSpec::new()).expect("within halo").wait(),
+                    service.submit(q.clone(), RunSpec::new()).wait(),
                     // warm repeat
-                    service.submit(q.clone(), RunSpec::new()).expect("within halo").wait(),
+                    service.submit(q.clone(), RunSpec::new()).wait(),
                 ]
             })
             .collect()
     };
     for workers in [2usize, 4] {
-        let service = ShardedService::new(&ctx, &spec(workers));
+        let service = deploy(&ctx, spec(workers));
         let results: Vec<PsiResult> = queries
             .iter()
             .flat_map(|q| {
                 [
-                    service.submit(q.clone(), RunSpec::new()).expect("within halo").wait(),
-                    service.submit(q.clone(), RunSpec::new()).expect("within halo").wait(),
+                    service.submit(q.clone(), RunSpec::new()).wait(),
+                    service.submit(q.clone(), RunSpec::new()).wait(),
                 ]
             })
             .collect();
@@ -169,8 +184,7 @@ fn fixed_partition_is_bit_identical_across_worker_counts_and_cache_warmth() {
 fn label_aware_cut_is_answer_equivalent() {
     let (ctx, queries) = deployment(23);
     let truth = ground_truth(&ctx, &queries);
-    let spec = ShardSpec::new(3).balance(ShardBalance::LabelAware);
-    let service = ShardedService::new(&ctx, &spec);
+    let service = deploy(&ctx, DeploymentSpec::new().shards(3).balance(ShardBalance::LabelAware));
     // The cut is still a contiguous cover of the node range.
     let n = ctx.graph().node_count() as NodeId;
     assert_eq!(service.owned_range(0).0, 0);
@@ -181,7 +195,6 @@ fn label_aware_cut_is_answer_equivalent() {
     for (i, q) in queries.iter().enumerate() {
         let merged = service
             .submit(q.clone(), RunSpec::new())
-            .expect("within halo")
             .wait();
         assert_eq!(
             projection(&merged),
@@ -196,7 +209,7 @@ fn seeded_chaos_preserves_answers() {
     install_quiet_panic_hook();
     let (ctx, queries) = deployment(17);
     let truth = ground_truth(&ctx, &queries);
-    let service = ShardedService::new(&ctx, &ShardSpec::new(3).workers_per_shard(2));
+    let service = deploy(&ctx, DeploymentSpec::new().shards(3).workers(2));
     // Per-submit seeded chaos: the projection materializes each
     // shard's share of the one-shot draws, per-node isolation and the
     // retry ladder absorb all of them, so valid sets match the clean
@@ -204,11 +217,7 @@ fn seeded_chaos_preserves_answers() {
     let fault = Arc::new(FaultPlan::seeded(5, 0.03, 0.03, 0.02));
     let handles: Vec<_> = queries
         .iter()
-        .map(|q| {
-            service
-                .submit(q.clone(), RunSpec::new().faults(fault.clone()))
-                .expect("within halo")
-        })
+        .map(|q| service.submit(q.clone(), RunSpec::new().faults(fault.clone())))
         .collect();
     for (i, h) in handles.into_iter().enumerate() {
         let r = h.wait();
@@ -237,20 +246,19 @@ fn job_death_mirrors_the_single_context_service() {
                 .fold(FaultPlan::empty(), |p, n| p.inject(n, FaultKind::Panic, ALWAYS)),
         )
     };
-    let single = PsiService::new(ctx.clone(), 2);
+    let single = deploy(&ctx, DeploymentSpec::new().workers(2));
     let single_failed = single
         .submit(q.clone(), RunSpec::new().faults(poison()).panic_isolation(false))
         .wait();
     assert_eq!(single_failed.failures.worker_deaths, 2, "both attempts died");
 
-    let sharded = ShardedService::new(&ctx, &ShardSpec::new(4).workers_per_shard(2));
-    let poisoned = sharded
-        .submit(q.clone(), RunSpec::new().faults(poison()).panic_isolation(false))
-        .expect("within halo");
+    let sharded = deploy(&ctx, DeploymentSpec::new().shards(4).workers(2));
+    let poisoned =
+        sharded.submit(q.clone(), RunSpec::new().faults(poison()).panic_isolation(false));
     // Healthy traffic around the poisoned job stays exact.
     let healthy: Vec<_> = queries[1..]
         .iter()
-        .map(|hq| sharded.submit(hq.clone(), RunSpec::new()).expect("within halo"))
+        .map(|hq| sharded.submit(hq.clone(), RunSpec::new()))
         .collect();
     let merged = poisoned.wait();
     // The panic payload names whichever poisoned candidate the dying
@@ -282,7 +290,7 @@ fn job_death_mirrors_the_single_context_service() {
             i + 1
         );
     }
-    let requeues: u64 = (0..4).map(|s| sharded.shard_stats(s).requeued_jobs).sum();
+    let requeues = sharded.stats().requeued_jobs;
     assert!(requeues >= 1, "a poisoned shard job must requeue before failing");
 }
 
@@ -300,16 +308,15 @@ fn one_shot_panic_requeues_the_shard_job_then_recovers() {
     // it: the job is requeued, the retry — with the one-shot budget
     // consumed — answers cleanly, and the merged result is
     // indistinguishable from an unfaulted run.
-    let sharded = ShardedService::new(&ctx, &ShardSpec::new(4).workers_per_shard(2));
+    let sharded = deploy(&ctx, DeploymentSpec::new().shards(4).workers(2));
     let plan = Arc::new(FaultPlan::empty().inject(victim, FaultKind::Panic, ONCE));
     let r = sharded
         .submit(q.clone(), RunSpec::new().faults(plan).panic_isolation(false))
-        .expect("within halo")
         .wait();
     assert_eq!(r.valid, truth[0].valid, "recovery changed the answer");
     assert_eq!(r.unresolved, 0);
     assert!(r.failures.nodes.is_empty(), "the retry answered cleanly");
-    let requeues: u64 = (0..4).map(|s| sharded.shard_stats(s).requeued_jobs).sum();
+    let requeues = sharded.stats().requeued_jobs;
     assert_eq!(requeues, 1, "exactly one shard job died and was requeued");
     assert_eq!(
         sharded.stats().queries_served,
@@ -335,10 +342,9 @@ fn worker_kills_inside_shard_pools_requeue_grabs_and_stay_exact() {
             .into_iter()
             .fold(FaultPlan::empty(), |p, n| p.inject(n, FaultKind::KillWorker, ONCE)),
     );
-    let sharded = ShardedService::new(&ctx, &ShardSpec::new(2).workers_per_shard(1));
+    let sharded = deploy(&ctx, DeploymentSpec::new().shards(2));
     let r = sharded
         .submit(q.clone(), RunSpec::new().faults(plan).threads(2).grab(1_000_000))
-        .expect("within halo")
         .wait();
     assert_eq!(r.valid, truth[0].valid, "pool-level kills changed the answer");
     assert_eq!(r.unresolved, 0);
@@ -351,32 +357,59 @@ fn worker_kills_inside_shard_pools_requeue_grabs_and_stay_exact() {
         r.failures.requeued >= r.failures.worker_deaths,
         "each dead pool worker's in-flight grab (>= 1 node) was requeued"
     );
-    let shard_requeues: u64 = (0..2).map(|s| sharded.shard_stats(s).requeued_jobs).sum();
+    let shard_requeues = sharded.stats().requeued_jobs;
     assert_eq!(shard_requeues, 0, "pool kills never cross the shard-job boundary");
 }
 
 #[test]
 fn halo_guard_rejects_queries_deeper_than_the_halo() {
     let g = generators::erdos_renyi(120, 420, 3, 3);
-    let ctx = GraphContext::new(g, config());
-    let service = ShardedService::new(&ctx, &ShardSpec::new(2).halo_depth(1));
+    let ctx = Arc::new(GraphContext::new(g, config()));
+    let service = deploy(&ctx, DeploymentSpec::new().shards(2).halo(1));
     // A 3-node path pivoted at one end has eccentricity 2 > halo 1.
     let q = PivotedQuery::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)], 0)
         .expect("valid query");
-    // The serving tier must reject the query as a structured,
-    // recoverable error — a client mistake is not a deployment panic.
-    let err = match service.submit(q.clone(), RunSpec::new()) {
-        Err(e) => e,
-        Ok(_) => panic!("too-deep query must be rejected"),
+    // The serving tier must refuse the query with a structured,
+    // recoverable failure through its handle — a client mistake is
+    // not a deployment panic — and never run it.
+    let r = service.submit(q.clone(), RunSpec::new()).wait();
+    assert!(r.valid.is_empty() && r.candidates == 0, "{r:?}");
+    let [failure] = r.failures.nodes.as_slice() else {
+        panic!("one structured failure expected: {r:?}");
     };
-    assert_eq!(
-        err,
-        psi_core::SubmitError::QueryTooDeep { eccentricity: 2, halo_depth: 1 }
+    assert_eq!(failure.node, q.pivot());
+    assert!(failure.reason.starts_with(QUERY_TOO_DEEP_REASON), "{}", failure.reason);
+    assert!(
+        failure.reason.contains("eccentricity 2") && failure.reason.contains("halo depth 1"),
+        "{}",
+        failure.reason
     );
-    assert!(err.to_string().contains("eccentricity 2"), "{err}");
-    // The deployment survives the rejection and keeps serving.
+    let fanout = || service.metrics().counter(psi_core::obs::Counter::ShardFanout);
+    assert_eq!(fanout(), 0, "the refused query reached no shard");
+    // The deployment survives the refusal and keeps serving.
     let shallow = PivotedQuery::from_parts(&[0, 1], &[(0, 1)], 0).expect("valid query");
-    let _ = service.submit(shallow, RunSpec::new()).expect("within halo").wait();
+    let r = service.submit(shallow, RunSpec::new()).wait();
+    assert!(r.failures.nodes.is_empty(), "{r:?}");
+    assert!(fanout() > 0);
+}
+
+/// A query whose deadline passed before any shard picked it up is
+/// answered exactly as a 1-shard deployment answers it — one
+/// structured failure at the pivot, sent on the wire as a `deadline`
+/// error — never as an empty success merged from per-shard failures.
+#[test]
+fn expired_deadline_collapses_to_the_one_shard_failure() {
+    let (ctx, queries) = deployment(19);
+    let one = deploy(&ctx, DeploymentSpec::new());
+    let three = deploy(&ctx, DeploymentSpec::new().shards(3));
+    for (i, q) in queries.iter().enumerate() {
+        let spec = RunSpec::new().limits(EvalLimits::unlimited().with_deadline(Instant::now()));
+        let single = one.submit(q.clone(), spec.clone()).wait();
+        let sharded = three.submit(q.clone(), spec).wait();
+        assert_eq!(sharded, single, "query {i}: sharded expiry diverged");
+        let line = query_result_line(7, &sharded);
+        assert!(line.contains("\"error\":\"deadline\""), "query {i}: {line}");
+    }
 }
 
 /// The deterministic halo-shrink breaker. Query: `v0(a)–v1(b)`,
@@ -408,7 +441,7 @@ fn undersized_halo_is_detectably_wrong_on_the_end_triangle() {
     )
     .expect("valid query");
     assert_eq!(ecc(&q), 2);
-    let ctx = GraphContext::new(g, config());
+    let ctx = Arc::new(GraphContext::new(g, config()));
     let truth = SmartPsi::from_context(Arc::new(GraphContext::new(
         ctx.graph().clone(),
         config(),
@@ -418,17 +451,14 @@ fn undersized_halo_is_detectably_wrong_on_the_end_triangle() {
 
     // Exact halo (D = ecc = 2): shard 0 owns only node 0, everything
     // else is halo — answers match.
-    let exact = ShardedService::new(&ctx, &ShardSpec::new(4).halo_depth(2));
+    let exact = deploy(&ctx, DeploymentSpec::new().shards(4).halo(2));
     assert_eq!(exact.owned_range(0), (0, 1));
-    let r = exact
-        .submit(q.clone(), RunSpec::new())
-        .expect("within halo")
-        .wait();
+    let r = exact.submit(q.clone(), RunSpec::new()).wait();
     assert_eq!(r.valid, truth.valid, "halo = ecc must be exact");
 
     // Undersized halo (D = 1 < ecc): the guard would reject this
     // query, and for good reason — bypassing it loses the binding.
-    let shrunk = ShardedService::new(&ctx, &ShardSpec::new(4).halo_depth(1));
+    let shrunk = deploy(&ctx, DeploymentSpec::new().shards(4).halo(1));
     let r = shrunk.submit_unchecked(q, RunSpec::new()).wait();
     assert_ne!(r.valid, truth.valid, "halo = ecc - 1 must be detectably wrong");
     assert!(r.valid.is_empty(), "the boundary-crossing embedding is lost");
@@ -452,8 +482,8 @@ proptest! {
             return Ok(());
         };
         let d = ecc(&q).max(1);
-        let ctx = GraphContext::new(g.clone(), config());
-        let service = ShardedService::new(&ctx, &ShardSpec::new(shards).halo_depth(d));
+        let ctx = Arc::new(GraphContext::new(g.clone(), config()));
+        let service = deploy(&ctx, DeploymentSpec::new().shards(shards).halo(d));
 
         // (a) D-ball residency, shard by shard, via a global BFS.
         for s in 0..shards {
@@ -487,13 +517,10 @@ proptest! {
         }
 
         // (b) answers.
-        let truth = SmartPsi::from_context(Arc::new(ctx)).run(&q, &RunSpec::new());
-        let service_ctx = GraphContext::new(g, config());
-        let service = ShardedService::new(&service_ctx, &ShardSpec::new(shards).halo_depth(d));
-        let merged = service
-            .submit(q, RunSpec::new())
-            .expect("within halo")
-            .wait();
+        let truth = SmartPsi::from_context(ctx).run(&q, &RunSpec::new());
+        let service_ctx = Arc::new(GraphContext::new(g, config()));
+        let service = deploy(&service_ctx, DeploymentSpec::new().shards(shards).halo(d));
+        let merged = service.submit(q, RunSpec::new()).wait();
         prop_assert_eq!(projection(&merged), projection(&truth));
     }
 }
@@ -543,7 +570,7 @@ fn random_batch(rng: &mut StdRng, nodes: &mut u32, size: usize) -> Vec<GraphUpda
 #[test]
 fn static_sharded_deployment_rejects_updates() {
     let (ctx, _) = deployment(3);
-    let service = ShardedService::new(&ctx, &ShardSpec::new(2));
+    let service = deploy(&ctx, DeploymentSpec::new().shards(2));
     let batch = [GraphUpdate::AddNode { label: 0 }];
     assert!(matches!(
         service.apply_update(&batch),
@@ -559,12 +586,8 @@ fn evolving_shards_match_a_cold_single_context_of_the_final_graph() {
         .collect();
     assert!(queries.len() >= 3, "need a real batch of queries");
     let mut mirror = DynamicGraph::from_graph(&g);
-    let service = ShardedService::new_evolving(
-        g,
-        config(),
-        CAPACITY,
-        &ShardSpec::new(3).workers_per_shard(2),
-    );
+    let service = SmartPsi::new(g, config())
+        .deploy(&DeploymentSpec::new().shards(3).workers(2).evolving(CAPACITY));
     assert_eq!(service.shard_epochs(), vec![0, 0, 0]);
 
     let mut rng = StdRng::seed_from_u64(0xc0de);
@@ -572,18 +595,20 @@ fn evolving_shards_match_a_cold_single_context_of_the_final_graph() {
     for round in 0..3 {
         let batch = random_batch(&mut rng, &mut nodes, 12);
         mirror.apply(&batch).expect("mirror accepts the batch");
+        let before = service.shard_epochs();
         let report = service.apply_update(&batch).expect("sharded update");
+        let affected = bumped(&before, &service.shard_epochs());
         assert!(report.rows_repaired > 0, "round {round}: repairs happened");
         assert!(
-            !report.affected_shards.is_empty(),
+            !affected.is_empty(),
             "round {round}: every endpoint is resident somewhere"
         );
         assert!(
-            report.nodes_added == 0 || report.affected_shards.contains(&2),
+            report.nodes_added == 0 || affected.contains(&2),
             "round {round}: appended nodes land on the last shard"
         );
         // Epochs advance exactly on the affected shards.
-        for (s, &e) in report.shard_epochs.iter().enumerate() {
+        for (s, e) in service.shard_epochs().into_iter().enumerate() {
             assert!(e as usize <= round + 1, "round {round}: shard {s} over-bumped");
         }
 
@@ -595,7 +620,6 @@ fn evolving_shards_match_a_cold_single_context_of_the_final_graph() {
             let truth = cold.run(q, &RunSpec::new());
             let merged = service
                 .submit(q.clone(), RunSpec::new())
-                .expect("within halo")
                 .wait();
             assert_eq!(
                 projection(&merged),
@@ -626,12 +650,8 @@ fn boundary_updates_repair_both_halos_and_epochs_stay_independent() {
         .collect();
     assert!(!queries.is_empty());
     let mut mirror = DynamicGraph::from_graph(&g);
-    let service = ShardedService::new_evolving(
-        g,
-        config(),
-        CAPACITY,
-        &ShardSpec::new(2).halo_depth(2),
-    );
+    let service = SmartPsi::new(g, config())
+        .deploy(&DeploymentSpec::new().shards(2).halo(2).evolving(CAPACITY));
     assert_eq!(service.owned_range(0), (0, 30));
     assert_eq!(service.owned_range(1), (30, 60));
 
@@ -641,7 +661,6 @@ fn boundary_updates_repair_both_halos_and_epochs_stay_independent() {
             let truth = cold.run(q, &RunSpec::new());
             let merged = service
                 .submit(q.clone(), RunSpec::new())
-                .expect("within halo")
                 .wait();
             assert_eq!(
                 projection(&merged),
@@ -656,8 +675,9 @@ fn boundary_updates_repair_both_halos_and_epochs_stay_independent() {
     // (which reach down to node 27), so only shard 0 republishes.
     let interior = [GraphUpdate::AddEdge { u: 5, v: 7, label: 0 }];
     mirror.apply(&interior).expect("mirror");
-    let report = service.apply_update(&interior).expect("interior update");
-    assert_eq!(report.affected_shards, vec![0], "interior edge stays local");
+    let before = service.shard_epochs();
+    service.apply_update(&interior).expect("interior update");
+    assert_eq!(bumped(&before, &service.shard_epochs()), vec![0], "interior edge stays local");
     assert_eq!(service.shard_epochs(), vec![1, 0], "shard 1 untouched");
     check(&mirror, "after interior edge");
 
@@ -667,8 +687,9 @@ fn boundary_updates_repair_both_halos_and_epochs_stay_independent() {
     // ghost ring.
     let boundary = [GraphUpdate::AddEdge { u: 28, v: 31, label: 0 }];
     mirror.apply(&boundary).expect("mirror");
-    let report = service.apply_update(&boundary).expect("boundary update");
-    assert_eq!(report.affected_shards, vec![0, 1], "boundary edge hits both");
+    let before = service.shard_epochs();
+    service.apply_update(&boundary).expect("boundary update");
+    assert_eq!(bumped(&before, &service.shard_epochs()), vec![0, 1], "boundary edge hits both");
     assert_eq!(service.shard_epochs(), vec![2, 1], "independent epochs");
     check(&mirror, "after boundary edge");
 
@@ -680,9 +701,11 @@ fn boundary_updates_repair_both_halos_and_epochs_stay_independent() {
         GraphUpdate::AddEdge { u: 59, v: 60, label: 0 },
     ];
     mirror.apply(&append).expect("mirror");
+    let before = service.shard_epochs();
     let report = service.apply_update(&append).expect("append update");
     assert_eq!(report.nodes_added, 1);
-    assert_eq!(report.affected_shards, vec![1], "append lands on the open shard");
+    assert_eq!(report.epoch, 2, "the highest shard epoch");
+    assert_eq!(bumped(&before, &service.shard_epochs()), vec![1], "append lands on the open shard");
     assert_eq!(service.shard_epochs(), vec![2, 2]);
     assert_eq!(service.owned_range(1), (30, 61));
     assert_eq!(
@@ -707,10 +730,10 @@ fn sharded_shutdown_sums_per_shard_drain_reports() {
 
     // Generous grace: everything drains, nothing aborts, answers stay
     // exact after the drain.
-    let mut service = ShardedService::new(&ctx, &ShardSpec::new(3).workers_per_shard(2));
+    let mut service = deploy(&ctx, DeploymentSpec::new().shards(3).workers(2));
     let handles: Vec<_> = queries
         .iter()
-        .map(|q| service.submit(q.clone(), RunSpec::new()).expect("within halo"))
+        .map(|q| service.submit(q.clone(), RunSpec::new()))
         .collect();
     let report = service.shutdown(Duration::from_secs(60));
     assert_eq!(report.aborted, 0, "{report:?}");
@@ -723,36 +746,36 @@ fn sharded_shutdown_sums_per_shard_drain_reports() {
 
     // Zero grace on a single-worker-per-shard backlog: the aggregate
     // report sees the stranded jobs, and every merged handle still
-    // resolves (scatter-gather absorbs per-shard aborts as failures,
-    // never hangs). A heavier deployment keeps the queues deep enough
-    // that a zero grace is guaranteed to strand work.
+    // resolves — either to the exact answer or, when any of its shard
+    // parts was aborted, to exactly the 1-shard aborted shape (never a
+    // partial answer, never a hang). A heavier deployment keeps the
+    // queues deep enough that a zero grace is guaranteed to strand
+    // work.
     let g = generators::erdos_renyi(1500, 9000, 3, 78);
     let ctx = Arc::new(GraphContext::new(g.clone(), config()));
     let queries: Vec<_> = (0..4)
         .filter_map(|s| rwr::extract_query_seeded(&g, 5, 78 ^ (s * 977)))
         .collect();
     assert!(!queries.is_empty());
-    let mut service = ShardedService::new(&ctx, &ShardSpec::new(3).workers_per_shard(1));
+    let truth = ground_truth(&ctx, &queries);
+    let mut service = deploy(&ctx, DeploymentSpec::new().shards(3));
     let handles: Vec<_> = (0..200)
-        .map(|i| {
-            service
-                .submit(queries[i % queries.len()].clone(), RunSpec::new())
-                .expect("within halo")
-        })
+        .map(|i| service.submit(queries[i % queries.len()].clone(), RunSpec::new()))
         .collect();
     let report = service.shutdown(Duration::ZERO);
     assert!(report.aborted > 0, "zero grace must strand jobs: {report:?}");
     let mut aborted_jobs = 0u64;
-    for h in handles {
+    for (i, h) in handles.into_iter().enumerate() {
+        let q = i % queries.len();
         let r = h.wait();
-        if r.failures
-            .nodes
-            .iter()
-            .any(|f| f.reason == ABORTED_BY_SHUTDOWN_REASON)
-        {
+        let mut aborted = PsiResult::empty(0, 0);
+        aborted
+            .failures
+            .record(queries[q].pivot(), ABORTED_BY_SHUTDOWN_REASON, 0);
+        if r == aborted {
             aborted_jobs += 1;
         } else {
-            assert_eq!(r.unresolved, 0);
+            assert_eq!(projection(&r), projection(&truth[q]), "job {i}");
         }
     }
     assert!(aborted_jobs > 0, "aborts surface through merged handles");

@@ -98,8 +98,8 @@ mod tests {
         for _ in 0..n {
             counts[z.sample(&mut rng)] += 1;
         }
-        for i in 0..3 {
-            let freq = counts[i] as f64 / n as f64;
+        for (i, &count) in counts.iter().enumerate() {
+            let freq = count as f64 / n as f64;
             assert!(
                 (freq - z.probability(i)).abs() < 0.01,
                 "value {i}: freq {freq} vs p {}",

@@ -93,7 +93,8 @@ pub enum Phase {
     GraphUpdate,
     /// Merging per-shard partial answers of a scatter-gather query into
     /// one result: valid-set union, id translation back to global space,
-    /// and failure-report aggregation (`ShardedService` in `psi-core`).
+    /// and failure-report aggregation (a sharded `PsiService` in
+    /// `psi-core`).
     ShardMerge,
     /// Reading and parsing protocol lines off client sockets (the
     /// network front door's per-connection reader threads).

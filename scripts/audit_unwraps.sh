@@ -62,10 +62,7 @@
 # zero-baseline lines: the pluggable signature store sits under every
 # stage-1/2/3 row read and the deploy front door is the one
 # constructor every serving topology now routes through — a panic in
-# either takes down the whole deployment, not one node. (deploy.rs's
-# `into_service`/`into_sharded` use documented explicit `panic!` for
-# caller topology-contract violations; the audit tracks the quiet
-# `.unwrap()`/`.expect(` sites, which must stay at zero.)
+# either takes down the whole deployment, not one node.
 #
 # engine/pool.rs (PR 9) gets a per-file zero-baseline line: the
 # shared lazy worker pool is process-global state under every parallel

@@ -49,21 +49,72 @@ fn run(args: &[String]) -> Result<(), String> {
         return Ok(());
     };
     let opts = parse_opts(rest)?;
-    match cmd.as_str() {
-        "generate" => cmd_generate(&opts),
-        "stats" => cmd_stats(&opts),
-        "extract" => cmd_extract(&opts),
-        "query" => cmd_query(&opts),
-        "batch" => cmd_batch(&opts),
-        "serve" => cmd_serve(&opts),
-        "mine" => cmd_mine(&opts),
-        "similarity" => cmd_similarity(&opts),
+    type Command = fn(&Opts) -> Result<(), String>;
+    let (command, keys): (Command, &[&str]) = match cmd.as_str() {
+        "generate" => (cmd_generate, &["dataset", "seed", "scale", "out"]),
+        "stats" => (cmd_stats, &["graph", "sig-store"]),
+        "extract" => (cmd_extract, &["graph", "size", "count", "seed", "out"]),
+        "query" => (
+            cmd_query,
+            &[
+                "graph",
+                "queries",
+                "engine",
+                "step-cap",
+                "threads",
+                "max-retries",
+                "node-timeout-ms",
+                "fault-seed",
+                "sig-store",
+                "profile-out",
+            ],
+        ),
+        "batch" => (
+            cmd_batch,
+            &[
+                "graph",
+                "queries",
+                "workers",
+                "repeat",
+                "updates",
+                "shards",
+                "sig-store",
+                "adapt-cadence",
+                "adapt-eps",
+            ],
+        ),
+        "serve" => (
+            cmd_serve,
+            &[
+                "graph",
+                "listen",
+                "workers",
+                "max-queue",
+                "rate",
+                "burst",
+                "deadline-ms",
+                "write-timeout-ms",
+                "label-capacity",
+                "sig-store",
+                "adapt-cadence",
+                "adapt-eps",
+            ],
+        ),
+        "mine" => (cmd_mine, &["graph", "threshold", "max-edges", "evaluator"]),
+        "similarity" => (cmd_similarity, &["graph", "a", "b"]),
         "help" | "--help" | "-h" => {
             print_usage();
-            Ok(())
+            return Ok(());
         }
-        other => Err(format!("unknown command '{other}' (try 'smartpsi help')")),
+        other => return Err(format!("unknown command '{other}' (try 'smartpsi help')")),
+    };
+    if let Some(key) = opts.keys().find(|k| !keys.contains(&k.as_str())) {
+        return Err(format!(
+            "unknown option --{key} for '{cmd}' (accepted: --{})",
+            keys.join(", --")
+        ));
     }
+    command(&opts)
 }
 
 fn print_usage() {
@@ -433,7 +484,11 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
 /// With `--updates FILE` the deployment evolves: the workload is
 /// served once per committed batch in the update stream, with
 /// signatures repaired incrementally and a fresh epoch snapshot
-/// published between replays.
+/// published between replays. With `--shards N` (N > 1) the graph is
+/// range-partitioned into N shards, each with `--workers` workers, and
+/// every query is scattered and gathered; the ghost-node halo is sized
+/// from the workload (its maximum pivot eccentricity), so every query
+/// passes the deployment's exactness guard.
 fn cmd_batch(opts: &Opts) -> Result<(), String> {
     let g = load(opts)?;
     let queries = req(opts, "queries")?;
@@ -459,26 +514,30 @@ fn cmd_batch(opts: &Opts) -> Result<(), String> {
     };
     let shards: usize = opt_parse(opts, "shards", 0)?;
     let sig_store = sig_store_opt(opts)?;
-    let adaptive = adaptive_opt(opts)?;
-    if shards > 1 {
-        return cmd_batch_sharded(
-            g, &w, shards, workers, repeat, &update_batches, sig_store, adaptive,
-        );
+    let halo = w
+        .queries
+        .iter()
+        .map(|q| {
+            q.graph()
+                .bfs_distances(q.pivot())
+                .into_iter()
+                .filter(|&d| d != u32::MAX)
+                .max()
+                .unwrap_or(0)
+        })
+        .max()
+        .unwrap_or(1)
+        .max(1);
+    let mut spec = DeploymentSpec::new().workers(workers).shards(shards).halo(halo);
+    if let Some(cfg) = adaptive_opt(opts)? {
+        spec = spec.adaptive_config(cfg);
     }
 
-    let adapted_spec = |spec: DeploymentSpec| match adaptive {
-        Some(cfg) => spec.adaptive_config(cfg),
-        None => spec,
-    };
     let t_load = std::time::Instant::now();
     let (service, signature_build) = if update_batches.is_empty() {
         let config = SmartPsiConfig { sig_store, ..SmartPsiConfig::default() };
         let smart = SmartPsi::new(g, config);
-        let build = smart.signature_build_time();
-        let service = smart
-            .deploy(&adapted_spec(DeploymentSpec::new().workers(workers)))
-            .into_service();
-        (service, build)
+        (smart.deploy(&spec), smart.signature_build_time())
     } else {
         // Fix the deployment's label space up front so update batches
         // may introduce labels the initial graph has never seen.
@@ -495,16 +554,8 @@ fn cmd_batch(opts: &Opts) -> Result<(), String> {
         // Build dense (the evolving maintainer seeds from f32 rows)
         // and let the deploy spec pick the serving backend.
         let smart = SmartPsi::new(g, SmartPsiConfig::default());
-        let build = smart.signature_build_time();
-        let service = smart
-            .deploy(&adapted_spec(
-                DeploymentSpec::new()
-                    .workers(workers)
-                    .evolving(capacity)
-                    .sig_store(sig_store),
-            ))
-            .into_service();
-        (service, build)
+        let spec = spec.evolving(capacity).sig_store(sig_store);
+        (smart.deploy(&spec), smart.signature_build_time())
     };
     println!(
         "deployment ready in {:.2?} (signatures {:.2?}, {} store)",
@@ -555,8 +606,9 @@ fn cmd_batch(opts: &Opts) -> Result<(), String> {
     let stats = service.stats();
     println!(
         "total: {total_valid} valid bindings over {submitted} jobs in {elapsed:.2?} \
-         ({:.1} queries/s, {workers} workers)",
-        submitted as f64 / elapsed.as_secs_f64().max(1e-9)
+         ({:.1} queries/s, {} workers)",
+        submitted as f64 / elapsed.as_secs_f64().max(1e-9),
+        service.workers()
     );
     println!(
         "service: {} served, {} cross-query cache hits, {} shapes, {} evictions, {} requeued, \
@@ -574,154 +626,6 @@ fn cmd_batch(opts: &Opts) -> Result<(), String> {
             stats.graph_epoch, stats.cache_invalidations
         );
     }
-    print_adaptive_stats(service.adaptive_stats());
-    if !total_failures.is_clean() {
-        println!(
-            "fault summary: {} failed nodes, {} panics recovered, {} budget escalations",
-            total_failures.len(),
-            total_failures.panics_recovered,
-            total_failures.escalations
-        );
-    }
-    Ok(())
-}
-
-/// The `--shards N` arm of [`cmd_batch`]: range-partition the graph
-/// into a scatter-gather [`smartpsi::core::ShardedService`] (each
-/// shard a private context with its own worker pool) and replay the
-/// workload through it. The ghost-node halo is sized from the
-/// workload: the maximum pivot eccentricity across queries, so every
-/// query passes the service's exactness guard.
-#[allow(clippy::too_many_arguments)]
-fn cmd_batch_sharded(
-    g: Graph,
-    w: &QueryWorkload,
-    shards: usize,
-    workers: usize,
-    repeat: usize,
-    update_batches: &[Vec<smartpsi::graph::GraphUpdate>],
-    sig_store: smartpsi::signature::SigStoreKind,
-    adaptive: Option<smartpsi::core::AdaptiveConfig>,
-) -> Result<(), String> {
-    use smartpsi::core::{ShardSpec, ShardedService};
-
-    let halo = w
-        .queries
-        .iter()
-        .map(|q| {
-            q.graph()
-                .bfs_distances(q.pivot())
-                .into_iter()
-                .filter(|&d| d != u32::MAX)
-                .max()
-                .unwrap_or(0)
-        })
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    let mut spec = ShardSpec::new(shards)
-        .workers_per_shard(workers)
-        .halo_depth(halo);
-    if let Some(cfg) = adaptive {
-        spec = spec.adaptive(cfg);
-    }
-
-    let t_load = std::time::Instant::now();
-    let service = if update_batches.is_empty() {
-        let config = SmartPsiConfig { sig_store, ..SmartPsiConfig::default() };
-        let mut dspec = DeploymentSpec::new().shards(shards).workers(workers).halo(halo);
-        if let Some(cfg) = adaptive {
-            dspec = dspec.adaptive_config(cfg);
-        }
-        SmartPsi::new(g, config).deploy(&dspec).into_sharded()
-    } else {
-        let capacity = update_batches
-            .iter()
-            .flatten()
-            .map(|u| match *u {
-                smartpsi::graph::GraphUpdate::AddNode { label } => label as usize + 1,
-                smartpsi::graph::GraphUpdate::AddEdge { label, .. } => label as usize + 1,
-            })
-            .max()
-            .unwrap_or(0)
-            .max(g.label_count());
-        let config = SmartPsiConfig { sig_store, ..SmartPsiConfig::default() };
-        ShardedService::new_evolving(g, config, capacity, &spec)
-    };
-    println!(
-        "sharded deployment ready in {:.2?} ({shards} shards × {workers} workers, halo depth {halo}, {} store)",
-        t_load.elapsed(),
-        sig_store.name()
-    );
-
-    let t0 = std::time::Instant::now();
-    let mut submitted = 0usize;
-    let mut total_valid = 0usize;
-    let mut total_failures = FailureReport::default();
-    let mut replay = |service: &ShardedService| -> Result<(), String> {
-        let handles: Vec<_> = (0..repeat)
-            .flat_map(|_| w.queries.iter().enumerate())
-            .map(|(i, q)| {
-                service
-                    .submit(q.clone(), RunSpec::new())
-                    .map(|h| (i, h))
-                    .map_err(|e| format!("submitting query {i}: {e}"))
-            })
-            .collect::<Result<_, _>>()?;
-        submitted += handles.len();
-        for (i, h) in handles {
-            let r = h.wait();
-            print_query_line(i, r.count(), r.steps, &r.failures);
-            total_valid += r.count();
-            total_failures.merge(&r.failures);
-        }
-        Ok(())
-    };
-
-    replay(&service)?;
-    for batch in update_batches {
-        let report = service
-            .apply_update(batch)
-            .map_err(|e| format!("applying update batch: {e}"))?;
-        println!(
-            "update: +{} nodes, +{} edges ({} duplicates), {} signature rows repaired, \
-             shards {:?} republished (epochs {:?})",
-            report.nodes_added,
-            report.edges_added,
-            report.duplicate_edges,
-            report.rows_repaired,
-            report.affected_shards,
-            report.shard_epochs
-        );
-        replay(&service)?;
-    }
-
-    let elapsed = t0.elapsed();
-    let stats = service.stats();
-    let fanout = service
-        .metrics()
-        .counter(smartpsi::core::obs::Counter::ShardFanout);
-    println!(
-        "total: {total_valid} valid bindings over {submitted} jobs in {elapsed:.2?} \
-         ({:.1} queries/s, {shards}×{workers} workers)",
-        submitted as f64 / elapsed.as_secs_f64().max(1e-9)
-    );
-    println!(
-        "scatter-gather: {} shard jobs fanned out ({:.2} shards/query), epochs {:?}",
-        fanout,
-        fanout as f64 / submitted.max(1) as f64,
-        service.shard_epochs()
-    );
-    println!(
-        "shards: {} served, {} cross-query cache hits, {} shapes, {} evictions, {} requeued, \
-         {} panics",
-        stats.queries_served,
-        stats.cross_query_cache_hits,
-        stats.distinct_query_shapes,
-        stats.cache_evictions,
-        stats.requeued_jobs,
-        stats.worker_panics
-    );
     print_adaptive_stats(service.adaptive_stats());
     if !total_failures.is_clean() {
         println!(
@@ -772,7 +676,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     if let Some(cfg) = adaptive {
         dspec = dspec.adaptive_config(cfg);
     }
-    let service = smart.deploy(&dspec).into_service();
+    let service = smart.deploy(&dspec);
     println!(
         "deployment ready in {:.2?} (signatures {:.2?}, {workers} workers, {} store{})",
         t_load.elapsed(),

@@ -44,7 +44,7 @@
 //! `engine.deploy(&DeploymentSpec::new().workers(n))` resolves a
 //! [`core::DeploymentSpec`] — worker count, sharding, evolving
 //! updates, dense vs compact signature store — into a live
-//! [`core::Deployment`] with a submission queue, shared signatures,
+//! [`core::PsiService`] with a submission queue, shared signatures,
 //! and a cross-query prediction cache (see the README's "Serving a
 //! query stream" walkthrough and the `smartpsi batch` subcommand).
 

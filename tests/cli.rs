@@ -131,3 +131,51 @@ fn duplicate_and_malformed_options_rejected() {
     let o = run(&["stats", "graph"]);
     assert!(!o.status.success());
 }
+
+#[test]
+fn unknown_option_is_rejected_and_named() {
+    let o = run(&["stats", "--graph", "g.lg", "--thread", "4"]);
+    assert!(!o.status.success());
+    let err = String::from_utf8_lossy(&o.stderr);
+    assert!(err.contains("unknown option --thread"), "{err}");
+    // A key valid for one command is still unknown to another.
+    let o = run(&["mine", "--graph", "g.lg", "--shards", "2"]);
+    assert!(!o.status.success());
+    assert!(String::from_utf8_lossy(&o.stderr).contains("--shards"));
+}
+
+#[test]
+fn sharded_batch_answers_like_unsharded_batch() {
+    let dir = tmpdir("shardedbatch");
+    let graph = dir.join("g.lg");
+    let queries = dir.join("q.q");
+    let (graph_s, queries_s) = (graph.to_str().unwrap(), queries.to_str().unwrap());
+    let o = run(&[
+        "generate", "--dataset", "yeast", "--scale", "0.1", "--seed", "5", "--out", graph_s,
+    ]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    let o = run(&[
+        "extract", "--graph", graph_s, "--size", "4", "--count", "6", "--seed", "3", "--out",
+        queries_s,
+    ]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+
+    // Per-query "query I: N valid nodes" prefixes; step counts may
+    // differ between shard counts, answers may not.
+    let valid_counts = |shards: &str| {
+        let o = run(&[
+            "batch", "--graph", graph_s, "--queries", queries_s, "--workers", "2", "--shards",
+            shards,
+        ]);
+        assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+        stdout(&o)
+            .lines()
+            .filter(|l| l.starts_with("query "))
+            .map(|l| l.split(" valid nodes").next().unwrap().to_string())
+            .collect::<Vec<_>>()
+    };
+    let single = valid_counts("1");
+    assert!(single.len() >= 4, "{single:?}");
+    assert_eq!(valid_counts("2"), single);
+    std::fs::remove_dir_all(&dir).ok();
+}
