@@ -93,7 +93,10 @@ cargo run --release --offline -p psi-bench --bin compact
 # work-stealing pool (train once, one batched phase-A sweep, warm
 # shared worker pool) must beat static chunking (per-chunk retraining)
 # by at least 2.0x / PSI_PARALLEL_SLACK at 8 threads (asserted inside
-# the binary; also refreshes BENCH_parallel.json).
+# the binary; also refreshes BENCH_parallel.json). The study also runs
+# a 1-thread row, the honest baseline: every row reports
+# speedup_vs_1t next to the gated speedup_vs_static, and the JSON's
+# host block records the core count that explains it.
 echo "==> parallel scaling bench (work stealing >= 2x static at 8 threads)"
 PSI_FIG9_SCALING_ONLY=1 cargo run --release --offline -p psi-bench --bin fig9
 

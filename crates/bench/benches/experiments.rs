@@ -67,12 +67,10 @@ fn bench_fig8(c: &mut Criterion) {
 fn bench_fig9(c: &mut Criterion) {
     let g = PaperDataset::Youtube.generate_scaled(0.05, 4);
     let q = QueryWorkload::extract(&g, 5, 1, 7).unwrap().queries.remove(0);
-    let smart = SmartPsi::new(g.clone(), SmartPsiConfig::web_scale());
-    let opts = RunOptions::default();
+    let smart = SmartPsi::new(g, SmartPsiConfig::web_scale());
     let mut group = quick(c, "fig9_baseline");
-    group.bench_function("two_threaded", |b| {
-        b.iter(|| psi_core::twothread::two_threaded_psi(&g, &q, &opts))
-    });
+    let two = RunSpec::new().two_thread();
+    group.bench_function("two_threaded", |b| b.iter(|| smart.run(&q, &two)));
     let ws2 = RunSpec::new().threads(2);
     group.bench_function("smartpsi_2threads", |b| b.iter(|| smart.run(&q, &ws2)));
     group.finish();

@@ -36,7 +36,7 @@
 
 use std::fmt::Write as _;
 
-use psi_bench::{repro_dir, ResultTable};
+use psi_bench::{slack, write_bench_json, ResultTable};
 use psi_core::{DeploymentSpec, PsiService, RunSpec, SmartPsi, SmartPsiConfig};
 use psi_datasets::{generators, QueryWorkload};
 use psi_graph::{GraphUpdate, PivotedQuery, UNLABELED_EDGE};
@@ -110,10 +110,7 @@ fn run_stream(
 }
 
 fn main() {
-    let slack: f64 = std::env::var("PSI_ADAPTIVE_SLACK")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.05);
+    let slack = slack("PSI_ADAPTIVE_SLACK", 1.05);
 
     // A sparse 4-label ER graph keeps the post-drift survivor
     // population near-balanced between valid and invalid candidates,
@@ -235,13 +232,7 @@ fn main() {
     let _ = writeln!(json, "  \"feedback_samples\": {},", stats.feedback_samples);
     let _ = writeln!(json, "  \"slack\": {slack}");
     let _ = writeln!(json, "}}");
-    let path = repro_dir().join("BENCH_adaptive.json");
-    std::fs::create_dir_all(repro_dir()).expect("create target/repro");
-    std::fs::write(&path, &json).expect("write BENCH_adaptive.json");
-    if std::path::Path::new("Cargo.toml").exists() {
-        let _ = std::fs::write("BENCH_adaptive.json", &json);
-    }
-    println!("[json] {}", path.display());
+    write_bench_json("BENCH_adaptive.json", &json);
 
     // The CI gates: post-drift, pooled models must predict methods
     // better and spend fewer steps than frozen per-query fits

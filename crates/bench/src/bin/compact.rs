@@ -28,7 +28,7 @@
 
 use std::fmt::Write as _;
 
-use psi_bench::{repro_dir, time, ResultTable};
+use psi_bench::{slack, time, write_bench_json, ResultTable};
 use psi_core::{PsiResult, RunSpec, SmartPsi, SmartPsiConfig};
 use psi_datasets::QueryWorkload;
 use psi_graph::{Graph, GraphBuilder};
@@ -85,10 +85,7 @@ fn projection(r: &PsiResult) -> (Vec<u32>, usize, usize, Vec<u32>) {
 }
 
 fn main() {
-    let slack: f64 = std::env::var("PSI_COMPACT_SLACK")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.5);
+    let slack = slack("PSI_COMPACT_SLACK", 1.5);
     let nodes: usize = std::env::var("PSI_COMPACT_NODES")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -218,11 +215,5 @@ fn main() {
     let _ = writeln!(json, "  \"answers_identical\": true,");
     let _ = writeln!(json, "  \"slack\": {slack}");
     let _ = writeln!(json, "}}");
-    let path = repro_dir().join("BENCH_compact.json");
-    std::fs::create_dir_all(repro_dir()).expect("create target/repro");
-    std::fs::write(&path, &json).expect("write BENCH_compact.json");
-    if std::path::Path::new("Cargo.toml").exists() {
-        let _ = std::fs::write("BENCH_compact.json", &json);
-    }
-    println!("[json] {}", path.display());
+    write_bench_json("BENCH_compact.json", &json);
 }

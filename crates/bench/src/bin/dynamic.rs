@@ -30,7 +30,7 @@
 
 use std::fmt::Write as _;
 
-use psi_bench::{repro_dir, time, ResultTable};
+use psi_bench::{slack, time, write_bench_json, ResultTable};
 use psi_graph::dynamic::DynamicGraph;
 use psi_graph::GraphUpdate;
 use psi_signature::{matrix_signatures, IncrementalSignatures};
@@ -101,10 +101,7 @@ fn append_stream_ms(n: usize) -> f64 {
 }
 
 fn main() {
-    let slack: f64 = std::env::var("PSI_DYNAMIC_SLACK")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
+    let slack = slack("PSI_DYNAMIC_SLACK", 1.0);
 
     let g = psi_datasets::generators::erdos_renyi(NODES, 200_000, CAPACITY, 11);
     let stream = update_stream(NODES, 0xd15c);
@@ -223,14 +220,7 @@ fn main() {
     let _ = writeln!(json, "  \"append_ratio\": {append_ratio:.3},");
     let _ = writeln!(json, "  \"slack\": {slack}");
     let _ = writeln!(json, "}}");
-    let path = repro_dir().join("BENCH_dynamic.json");
-    std::fs::create_dir_all(repro_dir()).expect("create target/repro");
-    std::fs::write(&path, &json).expect("write BENCH_dynamic.json");
-    // Also drop a copy at the workspace root for discoverability.
-    if std::path::Path::new("Cargo.toml").exists() {
-        let _ = std::fs::write("BENCH_dynamic.json", &json);
-    }
-    println!("[json] {}", path.display());
+    write_bench_json("BENCH_dynamic.json", &json);
 
     // The CI gates: an incremental maintainer within noise of a full
     // rebuild has no reason to exist, and a super-linear append stream

@@ -5,9 +5,12 @@
 //! For fairness (as in the paper) SmartPSI also gets two concurrent
 //! threads in the headline comparison, each evaluating different
 //! candidate nodes, while the baseline spends its two threads racing
-//! the optimistic and pessimistic methods on the *same* node. SmartPSI
-//! appears twice: the historical static-chunk driver (one candidate
-//! chunk per thread, each with its own training run and cache) and the
+//! the optimistic and pessimistic methods on the *same* node. Every arm
+//! runs through `SmartPsi::run` on one deployment, so the baseline
+//! reuses the precomputed signatures exactly like SmartPSI does. SmartPSI
+//! appears three times: on one thread (the honest baseline for its
+//! parallel arms), the static-chunk driver (one candidate chunk per
+//! thread, each with its own training run and cache) and the
 //! work-stealing pool (train once, shared queue, shared prediction
 //! cache).
 //!
@@ -16,7 +19,7 @@
 //! size and eventually times out where SmartPSI keeps finishing.
 //!
 //! The scaling study then drops the baseline and compares static
-//! chunking against work stealing at 2/4/8 workers on a skewed
+//! chunking against work stealing at 1/2/4/8 workers on a skewed
 //! single-label workload (see [`scaling_study`] for why the paper
 //! datasets cannot exercise the prediction cache), also counting how
 //! often the shared cache serves a prediction versus per-worker
@@ -24,18 +27,19 @@
 //! pool, so the OS-thread spawn bill (`pool_spawn_ms`) is paid once
 //! per thread level — the study warms the pool with one recorded run,
 //! reports that one-time bill as its own column, and times every
-//! arm against warm workers. With `PSI_FIG9_SCALING_ONLY` set, the
-//! binary skips the paper-dataset comparison and runs just the
-//! scaling study; `ci.sh` uses that mode to enforce the 8-thread
-//! scaling floor (`PSI_PARALLEL_SLACK`). Results land in
-//! `BENCH_parallel.json` next to the CSVs.
+//! arm against warm workers. Each row reports its speedup against the
+//! 1-thread row (`speedup_vs_1t`, the honest baseline) next to its
+//! speedup against static chunking (`speedup_vs_static`, the gated
+//! one). With `PSI_FIG9_SCALING_ONLY` set, the binary skips the
+//! paper-dataset comparison and runs just the scaling study; `ci.sh`
+//! uses that mode to enforce the 8-thread scaling floor
+//! (`PSI_PARALLEL_SLACK`). Results land in `BENCH_parallel.json` next
+//! to the CSVs.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use psi_bench::{render_grouped_bars, repro_dir, time, ExperimentEnv, ResultTable, Series};
-use psi_core::single::RunOptions;
-use psi_core::twothread::two_threaded_psi;
+use psi_bench::{render_grouped_bars, slack, time, write_bench_json, ExperimentEnv, ResultTable, Series};
 use psi_core::obs::{Counter, MetricsRecorder, Phase};
 use psi_core::{EvalLimits, PsiResult, RunSpec, SmartPsi, SmartPsiConfig};
 use psi_datasets::PaperDataset;
@@ -64,6 +68,7 @@ fn main() {
             "dataset",
             "size",
             "two_threaded_ms",
+            "smartpsi1_ms",
             "smartpsi2_static_ms",
             "smartpsi2_ws_ms",
             "baseline_unresolved",
@@ -77,21 +82,27 @@ fn main() {
         let mut xs: Vec<String> = Vec::new();
         let mut series = vec![
             Series { name: "two-threaded".into(), values: Vec::new() },
+            Series { name: "SmartPSI (1t)".into(), values: Vec::new() },
             Series { name: "SmartPSI static (2t)".into(), values: Vec::new() },
             Series { name: "SmartPSI stealing (2t)".into(), values: Vec::new() },
         ];
         for size in 4..=8 {
             let Some(w) = env.workload(&g, size) else { continue };
-            let opts = RunOptions {
-                limits: EvalLimits::steps(cap),
-                ..RunOptions::default()
-            };
+            // The step cap bounds each racer of the baseline (the
+            // realist's executors ignore `max_steps`).
+            let two = RunSpec::new().two_thread().limits(EvalLimits::steps(cap));
             let (unresolved, t_two) = time(|| {
                 let mut u = 0usize;
                 for q in &w.queries {
-                    u += two_threaded_psi(&g, q, &opts).unresolved;
+                    u += smart.run(q, &two).unresolved;
                 }
                 u
+            });
+            let seq = RunSpec::new();
+            let (_, t_seq) = time(|| {
+                for q in &w.queries {
+                    let _ = smart.run(q, &seq);
+                }
             });
             let static2 = RunSpec::new().static_chunks(2);
             let (_, t_static) = time(|| {
@@ -109,14 +120,16 @@ fn main() {
                 d.name().into(),
                 size.to_string(),
                 t_two.as_millis().to_string(),
+                t_seq.as_millis().to_string(),
                 t_static.as_millis().to_string(),
                 t_ws.as_millis().to_string(),
                 unresolved.to_string(),
             ]);
             xs.push(format!("query size {size}"));
             series[0].values.push(Some(t_two.as_millis() as f64));
-            series[1].values.push(Some(t_static.as_millis() as f64));
-            series[2].values.push(Some(t_ws.as_millis() as f64));
+            series[1].values.push(Some(t_seq.as_millis() as f64));
+            series[2].values.push(Some(t_static.as_millis() as f64));
+            series[3].values.push(Some(t_ws.as_millis() as f64));
             eprintln!("[fig9] {} size {size} done", d.name());
         }
         println!("{}", render_grouped_bars(&format!("Figure 9({}): total ms per workload", d.name()), &xs, &series, 48));
@@ -130,8 +143,10 @@ fn main() {
     scaling_study();
 }
 
-/// Static chunking vs. work stealing at increasing worker counts,
-/// plus shared-vs-private cache hit counts. Writes
+/// Static chunking vs. work stealing at increasing worker counts
+/// (the 1-thread row, where both degenerate to the sequential
+/// executor, is the baseline of `speedup_vs_1t`), plus
+/// shared-vs-private cache hit counts. Writes
 /// `BENCH_parallel.json` and enforces the 8-thread scaling floor:
 /// work stealing must beat static chunking by at least
 /// `2.0 / PSI_PARALLEL_SLACK` (slack defaults to 1.0, so the default
@@ -182,11 +197,21 @@ fn scaling_study() {
 
     let mut table = ResultTable::new(
         "parallel_scaling",
-        &["threads", "static_ms", "ws_ms", "pool_spawn_ms", "speedup", "shared_hits", "prefilter_pruned"],
+        &[
+            "threads",
+            "static_ms",
+            "ws_ms",
+            "pool_spawn_ms",
+            "speedup_vs_static",
+            "speedup_vs_1t",
+            "shared_hits",
+            "prefilter_pruned",
+        ],
     );
     let mut json_rows = String::new();
     let mut speedup_at_8 = f64::MAX;
-    for &threads in &[2usize, 4, 8] {
+    let mut t_one = f64::NAN;
+    for &threads in &[1usize, 2, 4, 8] {
         // Warm the shared pool at this thread level with one recorded
         // run, and read back the one-time spawn bill: the engine's
         // lazy pool spawns each OS thread exactly once per process, so
@@ -239,7 +264,11 @@ fn scaling_study() {
             });
             t_private = t_private.min(t.as_secs_f64() * 1e3);
         }
+        if threads == 1 {
+            t_one = t_ws;
+        }
         let speedup = t_static / t_ws.max(1e-9);
+        let speedup_1t = t_one / t_ws.max(1e-9);
         if threads == 8 {
             speedup_at_8 = speedup;
         }
@@ -249,6 +278,7 @@ fn scaling_study() {
             format!("{t_ws:.1}"),
             format!("{pool_spawn_ms:.2}"),
             format!("{speedup:.2}"),
+            format!("{speedup_1t:.2}"),
             shared_hits.to_string(),
             pruned.to_string(),
         ]);
@@ -258,7 +288,8 @@ fn scaling_study() {
              \"work_stealing_ms\": {t_ws:.1}, \"work_stealing_uncached_ms\": {t_private:.1}, \
              \"pool_spawn_ms\": {pool_spawn_ms:.2}, \
              \"pool_threads_spawned\": {pool_threads_spawned}, \
-             \"speedup_vs_static\": {speedup:.3}, \"shared_cache_hits\": {shared_hits}, \
+             \"speedup_vs_static\": {speedup:.3}, \"speedup_vs_1t\": {speedup_1t:.3}, \
+             \"shared_cache_hits\": {shared_hits}, \
              \"prefilter_pruned\": {pruned}}},",
         );
         eprintln!("[fig9] scaling study at {threads} threads done");
@@ -271,23 +302,13 @@ fn scaling_study() {
          \"rows\": [\n{}\n  ]\n}}\n",
         json_rows.trim_end().trim_end_matches(','),
     );
-    let path = repro_dir().join("BENCH_parallel.json");
-    std::fs::create_dir_all(repro_dir()).expect("create target/repro");
-    std::fs::write(&path, &json).expect("write BENCH_parallel.json");
-    // Also drop a copy at the workspace root for discoverability.
-    if std::path::Path::new("Cargo.toml").exists() {
-        let _ = std::fs::write("BENCH_parallel.json", &json);
-    }
-    println!("[json] {}", path.display());
+    write_bench_json("BENCH_parallel.json", &json);
 
     // Scaling floor: train-once + one batched phase-A sweep + warm
     // workers must beat per-chunk retraining by at least 2.0× at 8
     // threads (`PSI_PARALLEL_SLACK` loosens the floor for noisy CI
     // hosts; the checked-in numbers target ≥ 2.5×).
-    let slack: f64 = std::env::var("PSI_PARALLEL_SLACK")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
+    let slack = slack("PSI_PARALLEL_SLACK", 1.0);
     let floor = 2.0 / slack;
     assert!(
         speedup_at_8 >= floor,

@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use psi_bench::repro_dir;
+use psi_bench::{slack, write_bench_json};
 use psi_core::{DeploymentSpec, NetServer, NetServerConfig, SmartPsi, SmartPsiConfig};
 use psi_datasets::{generators, QueryWorkload};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -386,10 +386,7 @@ fn chaos_drain_zero_loss(seed: u64) -> (u64, u64) {
 }
 
 fn main() {
-    let slack: f64 = std::env::var("PSI_LATENCY_SLACK")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3.0);
+    let slack = slack("PSI_LATENCY_SLACK", 3.0);
 
     let (mut server, shapes) = bind_server();
     eprintln!(
@@ -489,13 +486,7 @@ fn main() {
     let _ = writeln!(json, "    \"lost\": 0");
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
-    let path = repro_dir().join("BENCH_latency.json");
-    std::fs::create_dir_all(repro_dir()).expect("create target/repro");
-    std::fs::write(&path, &json).expect("write BENCH_latency.json");
-    if std::path::Path::new("Cargo.toml").exists() {
-        let _ = std::fs::write("BENCH_latency.json", &json);
-    }
-    println!("[json] {}", path.display());
+    write_bench_json("BENCH_latency.json", &json);
     println!(
         "latency: 2x-overload admitted p99 {:.2} ms within {slack}x of the {slo_ms:.2} ms \
          queue bound, {} sheds all carried retry-after, chaos drain lost nothing — PASS",

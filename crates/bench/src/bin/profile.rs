@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Arc;
 
-use psi_bench::{repro_dir, time, ResultTable};
+use psi_bench::{time, write_bench_json, ResultTable};
 use psi_core::obs::{timed, Counter, Histogram, MetricsRecorder, NoopRecorder, Phase, QueryProfile, Recorder};
 use psi_core::{RunSpec, SmartPsi, SmartPsiConfig};
 use psi_datasets::QueryWorkload;
@@ -206,13 +206,7 @@ fn main() {
         queries.len(),
         sample.to_json(),
     );
-    let path = repro_dir().join("BENCH_profile.json");
-    std::fs::create_dir_all(repro_dir()).expect("create target/repro");
-    std::fs::write(&path, &json).expect("write BENCH_profile.json");
-    if std::path::Path::new("Cargo.toml").exists() {
-        let _ = std::fs::write("BENCH_profile.json", &json);
-    }
-    println!("[json] {}", path.display());
+    write_bench_json("BENCH_profile.json", &json);
 
     assert!(
         seam_overhead < OVERHEAD_TARGET_PCT,

@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use psi_bench::{repro_dir, time, ResultTable};
+use psi_bench::{time, write_bench_json, ResultTable};
 use psi_core::single::{psi_with_strategy_presig, RunOptions};
 use psi_core::{install_quiet_panic_hook, FaultPlan, RunSpec, SmartPsi, SmartPsiConfig, Strategy};
 use psi_datasets::QueryWorkload;
@@ -160,13 +160,7 @@ fn main() {
         queries.len(),
         t_chaos.as_secs_f64() * 1e3,
     );
-    let path = repro_dir().join("BENCH_robustness.json");
-    std::fs::create_dir_all(repro_dir()).expect("create target/repro");
-    std::fs::write(&path, &json).expect("write BENCH_robustness.json");
-    if std::path::Path::new("Cargo.toml").exists() {
-        let _ = std::fs::write("BENCH_robustness.json", &json);
-    }
-    println!("[json] {}", path.display());
+    write_bench_json("BENCH_robustness.json", &json);
 }
 
 /// Run `f(false)` and `f(true)` `rounds` times interleaved, returning

@@ -40,7 +40,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use psi_bench::{repro_dir, time, ResultTable};
+use psi_bench::{slack, time, write_bench_json, ResultTable};
 use psi_core::obs::{MetricsRecorder, Phase};
 use psi_core::{DeploymentSpec, RunSpec, SmartPsi, SmartPsiConfig};
 use psi_datasets::{generators, QueryWorkload};
@@ -64,10 +64,7 @@ fn shuffle<T>(items: &mut [T], seed: u64) {
 }
 
 fn main() {
-    let slack: f64 = std::env::var("PSI_SERVE_SLACK")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.15);
+    let slack = slack("PSI_SERVE_SLACK", 1.15);
     let adapt_cadence: Option<u64> = std::env::var("PSI_ADAPT_CADENCE")
         .ok()
         .and_then(|s| s.parse().ok());
@@ -245,14 +242,7 @@ fn main() {
     let _ = writeln!(json, "  \"cross_query_cache_hits\": {},", stats.cross_query_cache_hits);
     let _ = writeln!(json, "  \"slack\": {slack}");
     let _ = writeln!(json, "}}");
-    let path = repro_dir().join("BENCH_serve.json");
-    std::fs::create_dir_all(repro_dir()).expect("create target/repro");
-    std::fs::write(&path, &json).expect("write BENCH_serve.json");
-    // Also drop a copy at the workspace root for discoverability.
-    if std::path::Path::new("Cargo.toml").exists() {
-        let _ = std::fs::write("BENCH_serve.json", &json);
-    }
-    println!("[json] {}", path.display());
+    write_bench_json("BENCH_serve.json", &json);
 
     // The CI gate: a persistent service that loses to re-spawning a
     // pool per query has no reason to exist.

@@ -28,7 +28,7 @@
 
 use std::fmt::Write as _;
 
-use psi_bench::{repro_dir, time, ResultTable};
+use psi_bench::{slack, time, write_bench_json, ResultTable};
 use psi_core::obs::Counter;
 use psi_core::{DeploymentSpec, PsiResult, RunSpec, SmartPsi, SmartPsiConfig};
 use psi_datasets::QueryWorkload;
@@ -88,10 +88,7 @@ fn projection(r: &PsiResult) -> (Vec<u32>, usize, usize, Vec<u32>) {
 }
 
 fn main() {
-    let slack: f64 = std::env::var("PSI_SHARD_SLACK")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.5);
+    let slack = slack("PSI_SHARD_SLACK", 1.5);
 
     let (g, t_gen) = time(|| locality_graph(NODES, LABELS, 23));
     let cfg = SmartPsiConfig {
@@ -229,12 +226,5 @@ fn main() {
     let _ = writeln!(json, "  \"peak_shard_slab_ratio\": {slab_ratio:.3},");
     let _ = writeln!(json, "  \"slack\": {slack}");
     let _ = writeln!(json, "}}");
-    let path = repro_dir().join("BENCH_shard.json");
-    std::fs::create_dir_all(repro_dir()).expect("create target/repro");
-    std::fs::write(&path, &json).expect("write BENCH_shard.json");
-    // Also drop a copy at the workspace root for discoverability.
-    if std::path::Path::new("Cargo.toml").exists() {
-        let _ = std::fs::write("BENCH_shard.json", &json);
-    }
-    println!("[json] {}", path.display());
+    write_bench_json("BENCH_shard.json", &json);
 }

@@ -154,6 +154,57 @@ pub fn repro_dir() -> PathBuf {
     PathBuf::from(target).join("repro")
 }
 
+/// Parse a `PSI_*_SLACK` gate-loosening factor from the environment,
+/// falling back to `default` when the variable is unset or malformed.
+pub fn slack(var: &str, default: f64) -> f64 {
+    std::env::var(var)
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
+/// The facts that explain a measurement: core count, build profile and
+/// the commit measured — suffixed `-dirty` when the working tree
+/// differs from it, `"unknown"` outside a git checkout — as a JSON
+/// object.
+fn host_json() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+    let git = |args: &[&str]| std::process::Command::new("git").args(args).output().ok();
+    let sha = git(&["rev-parse", "HEAD"])
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .map_or_else(
+            || "unknown".to_string(),
+            |sha| match git(&["diff", "--quiet", "HEAD"]) {
+                Some(o) if !o.status.success() => format!("{sha}-dirty"),
+                _ => sha,
+            },
+        );
+    format!("{{\"cores\": {cores}, \"profile\": \"{profile}\", \"git_sha\": \"{sha}\"}}")
+}
+
+/// Write a `BENCH_*.json` document: `body` is one non-empty JSON
+/// object, which gains a leading `"host"` member (cores, build profile,
+/// git sha). The file lands in `target/repro/<name>` and, when run from
+/// the workspace root, also at the root for discoverability. Returns
+/// the `target/repro` path.
+pub fn write_bench_json(name: &str, body: &str) -> PathBuf {
+    let rest = body.trim_start().strip_prefix('{').expect("bench JSON body is an object");
+    let json = format!("{{\n  \"host\": {},{rest}", host_json());
+    let dir = repro_dir();
+    fs::create_dir_all(&dir).expect("create target/repro");
+    let path = dir.join(name);
+    fs::write(&path, &json).unwrap_or_else(|e| panic!("write {name}: {e}"));
+    if std::path::Path::new("Cargo.toml").exists() {
+        let _ = fs::write(name, &json);
+    }
+    println!("[json] {}", path.display());
+    path
+}
+
 /// Scientific-notation formatting like the paper's Table 1
 /// (`1.3 × 10^7` rendered as `1.3e7`).
 pub fn fmt_sci(x: f64) -> String {
@@ -210,6 +261,24 @@ mod tests {
         assert!(text.contains("a,b"));
         assert!(text.contains("1,x"));
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn bench_json_gains_a_host_block() {
+        let body = "{\n  \"x\": 1\n}\n";
+        let path = write_bench_json("BENCH_harness_test.json", body);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file("BENCH_harness_test.json").ok();
+        assert!(text.starts_with("{\n  \"host\": {\"cores\": "), "{text}");
+        assert!(text.contains("\"profile\": "));
+        assert!(text.contains("\"git_sha\": "));
+        assert!(text.contains("\"x\": 1"));
+    }
+
+    #[test]
+    fn slack_falls_back_when_unset() {
+        assert_eq!(slack("PSI_HARNESS_TEST_UNSET_SLACK", 1.5), 1.5);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! methods is biased: Model α never observes the counterfactual arm.
 //! A configurable ε fraction of admitted queries therefore bypasses
 //! the predictor entirely and runs a uniformly-drawn method
-//! ([`RunSpec::explore`](crate::RunSpec::explore)); their rows carry
+//! (written into the run's spec at admission); their rows carry
 //! `explored = true` so accuracy metrics can skip them while the
 //! fitter still benefits from the unbiased labels.
 //!

@@ -13,12 +13,11 @@ use std::time::{Duration, Instant};
 
 use psi_graph::Graph;
 use psi_ml::forest::ForestConfig;
-use psi_obs::Recorder;
 use psi_signature::{default_scale, SigStore, SigStoreKind};
 
 use crate::evaluator::NodeEvaluator;
 use crate::fault::{FaultPlan, PsiMatcher};
-use crate::smart::RunParams;
+use crate::smart::RunSpec;
 
 use super::ladder::RetryPolicy;
 
@@ -54,20 +53,6 @@ pub struct SmartPsiConfig {
     pub initial_plan_limit: u64,
     /// RNG seed (training-sample selection, plan sampling, forests).
     pub seed: u64,
-    /// Worker threads for the work-stealing executor when the caller
-    /// does not pin a count (`0` = one per available hardware thread).
-    pub workers: usize,
-    /// Candidates pulled from the shared work queue per grab. Small
-    /// grabs keep hard (pessimistic) nodes from serializing a whole
-    /// chunk behind one worker; large grabs reduce queue traffic.
-    pub grab_size: usize,
-    /// Share one prediction cache across all pool workers (the paper's
-    /// cache-reuse optimization under parallelism). `false` gives each
-    /// worker a private cache — the ablation baseline.
-    pub shared_cache: bool,
-    /// Shards of the concurrent prediction cache (rounded up to a
-    /// power of two). More shards = less lock contention.
-    pub cache_shards: usize,
     /// Retry/escalation policy of the preemptive executor.
     pub retry: RetryPolicy,
     /// Optional wall-clock budget per candidate node. A node that
@@ -103,10 +88,6 @@ impl Default for SmartPsiConfig {
             enable_recovery: true,
             initial_plan_limit: 2_000,
             seed: 0x05aa_7951,
-            workers: 0,
-            grab_size: 8,
-            shared_cache: true,
-            cache_shards: 16,
             retry: RetryPolicy::default(),
             node_timeout: None,
             panic_isolation: true,
@@ -154,15 +135,8 @@ pub struct GraphContext {
 impl GraphContext {
     /// Load a graph: precomputes all neighborhood signatures.
     pub fn new(g: Graph, config: SmartPsiConfig) -> Self {
-        Self::new_recorded(g, config, &psi_obs::NoopRecorder)
-    }
-
-    /// [`GraphContext::new`] with the signature build recorded into
-    /// `rec` (a [`psi_obs::Phase::Signature`] span plus a
-    /// [`psi_obs::Counter::SignatureRows`] count).
-    pub fn new_recorded(g: Graph, config: SmartPsiConfig, rec: &dyn Recorder) -> Self {
         let t0 = Instant::now();
-        let dense = psi_signature::matrix_signatures_recorded(&g, config.depth, rec);
+        let dense = psi_signature::matrix_signatures(&g, config.depth);
         // Quantization (when configured) is part of the index build:
         // the dense matrix is dropped right here, so peak residency of
         // a compact deployment is one matrix, not two.
@@ -255,12 +229,18 @@ impl GraphContext {
     }
 
     /// A per-worker node matcher: the bare evaluator, chaos-wrapped
-    /// when the run carries a fault schedule.
-    pub(crate) fn matcher(&self, params: &RunParams) -> PsiMatcher<'_> {
+    /// when the run (or else the config) carries a fault schedule.
+    pub(crate) fn matcher(&self, spec: &RunSpec) -> PsiMatcher<'_> {
         PsiMatcher::new(
             NodeEvaluator::from_store(&self.g, &self.sigs),
-            params.fault.as_ref(),
+            spec.fault.as_ref().or(self.config.fault.as_ref()),
         )
+    }
+
+    /// Whether this run panic-isolates each per-node evaluation: the
+    /// spec's override, else the config's.
+    pub(crate) fn isolation(&self, spec: &RunSpec) -> bool {
+        spec.panic_isolation.unwrap_or(self.config.panic_isolation)
     }
 }
 

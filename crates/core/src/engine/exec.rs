@@ -1,17 +1,19 @@
-//! The execution layer: every driver that sweeps a query's candidate
-//! set sits here, behind the internal `Executor` trait.
+//! The execution layer: the drivers that sweep a query's candidate
+//! set. [`SmartPsi::run`](crate::SmartPsi::run) matches the
+//! [`RunSpec`]'s `ExecutorKind` to one of them; each reads the spec
+//! and `ctx.config()` directly.
 //!
-//! Four drivers share the training and ladder layers:
+//! Four drivers, three of which share the training and ladder layers:
 //!
 //! * **Sequential** — train, then sweep on the calling thread.
-//! * **TwoThread** — the §4.1 straw-man baseline: race the optimist
-//!   and the pessimist on two threads per candidate (reusing the
-//!   deployment's precomputed signatures).
-//! * **StaticChunks** — one static candidate chunk per thread, each
-//!   with its own training run and cache (the Figure 9 load-imbalance
-//!   baseline).
 //! * **WorkStealing** — the pool: train once, share the models and a
 //!   sharded [`PredictionCache`]; an atomic cursor hands out grabs.
+//! * **StaticChunks** — one static candidate chunk per thread, each
+//!   with its own training run and cache (the Figure 9 static
+//!   splitter).
+//! * **TwoThread** — the §4.1 baseline in [`crate::twothread`]: race
+//!   the optimist and the pessimist on two threads per candidate over
+//!   the deployment's precomputed signatures.
 //!
 //! **Determinism argument.** Which worker evaluates which candidate —
 //! and whether its (method, plan) came from the cache or a model —
@@ -23,8 +25,8 @@
 //! property-tested in `determinism_across_worker_counts`.
 //!
 //! **Limit observance.** A global deadline or cancel flag
-//! ([`EvalLimits`]) is (a) threaded into every per-stage limit, so
-//! in-flight searches unwind within
+//! ([`EvalLimits`](crate::limits::EvalLimits)) is (a) threaded into
+//! every per-stage limit, so in-flight searches unwind within
 //! [`POLL_INTERVAL`](crate::limits::POLL_INTERVAL) steps, and (b)
 //! polled at every grab boundary, so no worker starts more than one
 //! grab after cancellation. Candidates never grabbed, and the
@@ -47,60 +49,50 @@
 //! worker death.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use psi_graph::hash::{FxHashMap, FxHasher};
 use psi_graph::{NodeId, PivotedQuery};
 use psi_obs::{timed, Counter, Histogram, MetricsRecorder, NoopRecorder, Phase, Recorder};
 use psi_signature::SignatureKey;
 
 use crate::evaluator::QueryContext;
-use crate::fault::{InjectedPanic, NodeMatcher};
-use crate::limits::EvalLimits;
+use crate::fault::{unpoison, InjectedPanic, NodeMatcher};
 use crate::report::{PsiResult, StageTimings};
-use crate::single::{pivot_candidates, RunOptions};
-use crate::smart::{RunParams, RunSpec, SmartPsiReport};
-use crate::twothread::two_threaded_psi_presig;
+use crate::single::pivot_candidates;
+use crate::smart::{RunSpec, SmartPsiReport};
 
 use super::context::GraphContext;
 use super::ladder::{absorb_outcome, feedback_row, BatchPlan};
 use super::pool;
 use super::training::{TrainOutcome, TrainedSession};
 
-/// Which executor [`SmartPsi::run`](crate::SmartPsi::run) drives.
+/// Which driver [`SmartPsi::run`](crate::SmartPsi::run) matches a
+/// [`RunSpec`] to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutorKind {
+pub(crate) enum ExecutorKind {
     /// One thread, candidates in shuffled training order.
     #[default]
     Sequential,
     /// The §4.1 two-threaded baseline: race the optimist and the
-    /// pessimist per candidate (no training, no cache). Kept as the
-    /// straw-man arm of the executor comparison.
+    /// pessimist per candidate (no training, no cache).
     TwoThread,
     /// The work-stealing pool: train once, share the models and the
     /// prediction cache across workers.
     WorkStealing,
-    /// The pre-work-stealing baseline: one static candidate chunk per
-    /// thread, each with its own training run and cache. Kept for the
-    /// Figure 9 load-imbalance comparison.
+    /// The static splitter: one candidate chunk per thread, each with
+    /// its own training run and cache (Figure 9's comparison arm).
     StaticChunks,
 }
 
-/// Tuning knobs of the work-stealing pool. `Default` defers every
-/// field to the deployment's [`SmartPsiConfig`](crate::SmartPsiConfig).
-#[derive(Debug, Clone, Default)]
-pub struct WorkStealingOptions {
-    /// Worker threads (`0` = `config.workers`, which at `0` in turn
-    /// means one per available hardware thread).
-    pub threads: usize,
-    /// Candidates per queue grab (`0` = `config.grab_size`).
-    pub grab: usize,
-    /// Override `config.shared_cache` (`None` = keep it).
-    pub shared_cache: Option<bool>,
-    /// Global deadline / cancel flag observed by the whole pool.
-    pub limits: EvalLimits,
-}
+/// Candidates per work-stealing queue grab when the spec leaves
+/// [`RunSpec::grab`] at 0.
+const DEFAULT_GRAB: usize = 8;
+
+/// Shards of every prediction cache the engine creates (a power of
+/// two). More shards = less lock contention between pool workers.
+pub(crate) const CACHE_SHARDS: usize = 16;
 
 /// One cached conclusion: the confirmed (method, plan) indices, the
 /// cache epoch it was inserted in (for cross-query accounting), and
@@ -185,7 +177,7 @@ impl PredictionCache {
     /// the entry was predicted by the given adapted-model version, so
     /// predictions from superseded refits read as misses.
     pub fn get_versioned(&self, key: &SignatureKey, model_version: u64) -> Option<(usize, usize)> {
-        let entry = self.shards[self.shard_of(key)].lock().get(key).copied()?;
+        let entry = unpoison(self.shards[self.shard_of(key)].lock()).get(key).copied()?;
         if entry.model_version != model_version {
             return None;
         }
@@ -206,8 +198,7 @@ impl PredictionCache {
     /// version left behind.
     pub fn insert_versioned(&self, key: SignatureKey, model_version: u64, value: (usize, usize)) {
         let epoch = self.epoch.load(Ordering::Relaxed);
-        self.shards[self.shard_of(&key)]
-            .lock()
+        unpoison(self.shards[self.shard_of(&key)].lock())
             .insert(key, CacheEntry { value, epoch, model_version });
     }
 
@@ -235,148 +226,12 @@ impl PredictionCache {
 
     /// Total entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| unpoison(s.lock()).len()).sum()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// The internal seam every driver implements; `SmartPsi::run` resolves
-/// the spec's [`ExecutorKind`] to one of these and delegates.
-pub(crate) trait Executor: Sync {
-    /// Sweep the query's candidates and produce the merged report.
-    fn execute(
-        &self,
-        ctx: &GraphContext,
-        query: &PivotedQuery,
-        spec: &RunSpec,
-        params: &RunParams,
-        rec: &dyn Recorder,
-    ) -> SmartPsiReport;
-}
-
-/// Resolve an [`ExecutorKind`] to its driver.
-pub(crate) fn executor_for(kind: ExecutorKind) -> &'static dyn Executor {
-    match kind {
-        ExecutorKind::Sequential => &Sequential,
-        ExecutorKind::TwoThread => &TwoThread,
-        ExecutorKind::WorkStealing => &WorkStealing,
-        ExecutorKind::StaticChunks => &StaticChunks,
-    }
-}
-
-struct Sequential;
-
-impl Executor for Sequential {
-    fn execute(
-        &self,
-        ctx: &GraphContext,
-        query: &PivotedQuery,
-        spec: &RunSpec,
-        params: &RunParams,
-        rec: &dyn Recorder,
-    ) -> SmartPsiReport {
-        ctx.seq_run(query, spec.subset.as_deref(), &spec.limits, params, rec)
-    }
-}
-
-struct TwoThread;
-
-impl Executor for TwoThread {
-    /// The §4.1 baseline reuses the deployment's signatures but none
-    /// of the ML pipeline: no training, no prediction, no cache.
-    /// Candidate subsets are honored; every resolved node counts as
-    /// stage 1 (the race is a single unlimited attempt).
-    fn execute(
-        &self,
-        ctx: &GraphContext,
-        query: &PivotedQuery,
-        spec: &RunSpec,
-        params: &RunParams,
-        rec: &dyn Recorder,
-    ) -> SmartPsiReport {
-        let options = RunOptions {
-            depth: ctx.config.depth,
-            limits: spec.limits.clone(),
-            panic_isolation: params.panic_isolation,
-            fault: params.fault.clone(),
-        };
-        let t0 = Instant::now();
-        let result = two_threaded_psi_presig(
-            &ctx.g,
-            &ctx.sigs,
-            query,
-            spec.subset.as_deref(),
-            &options,
-            rec,
-        );
-        let resolved = result.candidates - result.unresolved - result.failures.len();
-        SmartPsiReport {
-            result,
-            timings: StageTimings {
-                training_and_prediction: std::time::Duration::ZERO,
-                evaluation: t0.elapsed(),
-            },
-            trained_nodes: 0,
-            cache_hits: 0,
-            resolved_stage1: resolved,
-            recovered_stage2: 0,
-            recovered_stage3: 0,
-            predicted_valid: 0,
-            alpha_accuracy: 1.0,
-        }
-    }
-}
-
-struct WorkStealing;
-
-impl Executor for WorkStealing {
-    fn execute(
-        &self,
-        ctx: &GraphContext,
-        query: &PivotedQuery,
-        spec: &RunSpec,
-        params: &RunParams,
-        rec: &dyn Recorder,
-    ) -> SmartPsiReport {
-        work_stealing(
-            ctx,
-            query,
-            &WorkStealingOptions {
-                threads: spec.threads,
-                grab: spec.grab,
-                shared_cache: spec.shared_cache,
-                limits: spec.limits.clone(),
-            },
-            spec.subset.as_deref(),
-            params,
-            rec,
-        )
-    }
-}
-
-struct StaticChunks;
-
-impl Executor for StaticChunks {
-    fn execute(
-        &self,
-        ctx: &GraphContext,
-        query: &PivotedQuery,
-        spec: &RunSpec,
-        params: &RunParams,
-        rec: &dyn Recorder,
-    ) -> SmartPsiReport {
-        ctx.static_chunks(
-            query,
-            spec.threads.max(1),
-            spec.subset.as_deref(),
-            &spec.limits,
-            params,
-            rec,
-        )
     }
 }
 
@@ -386,16 +241,16 @@ impl GraphContext {
     /// fresh per-run cache — or none when caching is disabled.
     fn run_cache<'a>(
         &self,
-        params: &'a RunParams,
+        spec: &'a RunSpec,
         local: &'a mut Option<PredictionCache>,
     ) -> Option<&'a PredictionCache> {
         if !self.config.enable_cache {
             return None;
         }
-        match params.external_cache.as_deref() {
+        match spec.cache.as_deref() {
             Some(ext) => Some(ext),
             None => {
-                *local = Some(PredictionCache::new(self.config.cache_shards));
+                *local = Some(PredictionCache::new(CACHE_SHARDS));
                 local.as_ref()
             }
         }
@@ -404,31 +259,27 @@ impl GraphContext {
     /// Sequential evaluation: train, then sweep the remaining
     /// candidates on the calling thread. The body behind
     /// [`ExecutorKind::Sequential`] (and the `threads ≤ 1` degenerate
-    /// case of the pool).
+    /// case of the pool). `subset` overrides the spec's own candidate
+    /// subset (the static splitter hands each chunk its slice).
     pub(crate) fn seq_run(
         &self,
         query: &PivotedQuery,
         subset: Option<&[NodeId]>,
-        limits: &EvalLimits,
-        params: &RunParams,
+        spec: &RunSpec,
         rec: &dyn Recorder,
     ) -> SmartPsiReport {
-        let candidates = match subset {
-            Some(s) => s.to_vec(),
-            None => pivot_candidates(&self.g, query),
-        };
+        let candidates = subset_or(self, query, subset);
         let total = candidates.len();
-        let mut matcher = self.matcher(params);
+        let mut matcher = self.matcher(spec);
 
-        let sess = match self.train_session(query, candidates, limits, params, rec) {
+        let sess = match self.train_session(query, candidates, spec, rec) {
             TrainOutcome::TooFew => {
                 let ctx = QueryContext::new(query.clone(), self.config.depth);
                 return self.plain_sweep(
                     &ctx,
                     &mut matcher,
                     subset_or(self, query, subset),
-                    limits,
-                    params,
+                    spec,
                     rec,
                 );
             }
@@ -440,7 +291,7 @@ impl GraphContext {
             TrainOutcome::Trained(sess) => sess,
         };
         let mut sess = sess;
-        if let Some(a) = &params.adapted {
+        if let Some(a) = &spec.adapted {
             // Online-adapted forests replace the per-query fit (frozen
             // fallback on a feature-layout mismatch); budgets and
             // plans still come from this query's training pass.
@@ -450,9 +301,9 @@ impl GraphContext {
         // ---- Main loop over the remaining candidates -----------------
         let t_eval = Instant::now();
         let mut local = None;
-        let cache = self.run_cache(params, &mut local);
+        let cache = self.run_cache(spec, &mut local);
         // Phase A: one SoA prefilter sweep + survivor prediction.
-        let bp = self.batch_plan(&sess, cache, params, rec);
+        let bp = self.batch_plan(&sess, cache, spec, rec);
         let mut report = SmartPsiReport {
             result: PsiResult {
                 valid: Vec::new(),
@@ -475,8 +326,7 @@ impl GraphContext {
         let mut alpha_correct = 0usize;
         for i in 0..bp.len() {
             let u = bp.ids[i];
-            let out =
-                self.eval_rest_node(&sess, &mut matcher, bp.pred(i), u, limits, params, rec);
+            let out = self.eval_rest_node(&sess, &mut matcher, bp.pred(i), u, spec, rec);
             let stop = out.is_global_stop();
             absorb_outcome(&mut report, &mut alpha_correct, u, &out);
             if let Some(row) = feedback_row(&bp, i, &out) {
@@ -508,24 +358,24 @@ impl GraphContext {
     }
 
     /// The static chunk-per-thread driver behind
-    /// [`ExecutorKind::StaticChunks`]: each chunk runs an independent
-    /// sequential evaluation (its own training and cache).
+    /// [`ExecutorKind::StaticChunks`]: each of `spec.threads` (≥ 1)
+    /// chunks runs an independent sequential evaluation (its own
+    /// training and cache).
     pub(crate) fn static_chunks(
         &self,
         query: &PivotedQuery,
-        threads: usize,
-        subset: Option<&[NodeId]>,
-        limits: &EvalLimits,
-        params: &RunParams,
+        spec: &RunSpec,
         rec: &dyn Recorder,
     ) -> SmartPsiReport {
+        let threads = spec.threads.max(1);
+        let subset = spec.subset.as_deref();
         if threads == 1 {
-            return self.seq_run(query, subset, limits, params, rec);
+            return self.seq_run(query, subset, spec, rec);
         }
         let candidates = subset_or(self, query, subset);
         let chunk = candidates.len().div_ceil(threads);
         if chunk == 0 {
-            return self.seq_run(query, subset, limits, params, rec);
+            return self.seq_run(query, subset, spec, rec);
         }
         let slices: Vec<&[NodeId]> = candidates.chunks(chunk).collect();
         let pool = pool::global();
@@ -541,8 +391,8 @@ impl GraphContext {
                     if let Some(t0) = t_attach {
                         rec.span_ns(Phase::PoolSpawn, t0.elapsed().as_nanos() as u64);
                     }
-                    let r = self.seq_run(query, Some(slice), limits, params, rec);
-                    *slot.lock() = Some(r);
+                    let r = self.seq_run(query, Some(slice), spec, rec);
+                    *unpoison(slot.lock()) = Some(r);
                 }) as pool::ScopedTask<'_>
             })
             .collect();
@@ -550,7 +400,7 @@ impl GraphContext {
         let reports: Vec<SmartPsiReport> = slices
             .iter()
             .zip(slots)
-            .map(|(slice, slot)| match slot.into_inner() {
+            .map(|(slice, slot)| match unpoison(slot.into_inner()) {
                 Some(r) => r,
                 None => {
                     // The chunk's task died outside the isolated
@@ -625,8 +475,7 @@ fn run_grab(
     bp: &BatchPlan,
     start: usize,
     end: usize,
-    limits: &EvalLimits,
-    params: &RunParams,
+    spec: &RunSpec,
     rec: &dyn Recorder,
 ) -> (Partial, bool) {
     let mut part = Partial {
@@ -643,7 +492,7 @@ fn run_grab(
     }
     for i in start..end {
         let u = bp.ids[i];
-        let out = ctx.eval_rest_node(sess, m, bp.pred(i), u, limits, params, rec);
+        let out = ctx.eval_rest_node(sess, m, bp.pred(i), u, spec, rec);
         let stop = out.is_global_stop();
         absorb_outcome(&mut part.report, &mut part.alpha_correct, u, &out);
         if let Some(row) = feedback_row(bp, i, &out) {
@@ -674,25 +523,20 @@ fn run_grab(
 pub(crate) fn work_stealing(
     ctx: &GraphContext,
     query: &PivotedQuery,
-    options: &WorkStealingOptions,
-    subset: Option<&[NodeId]>,
-    params: &RunParams,
+    spec: &RunSpec,
     rec: &dyn Recorder,
 ) -> SmartPsiReport {
     let cfg = ctx.config();
-    let threads = match (options.threads, cfg.workers) {
-        (0, 0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        (0, w) => w,
-        (t, _) => t,
+    let threads = match spec.threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        t => t,
     };
-    let grab = if options.grab != 0 { options.grab } else { cfg.grab_size }.max(1);
-    let shared = options.shared_cache.unwrap_or(cfg.shared_cache);
-    let limits = &options.limits;
+    let grab = if spec.grab != 0 { spec.grab } else { DEFAULT_GRAB };
+    let shared = spec.shared_cache.unwrap_or(true);
+    let limits = &spec.limits;
+    let subset = spec.subset.as_deref();
 
-    let candidates = match subset {
-        Some(s) => s.to_vec(),
-        None => pivot_candidates(ctx.graph(), query),
-    };
+    let candidates = subset_or(ctx, query, subset);
     let total = candidates.len();
     if limits.expired() {
         return unresolved_report(total, 0);
@@ -700,14 +544,14 @@ pub(crate) fn work_stealing(
     if threads <= 1 {
         // One worker degenerates to the sequential executor (which the
         // determinism tests rely on for their 1-thread baseline).
-        return ctx.seq_run(query, subset, limits, params, rec);
+        return ctx.seq_run(query, subset, spec, rec);
     }
 
-    let sess = match ctx.train_session(query, candidates, limits, params, rec) {
+    let sess = match ctx.train_session(query, candidates, spec, rec) {
         // Too few candidates for ML: spinning up a pool would cost
         // more than the sweep itself.
         TrainOutcome::TooFew => {
-            return ctx.seq_run(query, subset, limits, params, rec);
+            return ctx.seq_run(query, subset, spec, rec);
         }
         TrainOutcome::Interrupted { steps, failures } => {
             let mut r = unresolved_report(total, steps);
@@ -717,7 +561,7 @@ pub(crate) fn work_stealing(
         TrainOutcome::Trained(sess) => sess,
     };
     let mut sess = sess;
-    if let Some(a) = &params.adapted {
+    if let Some(a) = &spec.adapted {
         sess.apply_adapted(a, ctx.sigs.label_count() + 1);
     }
 
@@ -725,24 +569,21 @@ pub(crate) fn work_stealing(
     // the run's shared cache; otherwise the run owns a fresh one. With
     // phase A centralizing every prediction on the calling thread, the
     // `shared_cache = false` ablation simply runs phase A uncached.
-    let external = cfg
-        .enable_cache
-        .then_some(params.external_cache.as_deref())
-        .flatten();
+    let external = cfg.enable_cache.then_some(spec.cache.as_deref()).flatten();
     let owned = (cfg.enable_cache && shared && external.is_none())
-        .then(|| PredictionCache::new(cfg.cache_shards));
+        .then(|| PredictionCache::new(CACHE_SHARDS));
     let shared_cache: Option<&PredictionCache> = external.or(owned.as_ref());
 
     // Phase A: the SoA prefilter sweep + survivor prediction, once,
     // before any worker attaches. Every executor sees this identical
     // plan, and grabs become contiguous same-(method, plan) ranges.
-    let bp = ctx.batch_plan(&sess, shared_cache, params, rec);
+    let bp = ctx.batch_plan(&sess, shared_cache, spec, rec);
 
     let pool = pool::global();
     pool.ensure(threads, rec);
     let cursor = AtomicUsize::new(0);
     let ledger = Mutex::new(PoolLedger::default());
-    let fault = params.fault.as_ref();
+    let fault = spec.fault.as_ref().or(cfg.fault.as_ref());
     let t_spawn = rec.enabled().then(Instant::now);
     let t_eval = Instant::now();
 
@@ -754,7 +595,7 @@ pub(crate) fn work_stealing(
         let tasks: Vec<pool::ScopedTask<'_>> = (0..threads)
             .map(|_| {
                 Box::new(move || {
-                    let mut matcher = ctx.matcher(params);
+                    let mut matcher = ctx.matcher(spec);
                     // Private metrics buffer, drained into the shared
                     // recorder once at worker exit.
                     let local_rec = rec.enabled().then(MetricsRecorder::new);
@@ -774,7 +615,7 @@ pub(crate) fn work_stealing(
                             break;
                         }
                         let end = (start + grab).min(bp.len());
-                        ledger.lock().inflight.push((start, end));
+                        unpoison(ledger.lock()).inflight.push((start, end));
                         // Simulated worker death: a KillWorker fault
                         // on any node of this grab kills the task
                         // before evaluation; the grab stays in the
@@ -786,11 +627,10 @@ pub(crate) fn work_stealing(
                                 }
                             }
                         }
-                        let (part, stopped) = run_grab(
-                            ctx, sess, &mut matcher, bp, start, end, limits, params, wrec,
-                        );
+                        let (part, stopped) =
+                            run_grab(ctx, sess, &mut matcher, bp, start, end, spec, wrec);
                         {
-                            let mut l = ledger.lock();
+                            let mut l = unpoison(ledger.lock());
                             l.partials.push(part);
                             if let Some(pos) =
                                 l.inflight.iter().position(|&r| r == (start, end))
@@ -818,20 +658,19 @@ pub(crate) fn work_stealing(
     let PoolLedger {
         mut partials,
         inflight,
-    } = ledger.into_inner();
+    } = unpoison(ledger.into_inner());
 
     // ---- Requeue grabs dropped by dead workers ---------------------
     if !inflight.is_empty() {
-        let mut matcher = ctx.matcher(params);
+        let mut matcher = ctx.matcher(spec);
         for &(start, end) in &inflight {
             if limits.expired() {
                 // Unrecovered ranges fall into the `rest - grabbed`
                 // unresolved accounting below.
                 break;
             }
-            let (mut part, stopped) = run_grab(
-                ctx, &sess, &mut matcher, &bp, start, end, limits, params, rec,
-            );
+            let (mut part, stopped) =
+                run_grab(ctx, &sess, &mut matcher, &bp, start, end, spec, rec);
             part.report.result.failures.requeued += end - start;
             rec.add(Counter::Requeued, (end - start) as u64);
             partials.push(part);
@@ -913,9 +752,13 @@ pub(crate) fn unresolved_report(candidates: usize, steps: u64) -> SmartPsiReport
     }
 }
 
-/// The candidate list for a plain sweep (re-derived when the caller
-/// did not pass a subset).
-fn subset_or(ctx: &GraphContext, query: &PivotedQuery, subset: Option<&[NodeId]>) -> Vec<NodeId> {
+/// The run's candidate list: the given subset, else every pivot
+/// candidate.
+pub(crate) fn subset_or(
+    ctx: &GraphContext,
+    query: &PivotedQuery,
+    subset: Option<&[NodeId]>,
+) -> Vec<NodeId> {
     match subset {
         Some(s) => s.to_vec(),
         None => pivot_candidates(&ctx.g, query),
@@ -925,7 +768,8 @@ fn subset_or(ctx: &GraphContext, query: &PivotedQuery, subset: Option<&[NodeId]>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::smart::{RunSpec, SmartPsi};
+    use crate::limits::EvalLimits;
+    use crate::smart::SmartPsi;
     use crate::SmartPsiConfig;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
@@ -1019,11 +863,7 @@ mod tests {
         // bit-for-bit across drivers on each backend.
         let g = psi_datasets::generators::erdos_renyi(400, 1600, 3, 21);
         let q = psi_datasets::rwr::extract_query_seeded(&g, 4, 7).unwrap();
-        for kind in [
-            SigStoreKind::Dense,
-            SigStoreKind::Compact,
-            SigStoreKind::CompactWide,
-        ] {
+        for kind in [SigStoreKind::Dense, SigStoreKind::Compact] {
             let cfg = SmartPsiConfig {
                 min_candidates_for_ml: 10,
                 sig_store: kind,

@@ -39,7 +39,7 @@ use crate::fault::{eval_isolated, IsolatedOutcome, NodeMatcher};
 use crate::limits::EvalLimits;
 use crate::plan::heuristic_plan;
 use crate::report::{FailureReport, FeedbackRow, PsiResult, StageTimings};
-use crate::smart::{RunParams, SmartPsiReport};
+use crate::smart::{RunSpec, SmartPsiReport};
 use crate::Strategy;
 
 use super::context::GraphContext;
@@ -280,7 +280,7 @@ impl GraphContext {
     /// every executor — which is what keeps answers and per-node costs
     /// bit-identical across worker counts.
     ///
-    /// Two adaptive-serving knobs ride in via `params`: `feedback`
+    /// Two adaptive-serving knobs ride in via the spec: `feedback`
     /// additionally materializes every survivor's feature vector into
     /// the plan (so executors can emit [`FeedbackRow`]s without
     /// re-touching the signature store), and `explore` forces every
@@ -292,7 +292,7 @@ impl GraphContext {
         &self,
         sess: &TrainedSession,
         cache: Option<&PredictionCache>,
-        params: &RunParams,
+        spec: &RunSpec,
         rec: &dyn Recorder,
     ) -> BatchPlan {
         let n = sess.rest.len();
@@ -317,8 +317,8 @@ impl GraphContext {
         // Pruned candidates are settled; only survivors pay the cache
         // probe and forest inference.
         let dim = self.sigs.label_count() + 1;
-        let want_feats = params.feedback;
-        let explore = params.explore;
+        let want_feats = spec.feedback;
+        let explore = spec.explore;
         let mut method = vec![1u8; n];
         let mut plan = vec![0u16; n];
         let mut cached = vec![false; n];
@@ -420,19 +420,17 @@ impl GraphContext {
     /// spans, and the node's totals feed the step histogram and the
     /// cache/retry counters (prediction itself was already billed by
     /// [`GraphContext::batch_plan`]).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn eval_rest_node(
         &self,
         sess: &TrainedSession,
         m: &mut dyn NodeMatcher,
         pred: NodePred,
         u: NodeId,
-        limits: &EvalLimits,
-        params: &RunParams,
+        spec: &RunSpec,
         rec: &dyn Recorder,
     ) -> NodeOutcome {
         let out = if pred.survives {
-            self.eval_rest_node_inner(sess, m, pred, u, limits, params, rec)
+            self.eval_rest_node_inner(sess, m, pred, u, spec, rec)
         } else {
             // Settled by the phase-A sweep: the pivot-signature
             // necessary condition failed, so no embedding can map the
@@ -491,15 +489,13 @@ impl GraphContext {
         out
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn eval_rest_node_inner(
         &self,
         sess: &TrainedSession,
         m: &mut dyn NodeMatcher,
         pred: NodePred,
         u: NodeId,
-        limits: &EvalLimits,
-        params: &RunParams,
+        spec: &RunSpec,
         rec: &dyn Recorder,
     ) -> NodeOutcome {
         let NodePred {
@@ -510,9 +506,10 @@ impl GraphContext {
         } = pred;
         let predicted_valid = method_idx == 0;
         let plan = &sess.plans[plan_idx];
-        let node_deadline = params.node_timeout.map(|t| Instant::now() + t);
-        let isolate = params.panic_isolation;
-        let retry = params.retry;
+        let limits = &spec.limits;
+        let node_deadline = self.config.node_timeout.map(|t| Instant::now() + t);
+        let isolate = self.isolation(spec);
+        let retry = self.config.retry;
         let mut cost = NodeCost::default();
         let mut attempts = 0u32;
 
@@ -629,23 +626,24 @@ impl GraphContext {
         ctx: &QueryContext,
         m: &mut dyn NodeMatcher,
         candidates: Vec<NodeId>,
-        limits: &EvalLimits,
-        params: &RunParams,
+        spec: &RunSpec,
         rec: &dyn Recorder,
     ) -> SmartPsiReport {
         let t0 = Instant::now();
         let heuristic = ctx.compile(&heuristic_plan(&self.g, ctx.query()));
-        let isolate = params.panic_isolation;
+        let isolate = self.isolation(spec);
+        let limits = &spec.limits;
+        let retry = self.config.retry;
         let mut valid = Vec::new();
         let mut steps = 0u64;
         let mut unresolved = 0usize;
         let mut resolved = 0usize;
         let mut failures = FailureReport::default();
         'sweep: for (i, &u) in candidates.iter().enumerate() {
-            let node_deadline = params.node_timeout.map(|t| Instant::now() + t);
+            let node_deadline = self.config.node_timeout.map(|t| Instant::now() + t);
             let mut attempts = 0u32;
             let mut last_reason = String::new();
-            while attempts <= params.retry.max_attempts {
+            while attempts <= retry.max_attempts {
                 attempts += 1;
                 let lim = stage_limits_node(0, limits, node_deadline);
                 match timed(rec, Phase::ExactFallback, || {

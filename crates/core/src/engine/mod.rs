@@ -14,8 +14,9 @@
 //!   ladder    the optimist/pessimist/realist stage-1/2/3 preemptive
 //!      │      executor with RetryPolicy escalation, per node
 //!      ▼
-//!   exec      the drivers: sequential / two-thread baseline / static
-//!      │      chunks / work-stealing pool, behind one Executor trait
+//!   exec      the drivers: sequential / work-stealing pool / static
+//!      │      chunks (the two-thread baseline lives in twothread),
+//!      │      matched from the RunSpec in SmartPsi::run
 //!      ▼
 //!   service   PsiService: k ≥ 1 shards, each a persistent worker
 //!   + shard   pool serving a stream of (query, spec) jobs with
@@ -35,9 +36,10 @@
 //! parallel drivers draw their OS threads from.
 //!
 //! [`crate::smart`] remains the thin public facade: [`SmartPsi`]
-//! wraps an `Arc<GraphContext>` and `SmartPsi::run` dispatches through
-//! the executor of its spec; results are bit-identical to the
-//! pre-refactor monolith.
+//! wraps an `Arc<GraphContext>`, and `SmartPsi::run` — the only way
+//! into any executor — matches its [`RunSpec`](crate::RunSpec) to one
+//! driver. The spec, read together with the context's
+//! [`SmartPsiConfig`], is the only per-run settings struct.
 //!
 //! [`SmartPsi`]: crate::SmartPsi
 
@@ -58,7 +60,7 @@ pub use adapt::{AdaptedModels, AdaptiveConfig, AdaptiveStats, MIN_REFIT_SAMPLES}
 pub use context::{GraphContext, SmartPsiConfig};
 pub use deploy::DeploymentSpec;
 pub use evolve::{EvolvingContext, UpdateError, UpdateReport};
-pub use exec::{ExecutorKind, PredictionCache, WorkStealingOptions};
+pub use exec::PredictionCache;
 pub use ladder::RetryPolicy;
 pub use net::{NetServer, NetServerConfig};
 pub use proto::{ErrorKind, ProtoError, Request};

@@ -68,15 +68,15 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
 use psi_graph::hash::FxHashMap;
 use psi_graph::PivotedQuery;
 use psi_obs::{Counter, Histogram, MetricsRecorder, Phase, Recorder};
 
+use crate::fault::unpoison;
 use crate::limits::EvalLimits;
 use crate::smart::RunSpec;
 
@@ -210,7 +210,7 @@ impl NetServer {
     /// Lifetime counters of the served deployment (still readable
     /// after a drain).
     pub fn service_stats(&self) -> ServiceStats {
-        self.shared.service.read().stats()
+        unpoison(self.shared.service.read()).stats()
     }
 
     /// Drain and stop: stop accepting, shed new requests, give queued
@@ -223,7 +223,7 @@ impl NetServer {
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
-        let threads: Vec<_> = self.conn_threads.lock().drain(..).collect();
+        let threads: Vec<_> = unpoison(self.conn_threads.lock()).drain(..).collect();
         for t in threads {
             let _ = t.join();
         }
@@ -238,11 +238,11 @@ impl NetServer {
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
-        let threads: Vec<_> = self.conn_threads.lock().drain(..).collect();
+        let threads: Vec<_> = unpoison(self.conn_threads.lock()).drain(..).collect();
         for t in threads {
             let _ = t.join();
         }
-        self.shared.drain_result.lock().unwrap_or_default()
+        unpoison(self.shared.drain_result.lock()).unwrap_or_default()
     }
 }
 
@@ -254,7 +254,7 @@ impl Drop for NetServer {
 
 impl Shared {
     fn drain(&self, grace: Duration) -> DrainReport {
-        let mut done = self.drain_result.lock();
+        let mut done = unpoison(self.drain_result.lock());
         if let Some(r) = *done {
             return r;
         }
@@ -264,10 +264,10 @@ impl Shared {
         // Give queued jobs their grace, then abort the remnants; every
         // already-submitted JobHandle resolves here, so connection
         // writers flush exactly one response per accepted job.
-        let report = self.service.write().shutdown(grace);
+        let report = unpoison(self.service.write()).shutdown(grace);
         // Unblock parked readers (EOF); their pending writes still go
         // out before each connection closes.
-        for (_, s) in self.conn_streams.lock().drain() {
+        for (_, s) in unpoison(self.conn_streams.lock()).drain() {
             let _ = s.shutdown(Shutdown::Read);
         }
         *done = Some(report);
@@ -278,7 +278,7 @@ impl Shared {
     /// `None` until the service has served something.
     fn queue_wait_p50_ms(&self) -> Option<f64> {
         let hist = {
-            let svc = self.service.read();
+            let svc = unpoison(self.service.read());
             svc.metrics().histogram(Histogram::QueueWait)
         };
         histogram_p50_ms(&hist)
@@ -290,7 +290,7 @@ impl Shared {
     /// optimist/pessimist cost model — enough signal to shed the
     /// expensive tail first.
     fn cost_class(&self, query: &PivotedQuery) -> CostClass {
-        let (candidates, nodes) = self.service.read().label_population(query.pivot_label());
+        let (candidates, nodes) = unpoison(self.service.read()).label_population(query.pivot_label());
         let cost = candidates.saturating_mul(query.graph().node_count());
         let base = nodes.max(1);
         if cost >= base {
@@ -305,7 +305,7 @@ impl Shared {
     /// The admission ladder (drain gate and quota run in the caller).
     /// `Err` carries a ready-to-send shed line.
     fn admit(&self, id: u64, query: &PivotedQuery) -> Result<(), String> {
-        let depth = self.service.read().pending();
+        let depth = unpoison(self.service.read()).pending();
         let cap = match self.cost_class(query) {
             CostClass::Cheap => self.cfg.max_queue,
             CostClass::Medium => (self.cfg.max_queue * 3) / 4,
@@ -316,7 +316,7 @@ impl Shared {
             return Ok(());
         }
         self.metrics.add(Counter::Shed, 1);
-        let workers = self.service.read().workers().max(1);
+        let workers = unpoison(self.service.read()).workers().max(1);
         // Expected wait to clear the backlog down to this class's cap:
         // excess jobs × median per-job queue wait ÷ workers, clamped
         // to something a client can act on.
@@ -369,15 +369,15 @@ fn accept_loop(
         let Ok(read_half) = stream.try_clone() else {
             continue;
         };
-        shared.conn_streams.lock().insert(conn, read_half);
+        unpoison(shared.conn_streams.lock()).insert(conn, read_half);
         let shared = shared.clone();
         let handle = std::thread::spawn(move || {
             conn_reader(&shared, stream);
-            shared.conn_streams.lock().remove(&conn);
+            unpoison(shared.conn_streams.lock()).remove(&conn);
         });
         // Keep handles of live connections only: a finished thread's
         // handle is dropped here instead of piling up until shutdown.
-        let mut threads = conn_threads.lock();
+        let mut threads = unpoison(conn_threads.lock());
         threads.retain(|t| !t.is_finished());
         threads.push(handle);
     }
@@ -573,11 +573,11 @@ fn handle_line(
                 spec = spec.limits(EvalLimits::unlimited().with_deadline(deadline));
             }
             shared.metrics.add(Counter::Admitted, 1);
-            let handle = shared.service.read().submit(query, spec);
+            let handle = unpoison(shared.service.read()).submit(query, spec);
             Outgoing::Job { id, handle }
         }
         Request::Update { id, updates } => {
-            let outcome = shared.service.read().apply_update(&updates);
+            let outcome = unpoison(shared.service.read()).apply_update(&updates);
             Outgoing::Line(match outcome {
                 Ok(report) => proto::update_report_line(id, &report),
                 Err(e) => proto::error_line(Some(id), ErrorKind::Update, &e.to_string(), None),
@@ -585,7 +585,7 @@ fn handle_line(
         }
         Request::Stats { id } => {
             let (service, queue_depth, workers) = {
-                let svc = shared.service.read();
+                let svc = unpoison(shared.service.read());
                 (svc.stats(), svc.pending(), svc.workers())
             };
             let stats = WireStats {

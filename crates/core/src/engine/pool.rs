@@ -24,13 +24,20 @@
 //! work-stealing and static-chunk drivers in
 //! [`exec`](super::exec), whose tasks run grab loops / sequential
 //! sweeps and submit nothing.
+//!
+//! Mutexes and condvars ride out poisoning through the crate's one
+//! helper (`fault::unpoison`): a task panic is already accounted by
+//! the completion latch, and both protected states (task queue, latch
+//! counters) stay consistent across unwinds.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 use psi_obs::{Counter, Phase, Recorder};
+
+use crate::fault::unpoison;
 
 /// A type-erased, lifetime-erased unit of pool work.
 type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -52,13 +59,6 @@ pub(crate) struct WorkerPool {
 }
 
 static POOL: OnceLock<WorkerPool> = OnceLock::new();
-
-/// Lock a pool mutex, riding out poisoning: a task panic is already
-/// accounted by the completion latch, and both protected states
-/// (task queue, latch counters) stay consistent across unwinds.
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The process-global pool (created empty on first touch; threads are
 /// spawned only by [`WorkerPool::ensure`]).
@@ -88,7 +88,7 @@ impl Latch {
     }
 
     fn complete(&self, died: bool) {
-        let mut st = locked(&self.state);
+        let mut st = unpoison(self.state.lock());
         st.0 -= 1;
         if died {
             st.1 += 1;
@@ -100,9 +100,9 @@ impl Latch {
 
     /// Block until every task completed; returns the death count.
     fn wait(&self) -> usize {
-        let mut st = locked(&self.state);
+        let mut st = unpoison(self.state.lock());
         while st.0 > 0 {
-            st = self.done.wait(st).unwrap_or_else(|e| e.into_inner());
+            st = unpoison(self.done.wait(st));
         }
         st.1
     }
@@ -116,7 +116,7 @@ impl WorkerPool {
         let t0 = Instant::now();
         let mut spawned = 0u64;
         {
-            let mut st = locked(&self.state);
+            let mut st = unpoison(self.state.lock());
             while st.threads < n {
                 st.threads += 1;
                 spawned += 1;
@@ -140,7 +140,7 @@ impl WorkerPool {
     pub(crate) fn scatter(&'static self, tasks: Vec<ScopedTask<'_>>) -> usize {
         let latch = Arc::new(Latch::new(tasks.len()));
         {
-            let mut st = locked(&self.state);
+            let mut st = unpoison(self.state.lock());
             for t in tasks {
                 // SAFETY: `scatter` does not return until `latch.wait()`
                 // has observed every task's completion (the latch is
@@ -165,12 +165,12 @@ impl WorkerPool {
     fn worker_loop(&self) {
         loop {
             let task = {
-                let mut st = locked(&self.state);
+                let mut st = unpoison(self.state.lock());
                 loop {
                     if let Some(t) = st.queue.pop_front() {
                         break t;
                     }
-                    st = self.work.wait(st).unwrap_or_else(|e| e.into_inner());
+                    st = unpoison(self.work.wait(st));
                 }
             };
             // Tasks arrive pre-wrapped in catch_unwind by `scatter`;

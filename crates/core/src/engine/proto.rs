@@ -23,6 +23,11 @@
 //! response; responses on one connection arrive in request order, so
 //! pipelining works with or without distinct ids.
 //!
+//! Every integer, `id` included, must be at most [`MAX_WIRE_INT`]
+//! (2^53 − 1): numbers parse as `f64`, which cannot represent every
+//! larger integer, so a bigger one could be echoed back altered. Such a
+//! request is refused as `bad_request` instead.
+//!
 //! The JSON parser here is deliberately minimal and *hostile-input
 //! safe*: recursion depth is capped ([`MAX_JSON_DEPTH`]), numbers are
 //! plain `f64`s, and any malformed byte sequence yields a structured
@@ -37,6 +42,11 @@ use super::service::{
     QUERY_TOO_DEEP_REASON,
 };
 use crate::report::PsiResult;
+
+/// The largest integer the protocol accepts (2^53 − 1, JavaScript's
+/// `Number.MAX_SAFE_INTEGER`): every integer up to it is exact as an
+/// `f64`, so an `id` up to it round-trips verbatim.
+pub const MAX_WIRE_INT: u64 = (1 << 53) - 1;
 
 /// Maximum nesting depth the JSON parser accepts. Protocol messages
 /// need 3 levels; the cap only exists so `[[[[…` cannot recurse the
@@ -74,10 +84,12 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer fitting `u64`.
+    /// The value as a non-negative integer no larger than
+    /// [`MAX_WIRE_INT`]. Larger numbers are rejected rather than
+    /// rounded: their `f64` may stand for a different integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_WIRE_INT as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -768,6 +780,22 @@ mod tests {
     }
 
     #[test]
+    fn ids_beyond_the_exact_f64_range_are_refused() {
+        // 2^53 + 1 parses to the f64 2^53: answering it would echo an
+        // id the client never sent.
+        let (id, e) = parse_request(r#"{"op":"stats","id":9007199254740993}"#)
+            .expect_err("id above 2^53 - 1");
+        assert_eq!(id, None);
+        assert!(e.message.contains("\"id\""), "{e}");
+        // 2^64 used to saturate to u64::MAX.
+        assert!(parse_request(r#"{"op":"stats","id":18446744073709551616}"#).is_err());
+        assert!(parse_request(r#"{"op":"stats","id":9007199254740992}"#).is_err());
+        // The largest exact integer still round-trips verbatim.
+        let req = parse_request(r#"{"op":"stats","id":9007199254740991}"#).expect("2^53 - 1");
+        assert_eq!(req.id(), MAX_WIRE_INT);
+    }
+
+    #[test]
     fn json_roundtrip_essentials() {
         let v = parse_json(r#"{"a":[1,2.5,-3],"b":"x\"\nA","c":true,"d":null}"#)
             .expect("valid json");
@@ -801,5 +829,81 @@ mod tests {
         let line = query_result_line(2, &r);
         assert!(line.starts_with("{\"id\":2,\"ok\":true,\"valid\":[1,4]"), "{line}");
         assert!(line.contains("node timeout"), "{line}");
+    }
+
+    /// A valid request line of each op, carrying `id`.
+    fn valid_line(op: usize, id: u64) -> String {
+        match op {
+            0 => format!(
+                r#"{{"op":"query","id":{id},"labels":[0,1,2],"edges":[[0,1],[1,2]],"pivot":0,"deadline_ms":250}}"#
+            ),
+            1 => format!(
+                r#"{{"op":"update","id":{id},"updates":[{{"add_node":2}},{{"add_edge":[0,5,1]}}]}}"#
+            ),
+            2 => format!(r#"{{"op":"stats","id":{id}}}"#),
+            _ => format!(r#"{{"op":"shutdown","id":{id},"grace_ms":50}}"#),
+        }
+    }
+
+    /// Truncate, splice random bytes into, drop or double characters
+    /// of `line`, driven by `seed`; the result is decoded lossily, as
+    /// the server decodes a line off the wire.
+    fn mutate(line: &str, kind: usize, seed: u64) -> String {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bytes = line.as_bytes().to_vec();
+        let at = rng.gen_range(0..=bytes.len());
+        match kind {
+            0 => bytes.truncate(at),
+            1 => {
+                let n = rng.gen_range(1..8usize);
+                let junk: Vec<u8> = (0..n).map(|_| rng.gen()).collect();
+                bytes.splice(at..at, junk);
+            }
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ if at < bytes.len() => bytes.insert(at, bytes[at]),
+            _ => {}
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes off the wire never panic the parser.
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
+            let line = String::from_utf8_lossy(&bytes);
+            let _ = parse_request(&line);
+        }
+
+        /// Mutated valid requests never panic the parser, and whenever
+        /// the mutated line is still a JSON object with a valid `id`,
+        /// the outcome — request or error — carries that id.
+        #[test]
+        fn mutated_requests_never_panic_and_keep_a_parsable_id(
+            op in 0usize..4,
+            id in 0u64..=MAX_WIRE_INT,
+            kind in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let line = mutate(&valid_line(op, id), kind, seed);
+            let want = match parse_json(&line) {
+                Ok(v @ Json::Obj(_)) => v.get("id").and_then(Json::as_u64),
+                _ => None,
+            };
+            match parse_request(&line) {
+                Ok(req) => prop_assert_eq!(Some(req.id()), want, "line {}", line),
+                Err((got, _)) => {
+                    if want.is_some() {
+                        prop_assert_eq!(got, want, "line {}", line);
+                    }
+                }
+            }
+        }
     }
 }

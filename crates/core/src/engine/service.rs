@@ -54,7 +54,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -63,7 +63,7 @@ use psi_graph::{GraphUpdate, LabelId, NodeId, PivotedQuery};
 use psi_obs::{timed, Counter, Histogram, MetricsRecorder, Phase, Recorder};
 use psi_signature::SigStoreKind;
 
-use crate::fault::panic_reason;
+use crate::fault::{panic_reason, unpoison};
 use crate::report::{FeedbackRow, PsiResult};
 use crate::smart::{RunSpec, SmartPsi};
 
@@ -71,16 +71,8 @@ use super::adapt::{AdaptiveConfig, AdaptiveState, AdaptiveStats};
 use super::context::GraphContext;
 use super::deploy::DeploymentSpec;
 use super::evolve::{EvolvingContext, UpdateError, UpdateReport};
-use super::exec::PredictionCache;
+use super::exec::{PredictionCache, CACHE_SHARDS};
 use super::shard::{merge_results, Sharding};
-
-/// Lock a mutex, riding through poisoning: a worker that panicked
-/// while holding the lock has already had its job accounted for by the
-/// catch_unwind in `worker_loop`, so the protected state stays
-/// consistent and the service keeps serving.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Failure reason recorded on a job whose deadline (or cancel flag)
 /// fired while it was still queued: the job is answered with this
@@ -162,7 +154,7 @@ struct ShapeCaches {
 impl ShapeCaches {
     /// The cache for `key`, created on first use. Returns `true` as
     /// the second element when creating it evicted another shape.
-    fn get_or_create(&mut self, key: ShapeKey, shards: usize) -> (Arc<PredictionCache>, bool) {
+    fn get_or_create(&mut self, key: ShapeKey) -> (Arc<PredictionCache>, bool) {
         self.clock += 1;
         if let Some((cache, used)) = self.live.get_mut(&key) {
             *used = self.clock;
@@ -176,7 +168,7 @@ impl ShapeCaches {
                 self.live.retain(|_, &mut (_, used)| used != oldest);
             }
         }
-        let cache = Arc::new(PredictionCache::new(shards));
+        let cache = Arc::new(PredictionCache::new(CACHE_SHARDS));
         self.live.insert(key, (cache.clone(), self.clock));
         (cache, evict)
     }
@@ -235,7 +227,7 @@ impl JobSlot {
     }
 
     fn fill(&self, result: PsiResult) {
-        *lock(&self.result) = Some(result);
+        *unpoison(self.result.lock()) = Some(result);
         self.ready.notify_all();
     }
 
@@ -247,17 +239,17 @@ impl JobSlot {
     }
 
     fn is_filled(&self) -> bool {
-        lock(&self.result).is_some()
+        unpoison(self.result.lock()).is_some()
     }
 
     /// Block until the slot is filled and take the result.
     fn take(&self) -> PsiResult {
-        let mut guard = lock(&self.result);
+        let mut guard = unpoison(self.result.lock());
         loop {
             if let Some(r) = guard.take() {
                 return r;
             }
-            guard = self.ready.wait(guard).unwrap_or_else(|e| e.into_inner());
+            guard = unpoison(self.ready.wait(guard));
         }
     }
 }
@@ -390,13 +382,10 @@ impl Shard {
         shard
     }
 
-    /// The snapshot new jobs will pin, riding poisoning like [`lock`]
-    /// (the swap in [`Shard::publish`] cannot leave it torn).
+    /// The snapshot new jobs will pin, riding poisoning (the swap in
+    /// [`Shard::publish`] cannot leave it torn).
     pub(crate) fn context(&self) -> Arc<GraphContext> {
-        self.ctx
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        unpoison(self.ctx.read()).clone()
     }
 
     /// Swap in the next snapshot: retire every cross-query cache
@@ -407,11 +396,11 @@ impl Shard {
     /// reservoir and models and opens a forced refit window).
     pub(crate) fn publish(&self, ctx: Arc<GraphContext>) {
         let dim = ctx.signatures().label_count() + 1;
-        *self.ctx.write().unwrap_or_else(|e| e.into_inner()) = ctx;
-        let retired = lock(&self.caches).clear();
+        *unpoison(self.ctx.write()) = ctx;
+        let retired = unpoison(self.caches.lock()).clear();
         self.metrics.add(Counter::CacheInvalidations, retired as u64);
         if let Some(a) = &self.adaptive {
-            lock(a).note_drift(dim);
+            unpoison(a.lock()).note_drift(dim);
         }
     }
 
@@ -424,7 +413,7 @@ impl Shard {
     /// a cache; the epoch half of the key separates graph versions.
     fn cache_for(&self, query: &PivotedQuery, ctx: &GraphContext) -> Arc<PredictionCache> {
         let key = ShapeKey::new(query, ctx.epoch());
-        let (cache, evicted) = lock(&self.caches).get_or_create(key, ctx.config().cache_shards);
+        let (cache, evicted) = unpoison(self.caches.lock()).get_or_create(key);
         if evicted {
             self.metrics.add(Counter::CacheEvictions, 1);
         }
@@ -435,7 +424,7 @@ impl Shard {
     /// rows on failure paths keep the in-order drain moving).
     fn absorb_feedback(&self, seq: Option<u64>, rows: Vec<FeedbackRow>) {
         if let (Some(a), Some(s)) = (&self.adaptive, seq) {
-            lock(a).absorb(s, rows, self.metrics.as_ref());
+            unpoison(a.lock()).absorb(s, rows, self.metrics.as_ref());
         }
     }
 
@@ -445,7 +434,7 @@ impl Shard {
     pub(crate) fn submit(&self, query: PivotedQuery, mut spec: RunSpec) -> Arc<JobSlot> {
         let slot = JobSlot::new();
         {
-            let mut q = lock(&self.queue);
+            let mut q = unpoison(self.queue.lock());
             if self.shutdown.load(Ordering::Acquire) {
                 drop(q);
                 slot.fill(structured_failure(query.pivot(), ABORTED_BY_SHUTDOWN_REASON));
@@ -459,7 +448,7 @@ impl Shard {
             // applies when the spec arrives unset.
             let seq = match &self.adaptive {
                 Some(a) => {
-                    let adm = lock(a).admit(self.metrics.as_ref());
+                    let adm = unpoison(a.lock()).admit(self.metrics.as_ref());
                     spec.feedback = true;
                     if spec.explore.is_none() {
                         spec.explore = adm.explore;
@@ -486,7 +475,7 @@ impl Shard {
 
     /// Nothing queued and nothing running.
     fn is_idle(&self) -> bool {
-        let q = lock(&self.queue);
+        let q = unpoison(self.queue.lock());
         q.is_empty() && self.in_flight.load(Ordering::Acquire) == 0
     }
 
@@ -497,7 +486,7 @@ impl Shard {
     /// so a worker checking "empty and not shut down" cannot park past
     /// the signal and no new job can enqueue behind the sweep.
     fn close(&self, abort: bool) -> u64 {
-        let mut q = lock(&self.queue);
+        let mut q = unpoison(self.queue.lock());
         let stranded = if abort { std::mem::take(&mut *q) } else { VecDeque::new() };
         let aborted = stranded.len() as u64;
         for job in stranded {
@@ -512,23 +501,23 @@ impl Shard {
     }
 
     fn pending(&self) -> usize {
-        lock(&self.queue).len()
+        unpoison(self.queue.lock()).len()
     }
 
     fn live_shapes(&self) -> usize {
-        lock(&self.caches).live.len()
+        unpoison(self.caches.lock()).live.len()
     }
 
     /// Snapshot of this shard's adaptation counters; `None` when
     /// frozen.
     pub(crate) fn adaptive_stats(&self) -> Option<AdaptiveStats> {
-        self.adaptive.as_ref().map(|a| lock(a).stats())
+        self.adaptive.as_ref().map(|a| unpoison(a.lock()).stats())
     }
 
     /// Clone of this shard's feedback reservoir (the sharded
     /// coordinator's merged-refit input); `None` when frozen.
     pub(crate) fn adaptive_rows(&self) -> Option<Vec<FeedbackRow>> {
-        self.adaptive.as_ref().map(|a| lock(a).rows())
+        self.adaptive.as_ref().map(|a| unpoison(a.lock()).rows())
     }
 }
 
@@ -684,7 +673,7 @@ impl PsiService {
         if let Some(sh) = &self.sharding {
             return sh.apply_update(&self.shards, updates, &self.metrics);
         }
-        let mut guard = lock(&self.evolving);
+        let mut guard = unpoison(self.evolving.lock());
         let Some(ev) = guard.as_mut() else {
             return Err(UpdateError::StaticDeployment);
         };
@@ -910,7 +899,7 @@ fn worker_loop(shard: &Shard, spawn_t0: Instant) {
     let mut smart = SmartPsi::from_context(shard.context());
     loop {
         let job = {
-            let mut q = lock(&shard.queue);
+            let mut q = unpoison(shard.queue.lock());
             loop {
                 if let Some(job) = q.pop_front() {
                     // Count the job in-flight before the lock drops so
@@ -922,7 +911,7 @@ fn worker_loop(shard: &Shard, spawn_t0: Instant) {
                 if shard.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                q = shard.available.wait(q).unwrap_or_else(|e| e.into_inner());
+                q = unpoison(shard.available.wait(q));
             }
         };
         shard
@@ -987,7 +976,7 @@ fn worker_loop(shard: &Shard, spawn_t0: Instant) {
                 shard.metrics.add(Counter::WorkerDeaths, 1);
                 if job.attempt == 0 {
                     shard.metrics.add(Counter::Requeued, 1);
-                    lock(&shard.queue).push_back(Job {
+                    unpoison(shard.queue.lock()).push_back(Job {
                         enqueued: Instant::now(),
                         attempt: 1,
                         ..job

@@ -81,10 +81,9 @@
 //! [`PsiService::apply_update`]: super::service::PsiService::apply_update
 //! [`QUERY_TOO_DEEP_REASON`]: super::service::QUERY_TOO_DEEP_REASON
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
 use psi_graph::dynamic::DynamicGraph;
 use psi_graph::hash::FxHashSet;
 use psi_graph::{Graph, GraphBuilder, GraphUpdate, LabelId, NodeId, PivotedQuery};
@@ -93,7 +92,7 @@ use psi_signature::{IncrementalSignatures, SigStore, SignatureStore};
 
 use psi_ml::forest::ForestConfig;
 
-use crate::fault::FaultPlan;
+use crate::fault::{unpoison, FaultPlan};
 use crate::report::PsiResult;
 use crate::smart::RunSpec;
 
@@ -217,7 +216,7 @@ impl Sharding {
             config.sig_store,
         );
         let (mut sharding, contexts) = Self::build(g, inc.store(), &config, spec);
-        *sharding.inc.get_mut() = Some(inc);
+        *unpoison(sharding.inc.get_mut()) = Some(inc);
         (sharding, contexts)
     }
 
@@ -274,11 +273,11 @@ impl Sharding {
 
     pub(crate) fn owned_range(&self, shard: usize) -> (NodeId, NodeId) {
         let range = &self.ranges[shard];
-        (range.lo, range.meta.read().hi)
+        (range.lo, unpoison(range.meta.read()).hi)
     }
 
     pub(crate) fn resident_nodes(&self, shard: usize) -> Vec<NodeId> {
-        let mut nodes = self.ranges[shard].meta.read().locals.clone();
+        let mut nodes = unpoison(self.ranges[shard].meta.read()).locals.clone();
         nodes.sort_unstable();
         nodes
     }
@@ -288,7 +287,7 @@ impl Sharding {
     pub(crate) fn label_population(&self, shards: &[Arc<Shard>], label: LabelId) -> (usize, usize) {
         let mut out = (0, 0);
         for (range, shard) in self.ranges.iter().zip(shards) {
-            let owned = (range.meta.read().hi - range.lo) as usize;
+            let owned = (unpoison(range.meta.read()).hi - range.lo) as usize;
             // Owned nodes are the local-id prefix, and the label index
             // is sorted by id.
             let ctx = shard.context();
@@ -338,7 +337,7 @@ impl Sharding {
             if (label as usize) >= local_g.label_count() {
                 continue;
             }
-            let owned_len = (range.meta.read().hi - range.lo) as usize;
+            let owned_len = (unpoison(range.meta.read()).hi - range.lo) as usize;
             // Exactly the global candidate filter, restricted to owned
             // nodes: owned nodes keep full adjacency, so local degree
             // equals global degree and the union over shards is the
@@ -381,7 +380,7 @@ impl Sharding {
         let Some(coordinator) = &self.coordinator else {
             return spec;
         };
-        let mut co = coordinator.lock();
+        let mut co = unpoison(coordinator.lock());
         co.since_refit += 1;
         let due = (co.cfg.cadence > 0 && co.since_refit >= co.cfg.cadence) || co.refit_forced;
         if due {
@@ -430,7 +429,7 @@ impl Sharding {
     /// coordinator's exploration, merged-refit, and model-version
     /// state.
     pub(crate) fn adaptive_stats(&self, shards: &[Arc<Shard>]) -> Option<AdaptiveStats> {
-        let co = self.coordinator.as_ref()?.lock();
+        let co = unpoison(self.coordinator.as_ref()?.lock());
         let mut out = co.stats;
         for s in shards.iter().filter_map(|s| s.adaptive_stats()) {
             out.feedback_samples += s.feedback_samples;
@@ -459,7 +458,7 @@ impl Sharding {
         updates: &[GraphUpdate],
         metrics: &MetricsRecorder,
     ) -> Result<UpdateReport, UpdateError> {
-        let mut guard = self.inc.lock();
+        let mut guard = unpoison(self.inc.lock());
         let Some(inc) = guard.as_mut() else {
             return Err(UpdateError::StaticDeployment);
         };
@@ -494,7 +493,7 @@ impl Sharding {
             for (idx, (range, shard)) in self.ranges.iter().zip(shards).enumerate() {
                 let grows = idx == last && stats.nodes_added > 0;
                 let hit = grows || {
-                    let meta = range.meta.read();
+                    let meta = unpoison(range.meta.read());
                     touched.iter().any(|&t| {
                         (t >= range.lo && t < meta.hi)
                             || meta.locals[(meta.hi - range.lo) as usize..]
@@ -505,7 +504,7 @@ impl Sharding {
                 if !hit {
                     continue;
                 }
-                let mut meta = range.meta.write();
+                let mut meta = unpoison(range.meta.write());
                 let hi = if idx == last {
                     snapshot.node_count() as NodeId
                 } else {
@@ -535,7 +534,7 @@ impl Sharding {
         // rows are still valid refit input (stale-width rows from a
         // label-growing batch are filtered by the fitter).
         if let Some(coordinator) = &self.coordinator {
-            let mut co = coordinator.lock();
+            let mut co = unpoison(coordinator.lock());
             co.stats.epoch += 1;
             co.dim = inc.store().label_count() + 1;
             co.models = None;

@@ -27,10 +27,9 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::evaluator::{CompiledPlan, QueryContext, Verdict};
 use crate::fault::{eval_isolated, IsolatedOutcome, NodeMatcher};
-use crate::limits::EvalLimits;
 use crate::plan::{heuristic_plan, sample_plans};
 use crate::report::FailureReport;
-use crate::smart::RunParams;
+use crate::smart::RunSpec;
 use crate::Strategy;
 
 use super::context::GraphContext;
@@ -141,12 +140,11 @@ impl GraphContext {
         &self,
         query: &PivotedQuery,
         candidates: Vec<NodeId>,
-        limits: &EvalLimits,
-        params: &RunParams,
+        spec: &RunSpec,
         rec: &dyn Recorder,
     ) -> TrainOutcome {
         timed(rec, Phase::Train, || {
-            self.train_session_inner(query, candidates, limits, params, rec)
+            self.train_session_inner(query, candidates, spec, rec)
         })
     }
 
@@ -154,17 +152,17 @@ impl GraphContext {
         &self,
         query: &PivotedQuery,
         candidates: Vec<NodeId>,
-        limits: &EvalLimits,
-        params: &RunParams,
+        spec: &RunSpec,
         rec: &dyn Recorder,
     ) -> TrainOutcome {
         if candidates.len() < self.config.min_candidates_for_ml {
             return TrainOutcome::TooFew;
         }
         let ctx = QueryContext::new(query.clone(), self.config.depth);
-        let mut matcher = self.matcher(params);
+        let mut matcher = self.matcher(spec);
         let m: &mut dyn NodeMatcher = &mut matcher;
-        let isolate = params.panic_isolation;
+        let isolate = self.isolation(spec);
+        let limits = &spec.limits;
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let t_setup = Instant::now();
 
@@ -206,9 +204,9 @@ impl GraphContext {
             let mut truth: Option<(Verdict, u64)> = None;
             let mut attempts = 0u32;
             let mut last_reason = String::new();
-            while truth.is_none() && attempts <= params.retry.max_attempts {
+            while truth.is_none() && attempts <= self.config.retry.max_attempts {
                 attempts += 1;
-                let node_deadline = params.node_timeout.map(|t| Instant::now() + t);
+                let node_deadline = self.config.node_timeout.map(|t| Instant::now() + t);
                 let lim = stage_limits_node(0, limits, node_deadline);
                 match eval_isolated(m, &ctx, &heuristic, u, Strategy::Pessimistic, &lim, isolate) {
                     IsolatedOutcome::Finished(v, s) => {

@@ -30,9 +30,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LockResult, Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use psi_graph::hash::{FxHashMap, FxHashSet, FxHasher};
 use psi_graph::NodeId;
 
@@ -173,7 +172,7 @@ impl FaultPlan {
         } else {
             return None;
         };
-        if !self.fired.lock().insert(node) {
+        if !unpoison(self.fired.lock()).insert(node) {
             return None; // one-shot: already fired for this node
         }
         Some(kind)
@@ -208,7 +207,7 @@ impl FaultPlan {
     /// re-armed.
     pub fn project(&self, mapping: impl IntoIterator<Item = (NodeId, NodeId)>) -> FaultPlan {
         let mut out = FaultPlan::empty();
-        let fired = self.fired.lock();
+        let fired = unpoison(self.fired.lock());
         for (global, local) in mapping {
             if let Some(e) = self.entries.get(&global) {
                 out.entries.insert(
@@ -466,6 +465,17 @@ pub fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "panic: <non-string payload>".to_string()
     }
+}
+
+/// Ride through lock poisoning: take the guard (or inner value) a
+/// poisoned `lock`/`read`/`write`/`wait`/`into_inner` still carries.
+/// Every lock in this crate protects state that a panicking holder
+/// leaves consistent — a panic is contained by `catch_unwind` and
+/// accounted where it happened (one failed node, one dead worker
+/// task) — so the caller keeps going instead of propagating the
+/// poison.
+pub(crate) fn unpoison<G>(r: LockResult<G>) -> G {
+    r.unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

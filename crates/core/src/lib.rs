@@ -23,8 +23,17 @@
 //!   predictions are cached, and a *preemptive executor* detects
 //!   mispredictions by budget timeout and recovers (§4.3).
 //!
-//! A [`twothread::two_threaded_psi`] baseline (run both methods in
-//! parallel, first finisher wins, §4.1) is included for Figure 9.
+//! The §4.1 two-threaded baseline (run both methods in parallel, first
+//! finisher wins) is included for Figure 9.
+//!
+//! **One run surface.** [`SmartPsi::run`](smart::SmartPsi::run) is the
+//! only way into any executor — the realist sequentially or on the
+//! work-stealing pool, the static splitter, the two-threaded baseline —
+//! and its [`RunSpec`], read together with the
+//! deployment's [`SmartPsiConfig`], is the only
+//! per-run settings struct. The single-strategy runners in [`single`]
+//! stay free functions over a borrowed graph for the apps and the
+//! miner.
 //!
 //! ```
 //! use psi_graph::{builder::graph_from, PivotedQuery};
@@ -56,7 +65,7 @@ pub use engine::adapt::{AdaptedModels, AdaptiveConfig, AdaptiveStats, MIN_REFIT_
 pub use engine::context::GraphContext;
 pub use engine::deploy::DeploymentSpec;
 pub use engine::evolve::{EvolvingContext, UpdateError, UpdateReport};
-pub use engine::exec::{PredictionCache, WorkStealingOptions};
+pub use engine::exec::PredictionCache;
 pub use engine::net::{NetServer, NetServerConfig};
 pub use engine::service::{
     DrainReport, JobHandle, PsiService, ServiceStats, ABORTED_BY_SHUTDOWN_REASON,
@@ -70,7 +79,7 @@ pub use fault::{
 pub use limits::{EvalLimits, LimitTracker, POLL_INTERVAL};
 pub use plan::{heuristic_plan, sample_plans, Plan};
 pub use report::{FailureReport, FeedbackRow, NodeFailure, PsiResult, StageTimings};
-pub use smart::{ExecutorKind, RetryPolicy, RunSpec, SmartPsi, SmartPsiConfig, SmartPsiReport};
+pub use smart::{RetryPolicy, RunSpec, SmartPsi, SmartPsiConfig};
 
 /// Signature-store backends (re-exported `psi-signature` surface): the
 /// [`SignatureStore`] trait, the
@@ -101,9 +110,7 @@ pub mod prelude {
     pub use crate::fault::FaultPlan;
     pub use crate::limits::EvalLimits;
     pub use crate::report::{FailureReport, FeedbackRow, PsiResult};
-    pub use crate::smart::{
-        ExecutorKind, RetryPolicy, RunSpec, SmartPsi, SmartPsiConfig, SmartPsiReport,
-    };
+    pub use crate::smart::{RetryPolicy, RunSpec, SmartPsi, SmartPsiConfig};
     pub use crate::Strategy;
     pub use psi_obs::{MetricsRecorder, NoopRecorder, QueryProfile, Recorder};
     pub use psi_signature::{SigStore, SigStoreKind, SignatureStore};

@@ -1,4 +1,11 @@
 //! Result and timing types shared by the PSI runners.
+//!
+//! [`PsiResult`] is what every runner returns. From
+//! [`SmartPsi::run`](crate::SmartPsi::run) it carries a
+//! [`QueryProfile`] with the stage counters, timings and α-accuracy of
+//! the run; the executors' own stage report, from which the profile is
+//! built, is crate-private, so the profile is the one public view of
+//! those numbers.
 
 use std::time::Duration;
 
@@ -33,9 +40,9 @@ pub struct PsiResult {
     /// Observability profile of the run that produced this result:
     /// per-phase wall times, the metrics-registry counters, and step
     /// histograms. Always attached by
-    /// [`SmartPsi::run`](crate::SmartPsi::run); `None` from the
-    /// low-level single/two-thread runners unless their `_recorded`
-    /// variants are used. Boxed so the common answer-only consumers
+    /// [`SmartPsi::run`](crate::SmartPsi::run), whatever the executor;
+    /// `None` from the single-strategy runners in
+    /// [`crate::single`]. Boxed so the common answer-only consumers
     /// pay one pointer.
     pub profile: Option<Box<QueryProfile>>,
     /// Per-node training feedback collected when the run's

@@ -9,7 +9,6 @@
 use std::sync::Arc;
 
 use psi_graph::{Graph, NodeId, PivotedQuery};
-use psi_obs::{timed, Counter, Histogram, NoopRecorder, Phase, Recorder};
 use psi_signature::SignatureMatrix;
 
 use crate::evaluator::{NodeEvaluator, QueryContext, Verdict};
@@ -68,22 +67,8 @@ pub fn psi_with_strategy(
     strategy: Strategy,
     options: &RunOptions,
 ) -> PsiResult {
-    psi_with_strategy_recorded(g, query, strategy, options, &NoopRecorder)
-}
-
-/// [`psi_with_strategy`] with observability: the signature build runs
-/// inside a [`Phase::Signature`] span and each node evaluation inside
-/// a [`Phase::MatchS1`] span, with per-node steps feeding the
-/// [`Histogram::StepsPerNode`] histogram.
-pub fn psi_with_strategy_recorded(
-    g: &Graph,
-    query: &PivotedQuery,
-    strategy: Strategy,
-    options: &RunOptions,
-    rec: &dyn Recorder,
-) -> PsiResult {
-    let sigs = psi_signature::matrix_signatures_recorded(g, options.depth, rec);
-    psi_with_strategy_presig_recorded(g, &sigs, query, strategy, options, rec)
+    let sigs = psi_signature::matrix_signatures(g, options.depth);
+    psi_with_strategy_presig(g, &sigs, query, strategy, options)
 }
 
 /// Same as [`psi_with_strategy`] but reusing precomputed data-graph
@@ -95,19 +80,6 @@ pub fn psi_with_strategy_presig(
     strategy: Strategy,
     options: &RunOptions,
 ) -> PsiResult {
-    psi_with_strategy_presig_recorded(g, sigs, query, strategy, options, &NoopRecorder)
-}
-
-/// [`psi_with_strategy_presig`] with observability (see
-/// [`psi_with_strategy_recorded`]).
-pub fn psi_with_strategy_presig_recorded(
-    g: &Graph,
-    sigs: &SignatureMatrix,
-    query: &PivotedQuery,
-    strategy: Strategy,
-    options: &RunOptions,
-    rec: &dyn Recorder,
-) -> PsiResult {
     let ctx = QueryContext::new(query.clone(), options.depth);
     let plan = ctx.compile(&heuristic_plan(g, query));
     let mut matcher = PsiMatcher::new(NodeEvaluator::new(g, sigs), options.fault.as_ref());
@@ -117,20 +89,17 @@ pub fn psi_with_strategy_presig_recorded(
     let mut unresolved = 0usize;
     let mut failures = FailureReport::default();
     for &u in &candidates {
-        match timed(rec, Phase::MatchS1, || {
-            eval_isolated(
-                &mut matcher,
-                &ctx,
-                &plan,
-                u,
-                strategy,
-                &options.limits,
-                options.panic_isolation,
-            )
-        }) {
+        match eval_isolated(
+            &mut matcher,
+            &ctx,
+            &plan,
+            u,
+            strategy,
+            &options.limits,
+            options.panic_isolation,
+        ) {
             IsolatedOutcome::Finished(verdict, s) => {
                 steps += s;
-                rec.observe(Histogram::StepsPerNode, s);
                 match verdict {
                     Verdict::Valid => valid.push(u),
                     Verdict::Invalid => {}
@@ -145,14 +114,6 @@ pub fn psi_with_strategy_presig_recorded(
     }
     valid.sort_unstable();
     failures.sort();
-    if rec.enabled() {
-        rec.add(Counter::Candidates, candidates.len() as u64);
-        rec.add(Counter::ResolvedS1, (candidates.len() - unresolved - failures.len()) as u64);
-        rec.add(Counter::Unresolved, unresolved as u64);
-        rec.add(Counter::FailedNodes, failures.len() as u64);
-        rec.add(Counter::PanicsRecovered, failures.panics_recovered);
-        rec.add(Counter::Steps, steps);
-    }
     PsiResult {
         valid,
         candidates: candidates.len(),

@@ -27,24 +27,26 @@
 //! The implementation lives in the layered [`crate::engine`] module
 //! (context → training → ladder → exec → service); this module is the
 //! thin public surface over it: [`SmartPsi`] wraps an
-//! `Arc<`[`GraphContext`]`>` and [`SmartPsi::run`] resolves a
-//! [`RunSpec`] to one of the engine's executors. The historical type
-//! names (`SmartPsiConfig`, `RetryPolicy`, `ExecutorKind`) are
-//! re-exported here for compatibility.
+//! `Arc<`[`GraphContext`]`>` and [`SmartPsi::run`] matches the
+//! [`RunSpec`]'s executor kind to one of the engine's drivers.
+//! `SmartPsiConfig` and `RetryPolicy` are re-exported here.
 //!
-//! # The unified entry point
+//! # The one run surface
 //!
-//! All executors are fronted by [`SmartPsi::run`], which takes a
-//! builder-style [`RunSpec`] (`.threads(n)`, `.limits(..)`,
-//! `.retry(..)`, `.faults(..)`, `.recorder(..)`) and returns a
-//! [`PsiResult`] carrying a [`QueryProfile`] — per-phase wall times,
-//! the metrics-registry counters, and log₂ step histograms (see
+//! [`SmartPsi::run`] is the only way into any executor: the realist on
+//! the calling thread, the work-stealing pool, the static splitter and
+//! the §4.1 two-thread baseline. Its builder-style [`RunSpec`]
+//! (`.threads(n)`, `.two_thread()`, `.limits(..)`, `.faults(..)`,
+//! `.recorder(..)`), read together with the context's
+//! [`SmartPsiConfig`], is the only per-run settings struct. The result
+//! is a [`PsiResult`] carrying a [`QueryProfile`] — per-phase wall
+//! times, the metrics-registry counters, and log₂ step histograms (see
 //! [`psi_obs`]). For a *stream* of queries, [`SmartPsi::deploy`]
 //! spawns a persistent [`PsiService`] (one shard or k, static or
 //! evolving) over the same context.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use psi_graph::{Graph, NodeId, PivotedQuery};
 use psi_obs::{Counter, MetricsRecorder, NoopRecorder, QueryProfile, Recorder};
@@ -53,34 +55,35 @@ use psi_signature::SigStore;
 use crate::engine::adapt::AdaptedModels;
 use crate::engine::context::GraphContext;
 use crate::engine::deploy::DeploymentSpec;
-use crate::engine::exec::{executor_for, unresolved_report, PredictionCache};
+use crate::engine::exec::{unresolved_report, work_stealing, ExecutorKind, PredictionCache};
 use crate::engine::service::PsiService;
 use crate::fault::FaultPlan;
 use crate::limits::EvalLimits;
 use crate::report::{PsiResult, StageTimings};
 
 pub use crate::engine::context::SmartPsiConfig;
-pub use crate::engine::exec::ExecutorKind;
 pub use crate::engine::ladder::RetryPolicy;
 
 /// Builder-style specification of one [`SmartPsi::run`] call: executor
 /// choice, thread count, global limits, candidate subset, and per-run
-/// overrides of the deployment's retry/fault/isolation knobs, plus an
-/// optional [`MetricsRecorder`] for fine-grained profiling.
+/// overrides of the deployment's fault/isolation knobs, plus an
+/// optional [`MetricsRecorder`] for fine-grained profiling. Read
+/// together with the context's [`SmartPsiConfig`], it is the only
+/// per-run settings struct: the executors, training and the ladder
+/// read it directly.
 ///
 /// `RunSpec::default()` is a sequential, unlimited, unprofiled run
 /// with every knob deferring to the deployment's
 /// [`SmartPsiConfig`].
 ///
 /// ```no_run
-/// # use psi_core::smart::{RunSpec, RetryPolicy};
+/// # use psi_core::smart::RunSpec;
 /// # use psi_core::limits::EvalLimits;
 /// # use std::sync::Arc;
 /// let rec = Arc::new(psi_obs::MetricsRecorder::new());
 /// let spec = RunSpec::new()
 ///     .threads(4)
 ///     .limits(EvalLimits::unlimited())
-///     .retry(RetryPolicy::default())
 ///     .recorder(rec.clone());
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -91,14 +94,21 @@ pub struct RunSpec {
     pub(crate) shared_cache: Option<bool>,
     pub(crate) limits: EvalLimits,
     pub(crate) subset: Option<Vec<NodeId>>,
-    pub(crate) retry: Option<RetryPolicy>,
-    pub(crate) node_timeout: Option<Option<Duration>>,
     pub(crate) panic_isolation: Option<bool>,
     pub(crate) fault: Option<Arc<FaultPlan>>,
     pub(crate) cache: Option<Arc<PredictionCache>>,
     pub(crate) recorder: Option<Arc<MetricsRecorder>>,
     pub(crate) feedback: bool,
+    /// ε-exploration: force every surviving candidate onto method `m`
+    /// (0 = optimistic, 1 = pessimistic) instead of Model α's
+    /// prediction. Model β still picks the plan; the prediction cache
+    /// is bypassed in both directions so explored runs never pollute
+    /// it. Written by the adaptive serving layer at admission.
     pub(crate) explore: Option<u8>,
+    /// Online-adapted α/β forests substituted for the per-query models
+    /// after training (frozen fallback when their feature layout no
+    /// longer matches the graph). Written by the adaptive serving
+    /// layer at admission.
     pub(crate) adapted: Option<Arc<AdaptedModels>>,
 }
 
@@ -108,23 +118,17 @@ impl RunSpec {
         Self::default()
     }
 
-    /// Run on the work-stealing pool with `n` workers (`0` = the
-    /// config's `workers`, which at `0` in turn means one per
-    /// available hardware thread).
+    /// Run on the work-stealing pool with `n` workers (`0` = one per
+    /// available hardware thread; `1` runs on the calling thread).
     pub fn threads(mut self, n: usize) -> Self {
         self.executor = ExecutorKind::WorkStealing;
         self.threads = n;
         self
     }
 
-    /// Run sequentially on the calling thread (the default).
-    pub fn sequential(mut self) -> Self {
-        self.executor = ExecutorKind::Sequential;
-        self
-    }
-
-    /// Run the §4.1 two-threaded baseline (optimist vs pessimist raced
-    /// per candidate; no training, no cache).
+    /// Run the §4.1 two-threaded baseline: optimist and pessimist
+    /// raced per candidate on the deployment's precomputed signatures
+    /// (no training, no cache).
     pub fn two_thread(mut self) -> Self {
         self.executor = ExecutorKind::TwoThread;
         self
@@ -137,20 +141,29 @@ impl RunSpec {
         self
     }
 
-    /// Candidates per work-stealing queue grab (`0` = config default).
+    /// Candidates per work-stealing queue grab (`0` = the default of
+    /// 8). Small grabs keep hard (pessimistic) nodes from serializing
+    /// a whole chunk behind one worker; large grabs reduce queue
+    /// traffic.
     pub fn grab(mut self, n: usize) -> Self {
         self.grab = n;
         self
     }
 
-    /// Override the config's `shared_cache` for this run.
+    /// Whether the pool's phase-A sweep uses a prediction cache
+    /// (default `true`, the paper's cache-reuse optimization).
+    /// `false` is the ablation baseline: every survivor is predicted
+    /// from scratch.
     pub fn shared_cache(mut self, share: bool) -> Self {
         self.shared_cache = Some(share);
         self
     }
 
-    /// Global deadline / cancel flag observed by the whole run
-    /// (`max_steps` is ignored — per-node budgets are SmartPSI's own).
+    /// Global deadline / cancel flag observed by the whole run. The
+    /// realist's executors ignore `max_steps` (their per-node budgets
+    /// are SmartPSI's own); the two-thread baseline applies it to each
+    /// racer, so a node neither side finishes within it is left
+    /// unresolved.
     pub fn limits(mut self, limits: EvalLimits) -> Self {
         self.limits = limits;
         self
@@ -163,19 +176,6 @@ impl RunSpec {
         self
     }
 
-    /// Override the config's retry/escalation policy for this run.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    /// Override the config's per-node wall-clock timeout for this run
-    /// (`None` disables it).
-    pub fn node_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.node_timeout = Some(timeout);
-        self
-    }
-
     /// Override the config's panic isolation for this run.
     pub fn panic_isolation(mut self, on: bool) -> Self {
         self.panic_isolation = Some(on);
@@ -183,7 +183,7 @@ impl RunSpec {
     }
 
     /// Inject a deterministic fault schedule for this run (chaos
-    /// drills and the fault-injection tests).
+    /// drills and the fault-injection tests), overriding the config's.
     pub fn faults(mut self, plan: Arc<FaultPlan>) -> Self {
         self.fault = Some(plan);
         self
@@ -226,62 +226,6 @@ impl RunSpec {
         self.feedback = on;
         self
     }
-
-    /// Force every surviving candidate onto method `m` (0 = optimistic,
-    /// 1 = pessimistic) instead of Model α's prediction — the ε-greedy
-    /// exploration arm of the adaptive serving layer. Model β still
-    /// picks the plan; the prediction cache is bypassed in both
-    /// directions so explored runs never pollute it. Exactness is
-    /// unaffected (the ladder's stage 3 is conclusive either way).
-    pub fn explore(mut self, m: u8) -> Self {
-        self.explore = Some(m.min(1));
-        self
-    }
-
-    /// Substitute the online-adapted α/β forests for this run's
-    /// per-query models after training (frozen fallback when the
-    /// models' feature layout no longer matches the graph). Attached
-    /// by the adaptive serving layer; budgets and plans still come
-    /// from the per-query training pass.
-    pub fn adapted(mut self, models: Arc<AdaptedModels>) -> Self {
-        self.adapted = Some(models);
-        self
-    }
-}
-
-/// Per-run knobs resolved from config + [`RunSpec`] overrides, threaded
-/// through training, the retry ladder, the plain sweep, and the pool
-/// workers so one `run` call sees one consistent set.
-#[derive(Clone)]
-pub(crate) struct RunParams {
-    pub(crate) retry: RetryPolicy,
-    pub(crate) node_timeout: Option<Duration>,
-    pub(crate) panic_isolation: bool,
-    pub(crate) fault: Option<Arc<FaultPlan>>,
-    /// Cross-query cache attached by the caller (a
-    /// [`PsiService`] job); `None` = executors use per-run caches.
-    pub(crate) external_cache: Option<Arc<PredictionCache>>,
-    /// Collect per-node [`FeedbackRow`](crate::report::FeedbackRow)s.
-    pub(crate) feedback: bool,
-    /// Exploration override: force this method for every survivor.
-    pub(crate) explore: Option<u8>,
-    /// Online-adapted forests to swap in after per-query training.
-    pub(crate) adapted: Option<Arc<AdaptedModels>>,
-}
-
-impl RunParams {
-    pub(crate) fn resolve(cfg: &SmartPsiConfig, spec: &RunSpec) -> Self {
-        Self {
-            retry: spec.retry.unwrap_or(cfg.retry),
-            node_timeout: spec.node_timeout.unwrap_or(cfg.node_timeout),
-            panic_isolation: spec.panic_isolation.unwrap_or(cfg.panic_isolation),
-            fault: spec.fault.clone().or_else(|| cfg.fault.clone()),
-            external_cache: spec.cache.clone(),
-            feedback: spec.feedback,
-            explore: spec.explore,
-            adapted: spec.adapted.clone(),
-        }
-    }
 }
 
 /// A SmartPSI deployment: one data graph, loaded in memory with all
@@ -292,34 +236,33 @@ pub struct SmartPsi {
     ctx: Arc<GraphContext>,
 }
 
-/// Full evaluation report as produced by the engine's executors. The
-/// public API exposes the same numbers through the [`QueryProfile`]
-/// attached to [`SmartPsi::run`]'s [`PsiResult`];
-/// [`SmartPsiReport::from_result`] is the lossless conversion back.
+/// The executors' internal report: the answer plus the stage counters
+/// and timings that [`SmartPsi::run`] folds into the result's
+/// [`QueryProfile`].
 #[derive(Debug, Clone)]
-pub struct SmartPsiReport {
+pub(crate) struct SmartPsiReport {
     /// The PSI answer.
-    pub result: PsiResult,
+    pub(crate) result: PsiResult,
     /// Wall-clock stage breakdown (Table 4).
-    pub timings: StageTimings,
+    pub(crate) timings: StageTimings,
     /// Training nodes used.
-    pub trained_nodes: usize,
+    pub(crate) trained_nodes: usize,
     /// Candidates whose (method, plan) came from the cache.
-    pub cache_hits: usize,
+    pub(crate) cache_hits: usize,
     /// Candidates resolved in stage 1 (prediction trusted and
     /// confirmed by the budget).
-    pub resolved_stage1: usize,
+    pub(crate) resolved_stage1: usize,
     /// Candidates that needed the opposite method (stage 2).
-    pub recovered_stage2: usize,
+    pub(crate) recovered_stage2: usize,
     /// Candidates that fell back to the heuristic plan, unlimited
     /// (stage 3).
-    pub recovered_stage3: usize,
+    pub(crate) recovered_stage3: usize,
     /// Candidates Model α predicted valid.
-    pub predicted_valid: usize,
+    pub(crate) predicted_valid: usize,
     /// Accuracy of Model α measured against the final ground truth of
     /// every predicted candidate (Figure 11's metric). Candidates left
     /// unresolved by a deadline/cancel count as mispredicted.
-    pub alpha_accuracy: f64,
+    pub(crate) alpha_accuracy: f64,
 }
 
 impl Default for SmartPsiReport {
@@ -329,54 +272,11 @@ impl Default for SmartPsiReport {
     }
 }
 
-impl SmartPsiReport {
-    /// Reconstruct the full report from a [`SmartPsi::run`] result.
-    /// Lossless when the result carries a profile (every `run` result
-    /// does): the stage counters, timings, and α-accuracy are read
-    /// back from the [`QueryProfile`].
-    pub fn from_result(result: PsiResult) -> Self {
-        let fields = match result.profile.as_deref() {
-            Some(p) => (
-                StageTimings {
-                    training_and_prediction: Duration::from_nanos(p.train_ns),
-                    evaluation: Duration::from_nanos(p.evaluation_ns),
-                },
-                p.counter(Counter::TrainedNodes) as usize,
-                p.counter(Counter::CacheHits) as usize,
-                p.counter(Counter::ResolvedS1) as usize,
-                p.counter(Counter::RecoveredS2) as usize,
-                p.counter(Counter::RecoveredS3) as usize,
-                p.counter(Counter::PredictedValid) as usize,
-                p.alpha_accuracy,
-            ),
-            None => (StageTimings::default(), 0, 0, 0, 0, 0, 0, 0.0),
-        };
-        Self {
-            result,
-            timings: fields.0,
-            trained_nodes: fields.1,
-            cache_hits: fields.2,
-            resolved_stage1: fields.3,
-            recovered_stage2: fields.4,
-            recovered_stage3: fields.5,
-            predicted_valid: fields.6,
-            alpha_accuracy: fields.7,
-        }
-    }
-}
-
 impl SmartPsi {
     /// Load a graph: precomputes all neighborhood signatures with the
     /// matrix method (§3.1's optimization).
     pub fn new(g: Graph, config: SmartPsiConfig) -> Self {
         Self::from_context(Arc::new(GraphContext::new(g, config)))
-    }
-
-    /// [`SmartPsi::new`] with the signature build recorded into `rec`
-    /// (a [`psi_obs::Phase::Signature`] span plus a
-    /// [`Counter::SignatureRows`] count).
-    pub fn new_recorded(g: Graph, config: SmartPsiConfig, rec: &dyn Recorder) -> Self {
-        Self::from_context(Arc::new(GraphContext::new_recorded(g, config, rec)))
     }
 
     /// Wrap an already-built (typically shared) deployment context.
@@ -433,12 +333,17 @@ impl SmartPsi {
     /// [`MetricsRecorder`].
     pub fn run(&self, query: &PivotedQuery, spec: &RunSpec) -> PsiResult {
         let t0 = Instant::now();
-        let params = RunParams::resolve(self.ctx.config(), spec);
         let rec: &dyn Recorder = match spec.recorder.as_deref() {
             Some(r) => r,
             None => &NoopRecorder,
         };
-        let report = executor_for(spec.executor).execute(&self.ctx, query, spec, &params, rec);
+        let ctx = &*self.ctx;
+        let report = match spec.executor {
+            ExecutorKind::Sequential => ctx.seq_run(query, spec.subset.as_deref(), spec, rec),
+            ExecutorKind::WorkStealing => work_stealing(ctx, query, spec, rec),
+            ExecutorKind::StaticChunks => ctx.static_chunks(query, spec, rec),
+            ExecutorKind::TwoThread => ctx.two_thread(query, spec, rec),
+        };
         self.finish(report, t0, spec.recorder.as_deref())
     }
 
@@ -487,6 +392,7 @@ impl SmartPsi {
 mod tests {
     use super::*;
     use psi_obs::{Histogram, Phase};
+    use std::time::Duration;
 
     #[test]
     fn stage_accounting_is_complete() {

@@ -12,7 +12,6 @@ use proptest::prelude::*;
 use psi_core::fault::{ALWAYS, ONCE};
 use psi_core::obs::Counter;
 use psi_core::single::{psi_with_strategy, RunOptions};
-use psi_core::twothread::two_threaded_psi;
 use psi_core::{
     install_quiet_panic_hook, FaultKind, FaultPlan, PsiResult, RunSpec, SmartPsi, SmartPsiConfig,
     Strategy,
@@ -241,18 +240,15 @@ fn twothread_survives_one_sided_panics_and_records_two_sided_ones() {
     install_quiet_panic_hook();
     let g = generators::erdos_renyi(300, 1200, 3, 5);
     let q = rwr::extract_query_seeded(&g, 4, 3).expect("query");
-    let clean = two_threaded_psi(&g, &q, &RunOptions::default());
+    let smart = SmartPsi::new(g.clone(), SmartPsiConfig::default());
+    let clean = smart.run(&q, &RunSpec::new().two_thread());
     let candidates = psi_core::single::pivot_candidates(&g, &q);
     let (one_sided, two_sided) = (candidates[0], candidates[candidates.len() - 1]);
 
     let plan = FaultPlan::empty()
         .inject(one_sided, FaultKind::Panic, ONCE) // one racer absorbs it
         .inject(two_sided, FaultKind::Panic, ALWAYS); // both racers die
-    let opts = RunOptions {
-        fault: Some(Arc::new(plan)),
-        ..RunOptions::default()
-    };
-    let r = two_threaded_psi(&g, &q, &opts);
+    let r = smart.run(&q, &RunSpec::new().two_thread().faults(Arc::new(plan)));
 
     let expect_valid: Vec<NodeId> =
         clean.valid.iter().copied().filter(|&u| u != two_sided).collect();

@@ -4,11 +4,9 @@
 //!
 //! 1. **RunSpec roundtrip** — [`RunSpec`] is the single front door for
 //!    evaluation: a default spec, a candidate subset, step limits, and
-//!    each parallel executor all flow through `SmartPsi::run`, and the
-//!    attached [`QueryProfile`] carries enough to rebuild a
-//!    [`SmartPsiReport`] losslessly (`SmartPsiReport::from_result`
-//!    roundtrips against the direct result). Specs that describe the
-//!    same evaluation agree bit-for-bit on answers and accounting.
+//!    each parallel executor all flow through `SmartPsi::run`, and two
+//!    runs of the same spec agree bit-for-bit on their answers and on
+//!    the accounting counters of their attached [`QueryProfile`]s.
 //! 2. **Profile soundness** — the [`QueryProfile`] attached to every
 //!    `run` result satisfies the PR-2 accounting identity
 //!    (`reconciles()`), and on a sequential run its per-phase spans
@@ -19,9 +17,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use psi_core::obs::{Counter, MetricsRecorder, QueryProfile};
-use psi_core::{
-    EvalLimits, PsiResult, RunSpec, SmartPsi, SmartPsiConfig, SmartPsiReport,
-};
+use psi_core::{EvalLimits, PsiResult, RunSpec, SmartPsi, SmartPsiConfig};
 use psi_datasets::{generators, rwr};
 use psi_graph::{NodeId, PivotedQuery};
 
@@ -43,61 +39,43 @@ fn counter(r: &PsiResult, c: Counter) -> u64 {
     r.profile.as_ref().map_or(0, |p| p.counter(c))
 }
 
-/// Assert a report rebuilt via [`SmartPsiReport::from_result`] and a
-/// second `run` of an equivalent spec are the same evaluation:
-/// identical answer, identical accounting, identical α-accuracy bits.
-/// Wall-clock timings are excluded — two runs never share a clock.
-fn assert_equivalent(label: &str, legacy: &SmartPsiReport, r: &PsiResult) {
-    assert_eq!(legacy.result.valid, r.valid, "{label}: valid set");
-    assert_eq!(legacy.result.candidates, r.candidates, "{label}: candidates");
-    assert_eq!(legacy.result.steps, r.steps, "{label}: steps");
-    assert_eq!(legacy.result.unresolved, r.unresolved, "{label}: unresolved");
+/// Assert two runs of equivalent specs are the same evaluation:
+/// identical answer, identical accounting counters, identical
+/// α-accuracy bits. Wall-clock timings are excluded — two runs never
+/// share a clock.
+fn assert_equivalent(label: &str, a: &PsiResult, b: &PsiResult) {
+    assert_eq!(a.valid, b.valid, "{label}: valid set");
+    assert_eq!(a.candidates, b.candidates, "{label}: candidates");
+    assert_eq!(a.steps, b.steps, "{label}: steps");
+    assert_eq!(a.unresolved, b.unresolved, "{label}: unresolved");
+    assert_eq!(a.failures, b.failures, "{label}: failures");
+    for c in [
+        Counter::TrainedNodes,
+        Counter::ResolvedS1,
+        Counter::RecoveredS2,
+        Counter::RecoveredS3,
+        Counter::PredictedValid,
+        Counter::CacheHits,
+    ] {
+        assert_eq!(counter(a, c), counter(b, c), "{label}: {c:?}");
+    }
+    let alpha = |r: &PsiResult| r.profile.as_ref().map_or(0.0, |p| p.alpha_accuracy);
     assert_eq!(
-        legacy.result.failures.nodes.len(),
-        r.failures.nodes.len(),
-        "{label}: failed nodes"
-    );
-    assert_eq!(
-        legacy.trained_nodes,
-        counter(r, Counter::TrainedNodes) as usize,
-        "{label}: trained_nodes"
-    );
-    assert_eq!(
-        legacy.resolved_stage1,
-        counter(r, Counter::ResolvedS1) as usize,
-        "{label}: resolved_stage1"
-    );
-    assert_eq!(
-        legacy.recovered_stage2,
-        counter(r, Counter::RecoveredS2) as usize,
-        "{label}: recovered_stage2"
-    );
-    assert_eq!(
-        legacy.recovered_stage3,
-        counter(r, Counter::RecoveredS3) as usize,
-        "{label}: recovered_stage3"
-    );
-    assert_eq!(
-        legacy.predicted_valid,
-        counter(r, Counter::PredictedValid) as usize,
-        "{label}: predicted_valid"
-    );
-    let alpha = r.profile.as_ref().map_or(0.0, |p| p.alpha_accuracy);
-    assert_eq!(
-        legacy.alpha_accuracy.to_bits(),
-        alpha.to_bits(),
-        "{label}: alpha_accuracy bits ({} vs {alpha})",
-        legacy.alpha_accuracy
+        alpha(a).to_bits(),
+        alpha(b).to_bits(),
+        "{label}: alpha_accuracy bits ({} vs {})",
+        alpha(a),
+        alpha(b)
     );
 }
 
-/// Run `spec` twice: once reconstructing the legacy report shape from
-/// the profile, once plain — the reconstruction must be lossless and
-/// the two runs deterministic.
+/// Run `spec` twice: the two runs must agree on the answer and on
+/// every accounting counter of their profiles.
 fn roundtrip(label: &str, smart: &SmartPsi, q: &PivotedQuery, spec: &RunSpec) {
-    let legacy = SmartPsiReport::from_result(smart.run(q, spec));
-    let r = smart.run(q, spec);
-    assert_equivalent(label, &legacy, &r);
+    let first = smart.run(q, spec);
+    let again = smart.run(q, spec);
+    assert!(first.profile.is_some(), "{label}: run always attaches a profile");
+    assert_equivalent(label, &first, &again);
 }
 
 // ---------------------------------------------------------------------

@@ -70,23 +70,6 @@ pub fn psi_by_enumeration<M: SubgraphMatcher>(
     }
 }
 
-/// [`psi_by_enumeration`] with observability: the whole enumeration
-/// runs inside a [`psi_obs::Phase::ExactFallback`] span and its step
-/// count feeds [`psi_obs::Counter::Steps`].
-pub fn psi_by_enumeration_recorded<M: SubgraphMatcher>(
-    engine: &M,
-    g: &Graph,
-    query: &PivotedQuery,
-    budget: &SearchBudget,
-    rec: &dyn psi_obs::Recorder,
-) -> PsiAnswer {
-    let answer = psi_obs::timed(rec, psi_obs::Phase::ExactFallback, || {
-        psi_by_enumeration(engine, g, query, budget)
-    });
-    rec.add(psi_obs::Counter::Steps, answer.steps);
-    answer
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

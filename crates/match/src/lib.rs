@@ -47,7 +47,7 @@ pub mod vf2;
 
 pub use budget::{BudgetOutcome, SearchBudget};
 pub use common::{EnumerationResult, Embedding, MatchStats, PanicIsolated, SubgraphMatcher};
-pub use counting::{count_embeddings, psi_by_enumeration, psi_by_enumeration_recorded};
+pub use counting::{count_embeddings, psi_by_enumeration};
 
 use psi_graph::Graph;
 

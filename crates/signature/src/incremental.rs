@@ -184,12 +184,7 @@ impl IncrementalSignatures {
         }
         let mirror = match kind {
             SigStoreKind::Dense => None,
-            SigStoreKind::Compact => {
-                Some(CompactStore::from_matrix(&sigs, false, default_scale(depth)))
-            }
-            SigStoreKind::CompactWide => {
-                Some(CompactStore::from_matrix(&sigs, true, default_scale(depth)))
-            }
+            SigStoreKind::Compact => Some(CompactStore::from_matrix(&sigs, default_scale(depth))),
         };
         Self {
             g,
@@ -674,7 +669,7 @@ mod tests {
             }
         }
         assert_matches_batch(&inc);
-        let fresh = CompactStore::from_matrix(inc.signatures(), false, default_scale(2));
+        let fresh = CompactStore::from_matrix(inc.signatures(), default_scale(2));
         let mut got = vec![0.0f32; inc.label_capacity()];
         let mut want = vec![0.0f32; inc.label_capacity()];
         assert_eq!(inc.store().node_count(), inc.graph().node_count());

@@ -44,7 +44,7 @@ pub mod store;
 pub use explore::exploration_signatures;
 pub use incremental::{IncrementalSignatures, RepairStats};
 pub use key::SignatureKey;
-pub use matrix::{matrix_signatures, matrix_signatures_recorded};
+pub use matrix::matrix_signatures;
 pub use score::{satisfiability_score, satisfies, SATISFACTION_EPSILON};
 pub use store::{default_scale, CompactStore, SigStore, SigStoreKind, SignatureStore};
 

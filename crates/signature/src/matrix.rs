@@ -15,18 +15,8 @@
 //! notion of label proximity and are what SmartPSI actually deploys.
 
 use psi_graph::Graph;
-use psi_obs::{timed, Counter, Phase, Recorder};
 
 use crate::SignatureMatrix;
-
-/// [`matrix_signatures`] with observability: the whole build runs
-/// inside a [`Phase::Signature`] span and the number of computed rows
-/// feeds [`Counter::SignatureRows`].
-pub fn matrix_signatures_recorded(g: &Graph, depth: u32, rec: &dyn Recorder) -> SignatureMatrix {
-    let sigs = timed(rec, Phase::Signature, || matrix_signatures(g, depth));
-    rec.add(Counter::SignatureRows, g.node_count() as u64);
-    sigs
-}
 
 /// Compute all node signatures by `depth` passes of the matrix
 /// recurrence.

@@ -11,10 +11,9 @@
 //!
 //! * **Dense** — the existing [`SignatureMatrix`]: bit-exact paper
 //!   reproduction, the default for every repro path.
-//! * **Compact** — [`CompactStore`]: saturating fixed-point counters
-//!   (u8 or u16 per label) plus a label-presence bitset fused in front
-//!   of the count compare as a stage-1 fast path (reject before
-//!   compare).
+//! * **Compact** — [`CompactStore`]: saturating u8 fixed-point
+//!   counters plus a label-presence bitset fused in front of the count
+//!   compare as a stage-1 fast path (reject before compare).
 //!
 //! ## Why quantization cannot change an answer
 //!
@@ -108,19 +107,14 @@ pub enum SigStoreKind {
     /// Saturating u8 counters + presence bitset — ~1.1 bytes per
     /// (node, label), exact valid sets (see the module docs).
     Compact,
-    /// Saturating u16 counters + presence bitset — ~2.1 bytes per
-    /// (node, label); for graphs whose hubs overflow u8 counters so
-    /// often that pruning power matters more than the last 2×.
-    CompactWide,
 }
 
 impl SigStoreKind {
-    /// Parse a CLI/config spelling (`dense`, `compact`, `compact16`).
+    /// Parse a CLI/config spelling (`dense`, `compact`, `compact8`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "dense" => Some(Self::Dense),
             "compact" | "compact8" => Some(Self::Compact),
-            "compact16" | "compact-wide" => Some(Self::CompactWide),
             _ => None,
         }
     }
@@ -130,7 +124,6 @@ impl SigStoreKind {
         match self {
             Self::Dense => "dense",
             Self::Compact => "compact",
-            Self::CompactWide => "compact16",
         }
     }
 }
@@ -338,84 +331,14 @@ impl SignatureStore for SignatureMatrix {
     }
 }
 
-/// The counter slab of a [`CompactStore`]: one saturating fixed-point
-/// counter per (node, label).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum CountSlab {
-    U8(Vec<u8>),
-    U16(Vec<u16>),
-}
-
-impl CountSlab {
-    fn cap(&self) -> u32 {
-        match self {
-            CountSlab::U8(_) => u8::MAX as u32,
-            CountSlab::U16(_) => u16::MAX as u32,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            CountSlab::U8(v) => v.len(),
-            CountSlab::U16(v) => v.len(),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        match self {
-            CountSlab::U8(v) => v.len(),
-            CountSlab::U16(v) => v.len() * 2,
-        }
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> u32 {
-        match self {
-            CountSlab::U8(v) => v[i] as u32,
-            CountSlab::U16(v) => v[i] as u32,
-        }
-    }
-
-    fn set(&mut self, i: usize, q: u32) {
-        match self {
-            CountSlab::U8(v) => v[i] = q as u8,
-            CountSlab::U16(v) => v[i] = q as u16,
-        }
-    }
-
-    fn grow(&mut self, by: usize) {
-        match self {
-            CountSlab::U8(v) => v.resize(v.len() + by, 0),
-            CountSlab::U16(v) => v.resize(v.len() + by, 0),
-        }
-    }
-
-    fn empty_like(&self, capacity: usize) -> CountSlab {
-        match self {
-            CountSlab::U8(_) => CountSlab::U8(Vec::with_capacity(capacity)),
-            CountSlab::U16(_) => CountSlab::U16(Vec::with_capacity(capacity)),
-        }
-    }
-
-    fn extend_from(&mut self, other: &CountSlab, range: std::ops::Range<usize>) {
-        match (self, other) {
-            (CountSlab::U8(dst), CountSlab::U8(src)) => dst.extend_from_slice(&src[range]),
-            (CountSlab::U16(dst), CountSlab::U16(src)) => dst.extend_from_slice(&src[range]),
-            // `empty_like` / `gather` / `truncated_compact` always pair
-            // a slab with its own width.
-            _ => unreachable!("mismatched slab widths"),
-        }
-    }
-}
-
-/// Quantized compact signature index: saturating fixed-point counters
-/// (u8 or u16 per label) with a label-presence bitset fused in front of
-/// every satisfaction test as the stage-1 fast path.
+/// Quantized compact signature index: saturating u8 fixed-point
+/// counters, one per (node, label), with a label-presence bitset fused
+/// in front of every satisfaction test as the stage-1 fast path.
 ///
 /// The presence tier stores one bit per (node, label) — set iff the
 /// quantized counter is non-zero — so a candidate missing *any* label
 /// the query needs is rejected by bit tests on a 64-label word without
-/// ever touching the counter slab. At u8 width the whole index costs
+/// ever touching the counter slab. The whole index costs
 /// `|V| · (|L| + |L|/8)` bytes ≈ 28% of the dense f32 matrix.
 ///
 /// Answer exactness under quantization and saturation is argued in the
@@ -423,21 +346,20 @@ impl CountSlab {
 /// (`crates/core/tests/compact.rs`) enforces it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompactStore {
-    counts: CountSlab,
+    counts: Vec<u8>,
     /// Presence bitset, `words_per_row` u64 words per node row.
     presence: Vec<u64>,
     words_per_row: usize,
     label_count: usize,
     /// Fixed-point scale: stored counter ≈ `weight · scale`, clipped at
-    /// the slab's cap.
+    /// [`CompactStore::cap`].
     scale: f32,
 }
 
 impl CompactStore {
     /// Quantize a dense matrix at `scale` (see [`default_scale`]).
-    /// `wide` selects u16 counters instead of u8.
-    pub fn from_matrix(m: &SignatureMatrix, wide: bool, scale: f32) -> Self {
-        let mut out = Self::empty(m.label_count(), wide, scale);
+    pub fn from_matrix(m: &SignatureMatrix, scale: f32) -> Self {
+        let mut out = Self::empty(m.label_count(), scale);
         for n in 0..m.node_count() as NodeId {
             out.push_row(m.row(n));
         }
@@ -446,14 +368,10 @@ impl CompactStore {
 
     /// An empty store ready to absorb rows via
     /// [`SignatureStore::push_row`].
-    pub fn empty(label_count: usize, wide: bool, scale: f32) -> Self {
+    pub fn empty(label_count: usize, scale: f32) -> Self {
         assert!(scale > 0.0, "quantization scale must be positive");
         Self {
-            counts: if wide {
-                CountSlab::U16(Vec::new())
-            } else {
-                CountSlab::U8(Vec::new())
-            },
+            counts: Vec::new(),
             presence: Vec::new(),
             words_per_row: label_count.div_ceil(64),
             label_count,
@@ -466,14 +384,9 @@ impl CompactStore {
         self.scale
     }
 
-    /// The saturation cap of the counter slab (255 or 65535).
+    /// The saturation cap of the counter slab (255).
     pub fn cap(&self) -> u32 {
-        self.counts.cap()
-    }
-
-    /// Whether this store uses u16 counters.
-    pub fn is_wide(&self) -> bool {
-        matches!(self.counts, CountSlab::U16(_))
+        u8::MAX as u32
     }
 
     /// Monotone saturating quantization: `min(cap, round(w · scale))`.
@@ -484,12 +397,12 @@ impl CompactStore {
     pub fn quantize(&self, w: f32) -> u32 {
         // `as u32` saturates on overflow and clamps negatives to 0;
         // weights are non-negative by construction.
-        ((w * self.scale + 0.5) as u32).min(self.counts.cap())
+        ((w * self.scale + 0.5) as u32).min(self.cap())
     }
 
     #[inline]
     fn count(&self, n: NodeId, l: usize) -> u32 {
-        self.counts.get(n as usize * self.label_count + l)
+        self.counts[n as usize * self.label_count + l] as u32
     }
 
     #[inline]
@@ -508,12 +421,12 @@ impl CompactStore {
             self.label_count
         );
         let nodes = self.node_count();
-        let mut out = Self::empty(label_count, self.is_wide(), self.scale);
-        out.counts = self.counts.empty_like(nodes * label_count);
+        let mut out = Self::empty(label_count, self.scale);
+        out.counts.reserve(nodes * label_count);
         out.presence.reserve(nodes * out.words_per_row);
         for n in 0..nodes {
             let base = n * self.label_count;
-            out.counts.extend_from(&self.counts, base..base + label_count);
+            out.counts.extend_from_slice(&self.counts[base..base + label_count]);
             let prow = self.presence_row(n as NodeId);
             for (w, &word) in prow.iter().take(out.words_per_row).enumerate() {
                 let mut word = word;
@@ -530,11 +443,7 @@ impl CompactStore {
 
 impl SignatureStore for CompactStore {
     fn kind(&self) -> SigStoreKind {
-        if self.is_wide() {
-            SigStoreKind::CompactWide
-        } else {
-            SigStoreKind::Compact
-        }
+        SigStoreKind::Compact
     }
 
     fn node_count(&self) -> usize {
@@ -546,7 +455,7 @@ impl SignatureStore for CompactStore {
     }
 
     fn index_bytes(&self) -> usize {
-        self.counts.bytes() + self.presence.len() * std::mem::size_of::<u64>()
+        self.counts.len() + self.presence.len() * std::mem::size_of::<u64>()
     }
 
     fn write_row(&self, n: NodeId, out: &mut [f32]) {
@@ -646,7 +555,7 @@ impl SignatureStore for CompactStore {
             // Stage 2 — saturating counter compares on the needed
             // labels only.
             let base = (start + i) * self.label_count;
-            *slot = needs.iter().all(|&(l, needed)| self.counts.get(base + l) >= needed);
+            *slot = needs.iter().all(|&(l, needed)| self.counts[base + l] as u32 >= needed);
         }
     }
 
@@ -662,19 +571,19 @@ impl SignatureStore for CompactStore {
             let base = (start + i) * self.label_count;
             let mut sum = 0.0f32;
             for &(l, w) in &active {
-                sum += (self.counts.get(base + l) as f32 / self.scale) / w;
+                sum += (self.counts[base + l] as f32 / self.scale) / w;
             }
             *slot = sum / terms as f32;
         }
     }
 
     fn gather(&self, ids: &[NodeId]) -> SigStore {
-        let mut out = Self::empty(self.label_count, self.is_wide(), self.scale);
-        out.counts = self.counts.empty_like(ids.len() * self.label_count);
+        let mut out = Self::empty(self.label_count, self.scale);
+        out.counts.reserve(ids.len() * self.label_count);
         out.presence.reserve(ids.len() * self.words_per_row);
         for &n in ids {
             let base = n as usize * self.label_count;
-            out.counts.extend_from(&self.counts, base..base + self.label_count);
+            out.counts.extend_from_slice(&self.counts[base..base + self.label_count]);
             out.presence.extend_from_slice(self.presence_row(n));
         }
         SigStore::Compact(out)
@@ -687,7 +596,7 @@ impl SignatureStore for CompactStore {
     fn push_row(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.label_count, "row width mismatch");
         let n = self.node_count();
-        self.counts.grow(self.label_count);
+        self.counts.resize(self.counts.len() + self.label_count, 0);
         self.presence.resize(self.presence.len() + self.words_per_row, 0);
         self.set_row(n as NodeId, row);
     }
@@ -701,7 +610,8 @@ impl SignatureStore for CompactStore {
         }
         for (l, &v) in row.iter().enumerate() {
             let q = self.quantize(v);
-            self.counts.set(base + l, q);
+            // `quantize` clips at the u8 cap, so the cast is exact.
+            self.counts[base + l] = q as u8;
             if q > 0 {
                 self.presence[pbase + (l >> 6)] |= 1u64 << (l & 63);
             }
@@ -729,10 +639,7 @@ impl SigStore {
     pub fn from_matrix(m: SignatureMatrix, kind: SigStoreKind, scale: f32) -> Self {
         match kind {
             SigStoreKind::Dense => SigStore::Dense(m),
-            SigStoreKind::Compact => SigStore::Compact(CompactStore::from_matrix(&m, false, scale)),
-            SigStoreKind::CompactWide => {
-                SigStore::Compact(CompactStore::from_matrix(&m, true, scale))
-            }
+            SigStoreKind::Compact => SigStore::Compact(CompactStore::from_matrix(&m, scale)),
         }
     }
 
@@ -889,7 +796,7 @@ mod tests {
     #[test]
     fn quantization_is_lossless_on_the_signature_grid() {
         let m = paper_matrix();
-        let c = CompactStore::from_matrix(&m, false, default_scale(2));
+        let c = CompactStore::from_matrix(&m, default_scale(2));
         let mut buf = vec![0.0; m.label_count()];
         for n in 0..m.node_count() as NodeId {
             c.write_row(n, &mut buf);
@@ -900,22 +807,20 @@ mod tests {
     #[test]
     fn satisfies_and_score_match_dense_below_cap() {
         let m = paper_matrix();
-        for wide in [false, true] {
-            let c = CompactStore::from_matrix(&m, wide, default_scale(2));
-            for n in 0..m.node_count() as NodeId {
-                for q in 0..m.node_count() as NodeId {
-                    let qrow = m.row(q);
-                    assert_eq!(
-                        c.row_satisfies(n, qrow),
-                        satisfies(m.row(n), qrow),
-                        "satisfies({n}, {q}) wide={wide}"
-                    );
-                    assert_eq!(
-                        c.row_score(n, qrow).to_bits(),
-                        satisfiability_score(m.row(n), qrow).to_bits(),
-                        "score({n}, {q}) wide={wide}"
-                    );
-                }
+        let c = CompactStore::from_matrix(&m, default_scale(2));
+        for n in 0..m.node_count() as NodeId {
+            for q in 0..m.node_count() as NodeId {
+                let qrow = m.row(q);
+                assert_eq!(
+                    c.row_satisfies(n, qrow),
+                    satisfies(m.row(n), qrow),
+                    "satisfies({n}, {q})"
+                );
+                assert_eq!(
+                    c.row_score(n, qrow).to_bits(),
+                    satisfiability_score(m.row(n), qrow).to_bits(),
+                    "score({n}, {q})"
+                );
             }
         }
     }
@@ -932,7 +837,7 @@ mod tests {
             ],
             3,
         );
-        let c = CompactStore::from_matrix(&m, false, 4.0);
+        let c = CompactStore::from_matrix(&m, 4.0);
         assert_eq!(c.cap(), 255);
         assert!(c.quantize(500.0) == 255 && c.quantize(400.0) == 255);
         assert!(satisfies(m.row(0), m.row(1)), "dense ground truth");
@@ -949,27 +854,24 @@ mod tests {
     fn quantized_filter_is_conservative_on_random_rows() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(42);
-        for wide in [false, true] {
-            for _ in 0..200 {
-                let l = rng.gen_range(1..9usize);
-                let cand: Vec<f32> = (0..l).map(|_| rng.gen_range(0..400) as f32 * 0.25).collect();
-                // True matches by construction: query <= candidate.
-                let query: Vec<f32> =
-                    cand.iter().map(|&c| c * rng.gen_range(0.0..=1.0f32)).collect();
-                let m = SignatureMatrix::from_flat(cand.clone(), l);
-                let c = CompactStore::from_matrix(&m, wide, 4.0);
-                assert!(
-                    c.row_satisfies(0, &query),
-                    "true match pruned: cand {cand:?} query {query:?} wide {wide}"
-                );
-            }
+        for _ in 0..200 {
+            let l = rng.gen_range(1..9usize);
+            let cand: Vec<f32> = (0..l).map(|_| rng.gen_range(0..400) as f32 * 0.25).collect();
+            // True matches by construction: query <= candidate.
+            let query: Vec<f32> = cand.iter().map(|&c| c * rng.gen_range(0.0..=1.0f32)).collect();
+            let m = SignatureMatrix::from_flat(cand.clone(), l);
+            let c = CompactStore::from_matrix(&m, 4.0);
+            assert!(
+                c.row_satisfies(0, &query),
+                "true match pruned: cand {cand:?} query {query:?}"
+            );
         }
     }
 
     #[test]
     fn presence_tier_rejects_missing_labels() {
         let m = SignatureMatrix::from_flat(vec![1.0, 0.0, 2.0], 3);
-        let c = CompactStore::from_matrix(&m, false, 4.0);
+        let c = CompactStore::from_matrix(&m, 4.0);
         // Label 1 is absent from the candidate: one presence bit test.
         assert!(!c.row_satisfies(0, &[0.0, 0.25, 0.0]));
         assert!(c.row_satisfies(0, &[1.0, 0.0, 2.0]));
@@ -978,7 +880,7 @@ mod tests {
     #[test]
     fn tail_labels_beyond_alphabet_follow_dense_rule() {
         let m = SignatureMatrix::from_flat(vec![1.0, 1.0], 2);
-        let c = CompactStore::from_matrix(&m, false, 4.0);
+        let c = CompactStore::from_matrix(&m, 4.0);
         assert!(!c.row_satisfies(0, &[1.0, 0.0, 0.5]));
         assert!(c.row_satisfies(0, &[1.0, 0.0, 0.0]));
     }
@@ -1002,7 +904,7 @@ mod tests {
 
     #[test]
     fn push_and_set_row_maintain_presence() {
-        let mut c = CompactStore::empty(70, false, 4.0);
+        let mut c = CompactStore::empty(70, 4.0);
         let mut row = vec![0.0f32; 70];
         row[0] = 1.0;
         row[69] = 2.5;
@@ -1026,7 +928,7 @@ mod tests {
     fn index_bytes_undercut_dense_by_three_x() {
         let m = SignatureMatrix::zeroed(1000, 64);
         let dense_bytes = SignatureStore::index_bytes(&m);
-        let c = CompactStore::from_matrix(&m, false, 4.0);
+        let c = CompactStore::from_matrix(&m, 4.0);
         assert_eq!(dense_bytes, 1000 * 64 * 4);
         assert!(
             SignatureStore::index_bytes(&c) * 3 <= dense_bytes,
@@ -1041,7 +943,6 @@ mod tests {
         let stores: Vec<SigStore> = vec![
             SigStore::Dense(m.clone()),
             SigStore::from_matrix(m.clone(), SigStoreKind::Compact, default_scale(2)),
-            SigStore::from_matrix(m.clone(), SigStoreKind::CompactWide, default_scale(2)),
         ];
         let nodes = m.node_count() as NodeId;
         for store in &stores {
@@ -1142,10 +1043,11 @@ mod tests {
 
     #[test]
     fn kind_parse_roundtrip() {
-        for k in [SigStoreKind::Dense, SigStoreKind::Compact, SigStoreKind::CompactWide] {
+        for k in [SigStoreKind::Dense, SigStoreKind::Compact] {
             assert_eq!(SigStoreKind::parse(k.name()), Some(k));
         }
         assert_eq!(SigStoreKind::parse("sparse"), None);
+        assert_eq!(SigStoreKind::parse("compact16"), None);
     }
 
     #[test]

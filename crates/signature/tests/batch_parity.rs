@@ -8,7 +8,7 @@
 //! verdict can never diverge from the per-row call it replaces. The
 //! per-row method is the `chunk = 1` case by construction; this suite
 //! pins the SoA overrides (f32 chunks for Dense, presence-bitset words
-//! for Compact/CompactWide) to it over random matrices, random query
+//! for Compact) to it over random matrices, random query
 //! rows, and random subranges, plus the chunk-boundary edge cases —
 //! empty range, unaligned tail, full matrix.
 
@@ -17,11 +17,7 @@ use psi_graph::builder::graph_from;
 use psi_graph::Graph;
 use psi_signature::{default_scale, matrix_signatures, SigStore, SigStoreKind, SignatureStore};
 
-const KINDS: [SigStoreKind; 3] = [
-    SigStoreKind::Dense,
-    SigStoreKind::Compact,
-    SigStoreKind::CompactWide,
-];
+const KINDS: [SigStoreKind; 2] = [SigStoreKind::Dense, SigStoreKind::Compact];
 
 fn random_graph() -> impl Strategy<Value = Graph> {
     (2usize..=48, any::<u64>()).prop_map(|(n, seed)| {

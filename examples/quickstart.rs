@@ -9,7 +9,6 @@
 
 use smartpsi::core::obs::Counter;
 use smartpsi::core::single::{psi_with_strategy, RunOptions};
-use smartpsi::core::twothread::two_threaded_psi;
 use smartpsi::core::{RunSpec, SmartPsi, SmartPsiConfig, Strategy};
 use smartpsi::graph::{builder::graph_from, PivotedQuery};
 use smartpsi::matching::{psi_by_enumeration, turboiso::turboiso_plus_psi, Engine, SearchBudget};
@@ -48,13 +47,14 @@ fn main() {
     let opts = RunOptions::default();
     let opt = psi_with_strategy(&g, &q, Strategy::optimistic(), &opts);
     let pes = psi_with_strategy(&g, &q, Strategy::pessimistic(), &opts);
-    let two = two_threaded_psi(&g, &q, &opts);
     println!("Optimistic               : valid = {:?}, steps = {}", opt.valid, opt.steps);
     println!("Pessimistic              : valid = {:?}, steps = {}", pes.valid, pes.steps);
-    println!("Two-threaded baseline    : valid = {:?}, steps = {}", two.valid, two.steps);
 
-    // --- SmartPSI (the realist).
+    // --- One deployment, every executor behind `SmartPsi::run`: the
+    // §4.1 two-threaded race, then SmartPSI (the realist).
     let smart = SmartPsi::new(g, SmartPsiConfig::default());
+    let two = smart.run(&q, &RunSpec::new().two_thread());
+    println!("Two-threaded baseline    : valid = {:?}, steps = {}", two.valid, two.steps);
     let result = smart.run(&q, &RunSpec::new());
     let trained = result.profile.as_ref().map_or(0, |p| p.counter(Counter::TrainedNodes));
     println!(

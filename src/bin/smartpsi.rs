@@ -20,7 +20,6 @@ use std::process::ExitCode;
 
 use smartpsi::core::obs::MetricsRecorder;
 use smartpsi::core::single::{psi_with_strategy_presig, RunOptions};
-use smartpsi::core::twothread::two_threaded_psi;
 use smartpsi::core::{
     install_quiet_panic_hook, DeploymentSpec, FailureReport, FaultPlan, RunSpec, SmartPsi,
     SmartPsiConfig, Strategy,
@@ -425,8 +424,16 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
             }
         }
         "twothread" => {
+            // The §4.1 race over the deployment's precomputed
+            // signatures, built once for the whole workload.
+            let config = SmartPsiConfig {
+                fault: fault.clone(),
+                ..SmartPsiConfig::default()
+            };
+            let smart = SmartPsi::new(g.clone(), config);
+            let spec = RunSpec::new().two_thread();
             for (i, q) in w.queries.iter().enumerate() {
-                let r = two_threaded_psi(&g, q, &run_opts);
+                let r = smart.run(q, &spec);
                 print_query_line(i, r.count(), r.steps, &r.failures);
                 total_valid += r.count();
                 total_failures.merge(&r.failures);

@@ -79,6 +79,18 @@ fn full_pipeline_via_cli() {
             .map(|l| l.split_whitespace().nth(1).unwrap().to_string())
     };
     assert_eq!(totals(&stdout(&smart)), totals(&stdout(&pess)));
+    let two = run(&[
+        "query", "--graph", graph_s, "--queries", queries_s, "--engine", "twothread",
+    ]);
+    assert!(two.status.success(), "{}", String::from_utf8_lossy(&two.stderr));
+    assert_eq!(totals(&stdout(&smart)), totals(&stdout(&two)));
+
+    // Only the u8 compact store exists; the old u16 spelling is refused
+    // with the accepted values.
+    let o = run(&["stats", "--graph", graph_s, "--sig-store", "compact16"]);
+    assert!(!o.status.success());
+    let err = String::from_utf8_lossy(&o.stderr);
+    assert!(err.contains("'compact16'") && err.contains("dense|compact"), "{err}");
 
     // mine
     let o = run(&[

@@ -3,7 +3,6 @@
 //! cross-check all answers.
 
 use smartpsi::core::single::{psi_with_strategy_presig, RunOptions};
-use smartpsi::core::twothread::two_threaded_psi;
 use smartpsi::core::{RunSpec, SmartPsi, SmartPsiConfig, Strategy};
 use smartpsi::datasets::{PaperDataset, QueryWorkload};
 use smartpsi::graph::GraphStats;
@@ -48,7 +47,7 @@ fn all_engines_agree_end_to_end() {
                 psi_with_strategy_presig(&g, &sigs, q, Strategy::pessimistic(), &opts).valid,
                 oracle
             );
-            assert_eq!(two_threaded_psi(&g, q, &opts).valid, oracle);
+            assert_eq!(smart.run(q, &RunSpec::new().two_thread()).valid, oracle);
             assert_eq!(smart.run(q, &RunSpec::new()).valid, oracle);
             checked += 1;
         }
