@@ -17,7 +17,7 @@ cargo clippy --all-targets --offline -- -D warnings
 
 # Every workspace crate's suites, not just the root package's: the
 # differential suites that pin exactness (service, sharded, evolving,
-# compact, adaptive, net, ...) live in crates/*.
+# compact, net, ...) live in crates/*.
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q --offline
 
@@ -99,16 +99,6 @@ cargo run --release --offline -p psi-bench --bin compact
 # host block records the core count that explains it.
 echo "==> parallel scaling bench (work stealing >= 2x static at 8 threads)"
 PSI_FIG9_SCALING_ONLY=1 cargo run --release --offline -p psi-bench --bin fig9
-
-# Adaptive-serving guard: on a drifting query stream (mid-stream
-# update skews a label's population) the adapting deployment must beat
-# the frozen per-query convention post-drift on method-prediction
-# accuracy AND stay within slack on total steps, with verdicts
-# bit-identical between the arms on every job (asserted inside the
-# binary with PSI_ADAPTIVE_SLACK, default 1.05; also writes
-# BENCH_adaptive.json).
-echo "==> adaptive serving bench (adaptive beats frozen post-drift)"
-cargo run --release --offline -p psi-bench --bin adaptive
 
 # Quarantined tests are opted out with #[ignore = "reason"]; listing
 # them keeps the quarantine visible in every CI log. (The suite is

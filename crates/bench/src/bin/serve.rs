@@ -27,13 +27,6 @@
 //! also cross-checks every service answer against the sequential
 //! reference — a throughput win with wrong answers is no win.
 //!
-//! Setting `PSI_ADAPT_CADENCE` (queries per refit) and/or
-//! `PSI_ADAPT_EPSILON` (exploration floor in `[0,1]`) turns the online
-//! α/β adaptation loop on for the service arm. Adaptation keeps
-//! verdicts exact, so the correctness cross-check still compares valid
-//! sets — but costs legitimately drift from the frozen reference, so
-//! the bit-identity comparison relaxes to verdict identity.
-//!
 //! [`PsiService`]: psi_core::PsiService
 //! [`GraphContext`]: psi_core::GraphContext
 
@@ -65,21 +58,7 @@ fn shuffle<T>(items: &mut [T], seed: u64) {
 
 fn main() {
     let slack = slack("PSI_SERVE_SLACK", 1.15);
-    let adapt_cadence: Option<u64> = std::env::var("PSI_ADAPT_CADENCE")
-        .ok()
-        .and_then(|s| s.parse().ok());
-    let adapt_epsilon: Option<f64> = std::env::var("PSI_ADAPT_EPSILON")
-        .ok()
-        .and_then(|s| s.parse().ok());
-    let adaptive = adapt_cadence.is_some() || adapt_epsilon.is_some();
-    let deploy_spec = || {
-        let spec = DeploymentSpec::new().workers(WORKERS);
-        if adaptive {
-            spec.adaptive(adapt_cadence.unwrap_or(32), adapt_epsilon.unwrap_or(0.05))
-        } else {
-            spec
-        }
-    };
+    let deploy_spec = DeploymentSpec::new().workers(WORKERS);
 
     // A labeled graph keeps individual queries cheap, so per-job pool
     // setup is a real fraction of the bill — the regime a query stream
@@ -144,7 +123,7 @@ fn main() {
         // are all inside the timed region — the service pays its setup
         // once, not per job.
         let (_, t) = time(|| {
-            let service = smart.deploy(&deploy_spec());
+            let service = smart.deploy(&deploy_spec);
             let handles: Vec<_> = order
                 .iter()
                 .map(|&i| service.submit(queries[i].clone(), RunSpec::new()))
@@ -174,26 +153,13 @@ fn main() {
     // Untimed verification pass: every service answer must be
     // bit-identical to the sequential reference, and the shared cache
     // must actually carry cross-query traffic.
-    let service = smart.deploy(&deploy_spec());
+    let service = smart.deploy(&deploy_spec);
     let handles: Vec<(usize, _)> = order
         .iter()
         .map(|&i| (i, service.submit(queries[i].clone(), RunSpec::new())))
         .collect();
     for (i, h) in handles {
-        let got = h.wait();
-        if adaptive {
-            // Refit models and ε-exploration change costs, never
-            // verdicts.
-            assert_eq!(got.valid, truth[i].valid, "adaptive service verdicts diverged on query {i}");
-        } else {
-            assert_eq!(got, truth[i], "service diverged from sequential on query {i}");
-        }
-    }
-    if let Some(a) = service.adaptive_stats() {
-        eprintln!(
-            "[serve] adaptive: {} feedback rows, {} refits, {} explorations",
-            a.feedback_samples, a.refits, a.exploration_runs
-        );
+        assert_eq!(h.wait(), truth[i], "service diverged from sequential on query {i}");
     }
     let stats = service.stats();
     drop(service);

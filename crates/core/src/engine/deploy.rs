@@ -4,7 +4,7 @@
 //!
 //! ```text
 //!   {workers} × {1 shard | k shards} × {static | evolving}
-//!             × {dense | compact} × {frozen | adaptive}
+//!             × {dense | compact}
 //! ```
 //!
 //! resolved by a single call, [`SmartPsi::deploy`], into the one
@@ -32,7 +32,6 @@
 
 use psi_signature::SigStoreKind;
 
-use crate::engine::adapt::AdaptiveConfig;
 use crate::engine::shard::{ShardBalance, DEFAULT_HALO_DEPTH};
 
 /// Builder-style description of one serving deployment: worker count,
@@ -47,7 +46,6 @@ pub struct DeploymentSpec {
     balance: ShardBalance,
     sig_store: Option<SigStoreKind>,
     evolving: Option<usize>,
-    adaptive: Option<AdaptiveConfig>,
 }
 
 impl DeploymentSpec {
@@ -103,30 +101,6 @@ impl DeploymentSpec {
         self
     }
 
-    /// Enable the online α/β adaptation loop: every served query
-    /// feeds its `(features, method, outcome, steps)` back into a
-    /// bounded reservoir, an `epsilon` fraction of queries explores
-    /// the non-predicted method, and pooled models are refit every
-    /// `cadence` queries (0 = refit only on drift).
-    /// Off by default — a frozen deployment stays bit-identical to
-    /// pre-adaptive behavior. Tune capacity/seed via
-    /// [`DeploymentSpec::adaptive_config`] with a hand-built
-    /// [`AdaptiveConfig`]. A sharded deployment's shards collect
-    /// feedback while one coordinator explores and refits merged
-    /// models over all of them.
-    pub fn adaptive(mut self, cadence: u64, epsilon: f64) -> Self {
-        self.adaptive = Some(AdaptiveConfig::new(cadence, epsilon));
-        self
-    }
-
-    /// Enable adaptation with a fully specified [`AdaptiveConfig`]
-    /// (reservoir capacity, ε seed) instead of the
-    /// [`DeploymentSpec::adaptive`] defaults.
-    pub fn adaptive_config(mut self, cfg: AdaptiveConfig) -> Self {
-        self.adaptive = Some(cfg);
-        self
-    }
-
     pub(crate) fn worker_count(&self) -> usize {
         self.workers.max(1)
     }
@@ -149,10 +123,6 @@ impl DeploymentSpec {
 
     pub(crate) fn store_kind(&self) -> Option<SigStoreKind> {
         self.sig_store
-    }
-
-    pub(crate) fn adaptive_cfg(&self) -> Option<AdaptiveConfig> {
-        self.adaptive
     }
 }
 

@@ -22,7 +22,10 @@
 //! unlimited run, and both methods are exact (§4.3). Hence the sorted
 //! `valid` vector and the `candidates`/`trained_nodes` counts are
 //! identical for any worker count, grab size, cache mode and run —
-//! property-tested in `determinism_across_worker_counts`.
+//! tested in `valid_set_is_identical_across_worker_counts_and_runs`
+//! (`tests/parallel_executor.rs`) and, under seeded faults, in
+//! `determinism_across_worker_counts_under_seeded_faults`
+//! (`crates/core/tests/fault_injection.rs`).
 //!
 //! **Limit observance.** A global deadline or cancel flag
 //! ([`EvalLimits`](crate::limits::EvalLimits)) is (a) threaded into
@@ -64,7 +67,7 @@ use crate::single::pivot_candidates;
 use crate::smart::{RunSpec, SmartPsiReport};
 
 use super::context::GraphContext;
-use super::ladder::{absorb_outcome, feedback_row, BatchPlan};
+use super::ladder::{absorb_outcome, BatchPlan};
 use super::pool;
 use super::training::{TrainOutcome, TrainedSession};
 
@@ -94,15 +97,12 @@ const DEFAULT_GRAB: usize = 8;
 /// two). More shards = less lock contention between pool workers.
 pub(crate) const CACHE_SHARDS: usize = 16;
 
-/// One cached conclusion: the confirmed (method, plan) indices, the
-/// cache epoch it was inserted in (for cross-query accounting), and
-/// the adapted-model version that predicted it (0 = the query's own
-/// per-query fit).
+/// One cached conclusion: the confirmed (method, plan) indices and the
+/// cache epoch it was inserted in (for cross-query accounting).
 #[derive(Debug, Clone, Copy)]
 struct CacheEntry {
     value: (usize, usize),
     epoch: u64,
-    model_version: u64,
 }
 
 /// One lock-protected slice of the prediction cache.
@@ -120,16 +120,6 @@ type CacheShard = Mutex<FxHashMap<SignatureKey, CacheEntry>>;
 /// epoch counts as one cross-query hit
 /// ([`PredictionCache::cross_query_hits`]). Per-run caches never
 /// advance the epoch, so the mechanism is free for them.
-///
-/// Entries also record the *adapted-model version* that produced them
-/// (0 = the query's own per-query fit, `n` = the deployment's n-th
-/// online refit). A versioned lookup
-/// ([`PredictionCache::get_versioned`]) misses on any entry predicted
-/// by a different model, so installing a refit implicitly invalidates
-/// every stale prediction — no sweep, the next query simply
-/// re-predicts and overwrites. Frozen deployments only ever use
-/// version 0, which keeps their hit pattern (and hence their results)
-/// bit-identical to the pre-adaptation behavior.
 pub struct PredictionCache {
     shards: Box<[CacheShard]>,
     mask: usize,
@@ -167,39 +157,19 @@ impl PredictionCache {
         (h.finish() as usize) & self.mask
     }
 
-    /// Look up a cached (method index, plan index) predicted by
-    /// model version 0 (the per-query fit).
+    /// Look up a cached (method index, plan index).
     pub fn get(&self, key: &SignatureKey) -> Option<(usize, usize)> {
-        self.get_versioned(key, 0)
-    }
-
-    /// Look up a cached (method index, plan index) — a hit only when
-    /// the entry was predicted by the given adapted-model version, so
-    /// predictions from superseded refits read as misses.
-    pub fn get_versioned(&self, key: &SignatureKey, model_version: u64) -> Option<(usize, usize)> {
         let entry = unpoison(self.shards[self.shard_of(key)].lock()).get(key).copied()?;
-        if entry.model_version != model_version {
-            return None;
-        }
         if entry.epoch < self.epoch.load(Ordering::Relaxed) {
             self.cross_epoch_hits.fetch_add(1, Ordering::Relaxed);
         }
         Some(entry.value)
     }
 
-    /// Publish a confirmed (method index, plan index) predicted by
-    /// model version 0 (the per-query fit).
+    /// Publish a confirmed (method index, plan index).
     pub fn insert(&self, key: SignatureKey, value: (usize, usize)) {
-        self.insert_versioned(key, 0, value);
-    }
-
-    /// Publish a confirmed (method index, plan index) predicted by the
-    /// given adapted-model version, overwriting any entry a different
-    /// version left behind.
-    pub fn insert_versioned(&self, key: SignatureKey, model_version: u64, value: (usize, usize)) {
         let epoch = self.epoch.load(Ordering::Relaxed);
-        unpoison(self.shards[self.shard_of(&key)].lock())
-            .insert(key, CacheEntry { value, epoch, model_version });
+        unpoison(self.shards[self.shard_of(&key)].lock()).insert(key, CacheEntry { value, epoch });
     }
 
     /// Mark a query boundary: entries inserted before this call count
@@ -290,20 +260,13 @@ impl GraphContext {
             }
             TrainOutcome::Trained(sess) => sess,
         };
-        let mut sess = sess;
-        if let Some(a) = &spec.adapted {
-            // Online-adapted forests replace the per-query fit (frozen
-            // fallback on a feature-layout mismatch); budgets and
-            // plans still come from this query's training pass.
-            sess.apply_adapted(a, self.sigs.label_count() + 1);
-        }
 
         // ---- Main loop over the remaining candidates -----------------
         let t_eval = Instant::now();
         let mut local = None;
         let cache = self.run_cache(spec, &mut local);
         // Phase A: one SoA prefilter sweep + survivor prediction.
-        let bp = self.batch_plan(&sess, cache, spec, rec);
+        let bp = self.batch_plan(&sess, cache, rec);
         let mut report = SmartPsiReport {
             result: PsiResult {
                 valid: Vec::new(),
@@ -312,7 +275,6 @@ impl GraphContext {
                 unresolved: 0,
                 failures: sess.failures.clone(),
                 profile: None,
-                feedback: Vec::new(),
             },
             timings: StageTimings::default(),
             trained_nodes: sess.n_train,
@@ -329,9 +291,6 @@ impl GraphContext {
             let out = self.eval_rest_node(&sess, &mut matcher, bp.pred(i), u, spec, rec);
             let stop = out.is_global_stop();
             absorb_outcome(&mut report, &mut alpha_correct, u, &out);
-            if let Some(row) = feedback_row(&bp, i, &out) {
-                report.result.feedback.push(row);
-            }
             if stop {
                 // Global limits fired: everything not yet evaluated is
                 // unresolved.
@@ -343,7 +302,6 @@ impl GraphContext {
         report.result.valid.extend_from_slice(&sess.train_valid);
         report.result.valid.sort_unstable();
         report.result.failures.sort();
-        report.result.feedback.sort_by_key(|f| f.node);
         report.result.steps += sess.train_steps;
         report.alpha_accuracy = if sess.rest.is_empty() {
             1.0
@@ -417,7 +375,6 @@ impl GraphContext {
             let mut merged = reports[0].clone();
             for r in &reports[1..] {
                 merged.result.valid.extend_from_slice(&r.result.valid);
-                merged.result.feedback.extend_from_slice(&r.result.feedback);
                 merged.result.steps += r.result.steps;
                 merged.result.candidates += r.result.candidates;
                 merged.result.unresolved += r.result.unresolved;
@@ -433,7 +390,6 @@ impl GraphContext {
             }
             merged.result.valid.sort_unstable();
             merged.result.failures.sort();
-            merged.result.feedback.sort_by_key(|f| f.node);
             merged.alpha_accuracy =
                 reports.iter().map(|r| r.alpha_accuracy).sum::<f64>() / reports.len() as f64;
             merged
@@ -495,9 +451,6 @@ fn run_grab(
         let out = ctx.eval_rest_node(sess, m, bp.pred(i), u, spec, rec);
         let stop = out.is_global_stop();
         absorb_outcome(&mut part.report, &mut part.alpha_correct, u, &out);
-        if let Some(row) = feedback_row(bp, i, &out) {
-            part.report.result.feedback.push(row);
-        }
         if stop {
             part.report.result.unresolved += end - i - 1;
             return (part, true);
@@ -560,10 +513,6 @@ pub(crate) fn work_stealing(
         }
         TrainOutcome::Trained(sess) => sess,
     };
-    let mut sess = sess;
-    if let Some(a) = &spec.adapted {
-        sess.apply_adapted(a, ctx.sigs.label_count() + 1);
-    }
 
     // A run-level external cache (attached by a PsiService) doubles as
     // the run's shared cache; otherwise the run owns a fresh one. With
@@ -577,7 +526,7 @@ pub(crate) fn work_stealing(
     // Phase A: the SoA prefilter sweep + survivor prediction, once,
     // before any worker attaches. Every executor sees this identical
     // plan, and grabs become contiguous same-(method, plan) ranges.
-    let bp = ctx.batch_plan(&sess, shared_cache, spec, rec);
+    let bp = ctx.batch_plan(&sess, shared_cache, rec);
 
     let pool = pool::global();
     pool.ensure(threads, rec);
@@ -695,7 +644,6 @@ pub(crate) fn work_stealing(
         let mut alpha_correct = 0usize;
         for p in &partials {
             report.result.valid.extend_from_slice(&p.report.result.valid);
-            report.result.feedback.extend_from_slice(&p.report.result.feedback);
             report.result.steps += p.report.result.steps;
             report.result.unresolved += p.report.result.unresolved;
             report.result.failures.merge(&p.report.result.failures);
@@ -708,7 +656,6 @@ pub(crate) fn work_stealing(
         }
         report.result.valid.sort_unstable();
         report.result.failures.sort();
-        report.result.feedback.sort_by_key(|f| f.node);
         report.alpha_accuracy = if sess.rest.is_empty() {
             1.0
         } else {
@@ -817,25 +764,6 @@ mod tests {
         cache.insert(key2.clone(), (1, 0));
         assert_eq!(cache.get(&key2), Some((1, 0)));
         assert_eq!(cache.cross_query_hits(), 2);
-    }
-
-    #[test]
-    fn cache_versions_isolate_refit_generations() {
-        let cache = PredictionCache::new(2);
-        let key = SignatureKey::exact(&[1.0, 2.0]);
-        // Version 0 (the per-query fit) is the unversioned API.
-        cache.insert(key.clone(), (1, 0));
-        assert_eq!(cache.get_versioned(&key, 0), Some((1, 0)));
-        // A refit bumps the model version: stale entries must miss, or
-        // the old models' verdicts outlive the models themselves.
-        assert_eq!(cache.get_versioned(&key, 1), None);
-        cache.insert_versioned(key.clone(), 1, (0, 2));
-        assert_eq!(cache.get_versioned(&key, 1), Some((0, 2)));
-        // The overwrite replaced the v0 entry wholesale — version 0
-        // now misses rather than serving a v1 prediction.
-        assert_eq!(cache.get(&key), None);
-        cache.insert(key.clone(), (1, 0));
-        assert_eq!(cache.get(&key), Some((1, 0)));
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::evaluator::{QueryContext, Verdict};
 use crate::fault::{eval_isolated, IsolatedOutcome, NodeMatcher};
 use crate::limits::EvalLimits;
 use crate::plan::heuristic_plan;
-use crate::report::{FailureReport, FeedbackRow, PsiResult, StageTimings};
+use crate::report::{FailureReport, PsiResult, StageTimings};
 use crate::smart::{RunSpec, SmartPsiReport};
 use crate::Strategy;
 
@@ -186,15 +186,6 @@ pub(crate) struct BatchPlan {
     /// `ids[..pruned]` failed the pivot-signature prefilter: provably
     /// invalid without running any matcher.
     pruned: usize,
-    /// Flattened per-slot feature rows (`feat_dim` floats per slot,
-    /// zeros for pruned slots), in the same grouped order as `ids`.
-    /// Populated only when the run collects feedback; `feat_dim == 0`
-    /// otherwise.
-    feats: Vec<f32>,
-    feat_dim: usize,
-    /// Whether the method column came from the ε-exploration floor
-    /// rather than Model α.
-    explored: bool,
 }
 
 impl BatchPlan {
@@ -211,38 +202,6 @@ impl BatchPlan {
             plan_idx: self.plan[i] as usize,
             cache_hit: self.cached[i],
         }
-    }
-
-    /// Slot `i`'s model feature vector, when the run collects feedback.
-    pub(crate) fn features(&self, i: usize) -> Option<&[f32]> {
-        if self.feat_dim == 0 {
-            return None;
-        }
-        Some(&self.feats[i * self.feat_dim..(i + 1) * self.feat_dim])
-    }
-}
-
-/// Build the training-feedback row for slot `i` of a batch plan, given
-/// the node's final outcome. `None` unless the run collects feedback
-/// AND the slot was predictor-adjudicated (survived the prefilter) AND
-/// the ladder reached a conclusive verdict — stage 3 is exact, so
-/// `valid` is always ground truth, never a guess.
-pub(crate) fn feedback_row(bp: &BatchPlan, i: usize, out: &NodeOutcome) -> Option<FeedbackRow> {
-    if i < bp.pruned {
-        return None;
-    }
-    let features = bp.features(i)?;
-    match out {
-        NodeOutcome::Done { verdict, stage, cost, .. } if *stage != 0 => Some(FeedbackRow {
-            node: bp.ids[i],
-            features: features.to_vec(),
-            method: bp.method[i],
-            plan: bp.plan[i] as usize,
-            explored: bp.explored,
-            valid: *verdict == Verdict::Valid,
-            steps: cost.steps,
-        }),
-        _ => None,
     }
 }
 
@@ -279,20 +238,10 @@ impl GraphContext {
     /// The plan is built before any worker spawns and is identical for
     /// every executor — which is what keeps answers and per-node costs
     /// bit-identical across worker counts.
-    ///
-    /// Two adaptive-serving knobs ride in via the spec: `feedback`
-    /// additionally materializes every survivor's feature vector into
-    /// the plan (so executors can emit [`FeedbackRow`]s without
-    /// re-touching the signature store), and `explore` forces every
-    /// survivor's *method* to the ε-floor's uniform draw — Model β
-    /// still picks the plan, and the prediction cache is bypassed in
-    /// both directions so explored runs never read or publish entries
-    /// (cache entries must stay confirmed model predictions).
     pub(crate) fn batch_plan(
         &self,
         sess: &TrainedSession,
         cache: Option<&PredictionCache>,
-        spec: &RunSpec,
         rec: &dyn Recorder,
     ) -> BatchPlan {
         let n = sess.rest.len();
@@ -317,17 +266,10 @@ impl GraphContext {
         // Pruned candidates are settled; only survivors pay the cache
         // probe and forest inference.
         let dim = self.sigs.label_count() + 1;
-        let want_feats = spec.feedback;
-        let explore = spec.explore;
         let mut method = vec![1u8; n];
         let mut plan = vec![0u16; n];
         let mut cached = vec![false; n];
-        let mut feats = if want_feats { vec![0.0f32; n * dim] } else { Vec::new() };
         timed(rec, Phase::Predict, || {
-            // Adapted sessions key the cache by refit version: a newly
-            // installed refit turns every older entry into a miss, so
-            // stale predictions never outlive the model that made them.
-            let ver = sess.adapted_version();
             let mut row_buf = Vec::new();
             let mut feat = Vec::with_capacity(dim);
             for i in 0..n {
@@ -335,26 +277,9 @@ impl GraphContext {
                     continue;
                 }
                 let row = self.sigs.row_view(sorted[i], &mut row_buf);
-                if want_feats {
-                    let dst = &mut feats[i * dim..(i + 1) * dim];
-                    dst[..dim - 1].copy_from_slice(row);
-                    dst[dim - 1] = scores[i];
-                }
-                if let Some(forced) = explore {
-                    // ε-exploration: the method is the floor's uniform
-                    // draw, the plan is still Model β's pick, and the
-                    // cache is untouched (neither probed nor fed).
-                    feat.clear();
-                    feat.extend_from_slice(row);
-                    feat.push(scores[i]);
-                    let (_, pi) = sess.predict(&feat, rec);
-                    method[i] = forced.min(1);
-                    plan[i] = pi.min(u16::MAX as usize) as u16;
-                    continue;
-                }
                 let key = cache.map(|_| SignatureKey::exact(row));
                 let hit = match (cache, &key) {
-                    (Some(c), Some(k)) => c.get_versioned(k, ver),
+                    (Some(c), Some(k)) => c.get(k),
                     _ => None,
                 };
                 cached[i] = hit.is_some();
@@ -366,7 +291,7 @@ impl GraphContext {
                         feat.push(scores[i]);
                         let v = sess.predict(&feat, rec);
                         if let (Some(c), Some(k)) = (cache, key) {
-                            c.insert_versioned(k, ver, v);
+                            c.insert(k, v);
                         }
                         v
                     }
@@ -378,24 +303,12 @@ impl GraphContext {
         let pruned = survives.iter().filter(|&&s| !s).count();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_unstable_by_key(|&i| (survives[i], method[i], plan[i], sorted[i]));
-        let feats = if want_feats {
-            let mut out = Vec::with_capacity(n * dim);
-            for &i in &order {
-                out.extend_from_slice(&feats[i * dim..(i + 1) * dim]);
-            }
-            out
-        } else {
-            Vec::new()
-        };
         BatchPlan {
             ids: order.iter().map(|&i| sorted[i]).collect(),
             method: order.iter().map(|&i| method[i]).collect(),
             plan: order.iter().map(|&i| plan[i]).collect(),
             cached: order.iter().map(|&i| cached[i]).collect(),
             pruned,
-            feats,
-            feat_dim: if want_feats { dim } else { 0 },
-            explored: explore.is_some(),
         }
     }
 
@@ -691,7 +604,6 @@ impl GraphContext {
                 unresolved,
                 failures,
                 profile: None,
-                feedback: Vec::new(),
             },
             timings: StageTimings {
                 training_and_prediction: std::time::Duration::ZERO,

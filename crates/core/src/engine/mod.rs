@@ -43,7 +43,6 @@
 //!
 //! [`SmartPsi`]: crate::SmartPsi
 
-pub mod adapt;
 pub mod context;
 pub mod deploy;
 pub mod evolve;
@@ -56,7 +55,6 @@ pub mod service;
 pub mod shard;
 pub mod training;
 
-pub use adapt::{AdaptedModels, AdaptiveConfig, AdaptiveStats, MIN_REFIT_SAMPLES};
 pub use context::{GraphContext, SmartPsiConfig};
 pub use deploy::DeploymentSpec;
 pub use evolve::{EvolvingContext, UpdateError, UpdateReport};

@@ -74,7 +74,7 @@ use std::time::{Duration, Instant};
 
 use psi_graph::hash::FxHashMap;
 use psi_graph::PivotedQuery;
-use psi_obs::{Counter, Histogram, MetricsRecorder, Phase, Recorder};
+use psi_obs::{Counter, Histogram, MetricsRecorder, Phase, QueryProfile, Recorder};
 
 use crate::fault::unpoison;
 use crate::limits::EvalLimits;
@@ -211,6 +211,15 @@ impl NetServer {
     /// after a drain).
     pub fn service_stats(&self) -> ServiceStats {
         unpoison(self.shared.service.read()).stats()
+    }
+
+    /// A snapshot of the served deployment's own registry
+    /// ([`PsiService::metrics`]): queue wait, queries served, pool
+    /// spawn, update and cache metrics (still readable after a drain).
+    pub fn service_metrics(&self) -> QueryProfile {
+        let mut snapshot = QueryProfile::new();
+        snapshot.absorb(unpoison(self.shared.service.read()).metrics());
+        snapshot
     }
 
     /// Drain and stop: stop accepting, shed new requests, give queued

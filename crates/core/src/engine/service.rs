@@ -64,10 +64,9 @@ use psi_obs::{timed, Counter, Histogram, MetricsRecorder, Phase, Recorder};
 use psi_signature::SigStoreKind;
 
 use crate::fault::{panic_reason, unpoison};
-use crate::report::{FeedbackRow, PsiResult};
+use crate::report::PsiResult;
 use crate::smart::{RunSpec, SmartPsi};
 
-use super::adapt::{AdaptiveConfig, AdaptiveState, AdaptiveStats};
 use super::context::GraphContext;
 use super::deploy::DeploymentSpec;
 use super::evolve::{EvolvingContext, UpdateError, UpdateReport};
@@ -112,9 +111,13 @@ pub(crate) fn structured_failure(pivot: NodeId, reason: &str) -> PsiResult {
 /// Worst case: 64 shapes × one entry per candidate — each shape's
 /// cache holds at most one `(method, plan)` entry per surviving
 /// candidate of its pivot, so the bound is set by the graph and this
-/// constant, never by uptime. Every in-repo workload and bench uses
-/// ≤ 16 shapes, so none of them evicts. Each shard of a sharded
-/// deployment has its own bound.
+/// constant, never by uptime. Each shard of a sharded deployment has
+/// its own bound. A stream that repeats at most 64 shapes never
+/// evicts (the `serve` bench and `waterfall`'s `wire-repeat` use 16).
+/// A stream of distinct queries (`waterfall`'s `wire-unique` and
+/// `wire-evolving`) evicts one shape per job once the table is full,
+/// and its caches serve almost no lookups (`cache.hit_frac` 0.002 on
+/// `wire-unique`): there the table costs memory for no reuse.
 pub const MAX_LIVE_SHAPES: usize = 64;
 
 /// The exact structure of a query at one graph epoch: the key of a
@@ -203,12 +206,6 @@ struct Job {
     /// 0 on first submission; 1 after a requeue. A job whose second
     /// attempt also dies is failed, not retried again.
     attempt: u32,
-    /// Adaptive admission sequence number (`None` when the shard runs
-    /// without adaptation). Every admitted seq is absorbed exactly
-    /// once — with the job's feedback on success, empty on every
-    /// failure path — so the adaptation loop's in-order drain can
-    /// never stall.
-    seq: Option<u64>,
 }
 
 /// The rendezvous between a worker finishing a job and the caller
@@ -317,8 +314,8 @@ impl JobHandle {
 }
 
 /// One shard of a deployment: the state its worker pool shares with
-/// the submitting side — the published context, the job queue, the
-/// shape caches and the shard's adaptation loop.
+/// the submitting side — the published context, the job queue and the
+/// shape caches.
 pub(crate) struct Shard {
     /// The currently published snapshot. Behind a lock only so an
     /// update can swap it; workers take a cheap read-clone per job, so
@@ -344,10 +341,6 @@ pub(crate) struct Shard {
     /// served, queue wait, worker deaths, … — all order-independent
     /// sums.
     metrics: Arc<MetricsRecorder>,
-    /// The online α/β adaptation loop (`None` = frozen deployment,
-    /// the default — bit-identical to pre-adaptive behavior). Lock
-    /// order: `queue` before `adaptive`, never the reverse.
-    adaptive: Option<Mutex<AdaptiveState>>,
 }
 
 impl Shard {
@@ -356,14 +349,9 @@ impl Shard {
     fn spawn(
         ctx: Arc<GraphContext>,
         workers: usize,
-        adaptive: Option<AdaptiveConfig>,
         metrics: &Arc<MetricsRecorder>,
         handles: &mut Vec<JoinHandle<()>>,
     ) -> Arc<Self> {
-        let adaptive = adaptive.map(|cfg| {
-            let dim = ctx.signatures().label_count() + 1;
-            Mutex::new(AdaptiveState::new(cfg, dim, ctx.config().forest))
-        });
         let shard = Arc::new(Self {
             ctx: RwLock::new(ctx),
             queue: Mutex::new(VecDeque::new()),
@@ -372,7 +360,6 @@ impl Shard {
             in_flight: AtomicUsize::new(0),
             caches: Mutex::new(ShapeCaches::default()),
             metrics: metrics.clone(),
-            adaptive,
         });
         let spawn_t0 = Instant::now();
         handles.extend((0..workers.max(1)).map(|_| {
@@ -388,20 +375,14 @@ impl Shard {
         unpoison(self.ctx.read()).clone()
     }
 
-    /// Swap in the next snapshot: retire every cross-query cache
+    /// Swap in the next snapshot and retire every cross-query cache
     /// (their epoch key is stale, so no pre-update prediction can
     /// drive a post-update evaluation —
-    /// [`ServiceStats::cache_invalidations`] counts the retirements),
-    /// and tell the adaptation loop the graph drifted (it drops its
-    /// reservoir and models and opens a forced refit window).
+    /// [`ServiceStats::cache_invalidations`] counts the retirements).
     pub(crate) fn publish(&self, ctx: Arc<GraphContext>) {
-        let dim = ctx.signatures().label_count() + 1;
         *unpoison(self.ctx.write()) = ctx;
         let retired = unpoison(self.caches.lock()).clear();
         self.metrics.add(Counter::CacheInvalidations, retired as u64);
-        if let Some(a) = &self.adaptive {
-            unpoison(a.lock()).note_drift(dim);
-        }
     }
 
     /// The shared cache for this query's shape at this graph epoch,
@@ -420,18 +401,10 @@ impl Shard {
         cache
     }
 
-    /// Hand one admitted job's feedback to the adaptation loop (empty
-    /// rows on failure paths keep the in-order drain moving).
-    fn absorb_feedback(&self, seq: Option<u64>, rows: Vec<FeedbackRow>) {
-        if let (Some(a), Some(s)) = (&self.adaptive, seq) {
-            unpoison(a.lock()).absorb(s, rows, self.metrics.as_ref());
-        }
-    }
-
     /// Enqueue one job; its slot is filled by a worker (or right away
     /// with an [`ABORTED_BY_SHUTDOWN_REASON`] failure once the shard
     /// has shut down, so the job is never orphaned).
-    pub(crate) fn submit(&self, query: PivotedQuery, mut spec: RunSpec) -> Arc<JobSlot> {
+    pub(crate) fn submit(&self, query: PivotedQuery, spec: RunSpec) -> Arc<JobSlot> {
         let slot = JobSlot::new();
         {
             let mut q = unpoison(self.queue.lock());
@@ -440,33 +413,12 @@ impl Shard {
                 slot.fill(structured_failure(query.pivot(), ABORTED_BY_SHUTDOWN_REASON));
                 return slot;
             }
-            // Adaptive admission happens under the queue lock so a
-            // serial client's admission order matches its submission
-            // order (determinism of the ε stream and refit points).
-            // Or-semantics on explore/adapted let the sharded
-            // coordinator pre-fill them; this shard's own draw only
-            // applies when the spec arrives unset.
-            let seq = match &self.adaptive {
-                Some(a) => {
-                    let adm = unpoison(a.lock()).admit(self.metrics.as_ref());
-                    spec.feedback = true;
-                    if spec.explore.is_none() {
-                        spec.explore = adm.explore;
-                    }
-                    if spec.adapted.is_none() {
-                        spec.adapted = adm.models;
-                    }
-                    Some(adm.seq)
-                }
-                None => None,
-            };
             q.push_back(Job {
                 query,
                 spec,
                 slot: slot.clone(),
                 enqueued: Instant::now(),
                 attempt: 0,
-                seq,
             });
         }
         self.available.notify_one();
@@ -490,7 +442,6 @@ impl Shard {
         let stranded = if abort { std::mem::take(&mut *q) } else { VecDeque::new() };
         let aborted = stranded.len() as u64;
         for job in stranded {
-            self.absorb_feedback(job.seq, Vec::new());
             job.slot
                 .fill(structured_failure(job.query.pivot(), ABORTED_BY_SHUTDOWN_REASON));
         }
@@ -506,18 +457,6 @@ impl Shard {
 
     fn live_shapes(&self) -> usize {
         unpoison(self.caches.lock()).live.len()
-    }
-
-    /// Snapshot of this shard's adaptation counters; `None` when
-    /// frozen.
-    pub(crate) fn adaptive_stats(&self) -> Option<AdaptiveStats> {
-        self.adaptive.as_ref().map(|a| unpoison(a.lock()).stats())
-    }
-
-    /// Clone of this shard's feedback reservoir (the sharded
-    /// coordinator's merged-refit input); `None` when frozen.
-    pub(crate) fn adaptive_rows(&self) -> Option<Vec<FeedbackRow>> {
-        self.adaptive.as_ref().map(|a| unpoison(a.lock()).rows())
     }
 }
 
@@ -594,8 +533,8 @@ pub struct PsiService {
     /// a static or sharded one. Workers never touch it — they only see
     /// the snapshots it publishes into the shard.
     evolving: Mutex<Option<EvolvingContext>>,
-    /// k > 1 only: the range map, halo, fault projection, merge-refit
-    /// coordinator and (evolving) global signature maintainer.
+    /// k > 1 only: the range map, halo, fault projection and
+    /// (evolving) global signature maintainer.
     sharding: Option<Sharding>,
 }
 
@@ -604,15 +543,11 @@ impl PsiService {
     /// [`SmartPsi::deploy`](crate::SmartPsi::deploy).
     pub(crate) fn deploy(ctx: &Arc<GraphContext>, spec: &DeploymentSpec) -> Self {
         let metrics = Arc::new(MetricsRecorder::new());
-        let mut adaptive = spec.adaptive_cfg();
         let mut evolving = None;
         let mut sharding = None;
         let contexts = if spec.shard_count() > 1 {
             let (sh, contexts) = Sharding::new(ctx, spec);
             sharding = Some(sh);
-            // Shards only collect feedback; the coordinator explores
-            // and refits.
-            adaptive = adaptive.map(|c| c.collect_only());
             contexts
         } else if let Some(cap) = spec.label_capacity() {
             // The maintainer seeds from the current dense rows and
@@ -629,7 +564,7 @@ impl PsiService {
         let mut workers = Vec::new();
         let shards = contexts
             .into_iter()
-            .map(|c| Shard::spawn(c, spec.worker_count(), adaptive, &metrics, &mut workers))
+            .map(|c| Shard::spawn(c, spec.worker_count(), &metrics, &mut workers))
             .collect();
         Self {
             shards,
@@ -805,17 +740,6 @@ impl PsiService {
         &self.metrics
     }
 
-    /// Snapshot of the adaptation loop's counters, or `None` on a
-    /// frozen (non-adaptive) deployment. A sharded deployment reports
-    /// its coordinator's exploration and merged-refit state plus its
-    /// shards' feedback sums.
-    pub fn adaptive_stats(&self) -> Option<AdaptiveStats> {
-        match &self.sharding {
-            None => self.shards[0].adaptive_stats(),
-            Some(sh) => sh.adaptive_stats(&self.shards),
-        }
-    }
-
     /// Number of shards (1 unless [`DeploymentSpec::shards`] asked for
     /// more).
     pub fn shard_count(&self) -> usize {
@@ -927,7 +851,6 @@ fn worker_loop(shard: &Shard, spawn_t0: Instant) {
         if job.spec.limits.expired() {
             shard.metrics.add(Counter::DeadlineExpired, 1);
             shard.metrics.add(Counter::QueriesServed, 1);
-            shard.absorb_feedback(job.seq, Vec::new());
             job.slot
                 .fill(structured_failure(job.query.pivot(), DEADLINE_EXPIRED_REASON));
             shard.in_flight.fetch_sub(1, Ordering::AcqRel);
@@ -957,11 +880,6 @@ fn worker_loop(shard: &Shard, spawn_t0: Instant) {
         match outcome {
             Ok(result) => {
                 shard.metrics.add(Counter::QueriesServed, 1);
-                // Absorb before fill: a serial client that waits on
-                // each handle before submitting the next job observes
-                // admissions and absorptions strictly interleaved, so
-                // refit points are deterministic for it.
-                shard.absorb_feedback(job.seq, result.feedback.clone());
                 job.slot.fill(result);
             }
             Err(payload) => {
@@ -989,7 +907,6 @@ fn worker_loop(shard: &Shard, spawn_t0: Instant) {
                         .record(job.query.pivot(), reason, job.attempt + 1);
                     failed.failures.worker_deaths = job.attempt as usize + 1;
                     shard.metrics.add(Counter::QueriesServed, 1);
-                    shard.absorb_feedback(job.seq, Vec::new());
                     job.slot.fill(failed);
                 }
             }

@@ -90,16 +90,10 @@ use psi_graph::{Graph, GraphBuilder, GraphUpdate, LabelId, NodeId, PivotedQuery}
 use psi_obs::{timed, Counter, MetricsRecorder, Phase, QueryProfile, Recorder};
 use psi_signature::{IncrementalSignatures, SigStore, SignatureStore};
 
-use psi_ml::forest::ForestConfig;
-
 use crate::fault::{unpoison, FaultPlan};
 use crate::report::PsiResult;
 use crate::smart::RunSpec;
 
-use super::adapt::{
-    fit_feedback_models, AdaptedModels, AdaptiveConfig, AdaptiveStats, SplitMix64,
-    MIN_REFIT_SAMPLES,
-};
 use super::context::{GraphContext, SmartPsiConfig};
 use super::deploy::DeploymentSpec;
 use super::evolve::{UpdateError, UpdateReport};
@@ -151,31 +145,10 @@ struct ShardRange {
     meta: RwLock<ShardMeta>,
 }
 
-/// The deployment-level half of a sharded adaptation loop. Shards run
-/// collection-only adaptation (per-shard reservoirs, no ε, no
-/// cadence); this coordinator owns the ε draws, the merged-refit
-/// cadence over all reservoirs, and the installed models. Admission
-/// or-semantics on [`RunSpec`] (a shard only fills `explore`/`adapted`
-/// when unset) are what let the coordinator's draw survive each
-/// shard's own admission.
-struct AdaptCoordinator {
-    cfg: AdaptiveConfig,
-    forest: ForestConfig,
-    /// Feature width of the *global* signature matrix (+1 score) —
-    /// identical in every shard, whose slabs reserve global label space.
-    dim: usize,
-    explore_rng: SplitMix64,
-    since_refit: u64,
-    refit_forced: bool,
-    models: Option<Arc<AdaptedModels>>,
-    stats: AdaptiveStats,
-}
-
 /// Everything a k > 1 deployment keeps beside its shards: the range
-/// map, the halo depth, the fault plan it projects per query, the
-/// adaptation coordinator and, when evolving, the one global signature
-/// maintainer. Its methods take the deployment's shards, in range
-/// order.
+/// map, the halo depth, the fault plan it projects per query and, when
+/// evolving, the one global signature maintainer. Its methods take the
+/// deployment's shards, in range order.
 pub(crate) struct Sharding {
     halo_depth: u32,
     /// Per-shard deployment config (fault plan stripped; faults are
@@ -187,7 +160,6 @@ pub(crate) struct Sharding {
     ranges: Vec<ShardRange>,
     /// The global incremental maintainer of an evolving deployment.
     inc: Mutex<Option<IncrementalSignatures>>,
-    coordinator: Option<Mutex<AdaptCoordinator>>,
 }
 
 impl Sharding {
@@ -244,25 +216,12 @@ impl Sharding {
                 (ShardRange { lo, meta }, Arc::new(ctx))
             })
             .unzip();
-        let coordinator = spec.adaptive_cfg().map(|cfg| {
-            Mutex::new(AdaptCoordinator {
-                forest: shard_config.forest,
-                dim: sigs.label_count() + 1,
-                explore_rng: SplitMix64::new(cfg.seed),
-                since_refit: 0,
-                refit_forced: false,
-                models: None,
-                stats: AdaptiveStats::default(),
-                cfg,
-            })
-        });
         let sharding = Self {
             halo_depth,
             shard_config,
             base_fault,
             ranges,
             inc: Mutex::new(None),
-            coordinator,
         };
         (sharding, contexts)
     }
@@ -323,7 +282,6 @@ impl Sharding {
                 return JobHandle::ready(structured_failure(query.pivot(), &reason));
             }
         }
-        let spec = self.adapt_submit(shards, spec, metrics);
         let pivot_degree = query.graph().degree(query.pivot());
         let label = query.pivot_label();
         let fault = spec.fault.clone().or_else(|| self.base_fault.clone());
@@ -361,83 +319,6 @@ impl Sharding {
         }
         metrics.add(Counter::ShardFanout, parts.len() as u64);
         JobHandle::fanout(query.pivot(), parts, metrics.clone())
-    }
-
-    /// Coordinator half of sharded adaptation, run once per submitted
-    /// query: fire the merged refit when the cadence (or a
-    /// drift-forced window) is due, draw the ε floor, and attach the
-    /// installed models to the spec fanned out to every shard. A
-    /// caller-pinned `explore`/`adapted` stays authoritative (the
-    /// coordinator only fills unset fields), and the same or-semantics
-    /// in each shard's admission keep the coordinator's values intact
-    /// downstream.
-    fn adapt_submit(
-        &self,
-        shards: &[Arc<Shard>],
-        mut spec: RunSpec,
-        metrics: &MetricsRecorder,
-    ) -> RunSpec {
-        let Some(coordinator) = &self.coordinator else {
-            return spec;
-        };
-        let mut co = unpoison(coordinator.lock());
-        co.since_refit += 1;
-        let due = (co.cfg.cadence > 0 && co.since_refit >= co.cfg.cadence) || co.refit_forced;
-        if due {
-            // Merged refit: gather every shard's reservoir in shard
-            // order. Feedback features carry no node ids, so the
-            // concatenation needs no re-sorting to be deterministic
-            // for serial clients.
-            let rows: Vec<_> = shards.iter().filter_map(|s| s.adaptive_rows()).flatten().collect();
-            if rows.len() >= MIN_REFIT_SAMPLES {
-                let version = co.stats.model_version + 1;
-                let seed = co.cfg.seed ^ version.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let fitted = timed(metrics, Phase::Refit, || {
-                    fit_feedback_models(&rows, co.dim, co.forest, seed, version)
-                });
-                if let Some(m) = fitted {
-                    co.models = Some(Arc::new(m));
-                    co.stats.refits += 1;
-                    co.stats.model_version = version;
-                    metrics.add(Counter::Refits, 1);
-                }
-                co.since_refit = 0;
-                co.refit_forced = false;
-            } else if co.cfg.cadence > 0 && co.since_refit >= co.cfg.cadence {
-                // Too few pooled rows to fit on; re-arm the cadence so
-                // the gather doesn't repeat on every subsequent submit
-                // (a drift-forced window, by contrast, stays open).
-                co.since_refit = 0;
-            }
-        }
-        if spec.explore.is_none()
-            && co.cfg.epsilon > 0.0
-            && co.explore_rng.next_f64() < co.cfg.epsilon
-        {
-            co.stats.exploration_runs += 1;
-            metrics.add(Counter::ExplorationRuns, 1);
-            spec.explore = Some(co.explore_rng.below(2) as u8);
-        }
-        if spec.adapted.is_none() {
-            spec.adapted = co.models.clone();
-        }
-        spec
-    }
-
-    /// Aggregated adaptation counters, `None` on a non-adaptive
-    /// deployment: per-shard feedback/reservoir/refit sums plus the
-    /// coordinator's exploration, merged-refit, and model-version
-    /// state.
-    pub(crate) fn adaptive_stats(&self, shards: &[Arc<Shard>]) -> Option<AdaptiveStats> {
-        let co = unpoison(self.coordinator.as_ref()?.lock());
-        let mut out = co.stats;
-        for s in shards.iter().filter_map(|s| s.adaptive_stats()) {
-            out.feedback_samples += s.feedback_samples;
-            out.reservoir += s.reservoir;
-            out.refits += s.refits;
-            out.exploration_runs += s.exploration_runs;
-        }
-        Some(out)
     }
 
     /// Apply one update batch to an evolving sharded deployment:
@@ -527,20 +408,6 @@ impl Sharding {
         })?;
         metrics.add(Counter::RowsRepaired, stats.rows_repaired as u64);
         metrics.add(Counter::EpochsPublished, republished);
-        // Drift hook: drop the merged models (per-query training takes
-        // over) and open a forced refit window. Shards the rebuild
-        // republished already cleared their own reservoirs; untouched
-        // shards keep theirs — their subgraphs did not change, so their
-        // rows are still valid refit input (stale-width rows from a
-        // label-growing batch are filtered by the fitter).
-        if let Some(coordinator) = &self.coordinator {
-            let mut co = unpoison(coordinator.lock());
-            co.stats.epoch += 1;
-            co.dim = inc.store().label_count() + 1;
-            co.models = None;
-            co.refit_forced = true;
-            co.since_refit = 0;
-        }
         Ok(UpdateReport {
             epoch: shards.iter().map(|s| s.context().epoch()).max().unwrap_or(0),
             nodes_added: stats.nodes_added,
@@ -585,10 +452,6 @@ pub(crate) fn merge_results(pivot: NodeId, parts: Vec<(NodeId, PsiResult)>) -> P
             f.node += lo;
         }
         out.failures.merge(&failures);
-        for mut row in r.feedback {
-            row.node += lo;
-            out.feedback.push(row);
-        }
         if let Some(p) = r.profile {
             merge_profile(&mut profile, &p);
             any_profile = true;
@@ -596,7 +459,6 @@ pub(crate) fn merge_results(pivot: NodeId, parts: Vec<(NodeId, PsiResult)>) -> P
     }
     out.valid.sort_unstable();
     out.failures.sort();
-    out.feedback.sort_by_key(|f| f.node);
     if any_profile {
         out.profile = Some(Box::new(profile));
     }

@@ -56,10 +56,6 @@ pub(crate) struct TrainedSession {
     pub(crate) strategies: [Strategy; 2],
     alpha: RandomForest,
     beta: Option<RandomForest>,
-    /// Version of the online-adapted forests currently substituted for
-    /// the per-query fit (0 = serving the per-query models). Keys the
-    /// prediction cache so a refit invalidates superseded entries.
-    adapted_version: u64,
     sum_steps: Vec<Vec<u64>>,
     cnt_steps: Vec<Vec<u64>>,
     global_avg: u64,
@@ -86,35 +82,6 @@ impl TrainedSession {
             None => 2 * self.global_avg,
             Some(avg) => avg.max(32),
         }
-    }
-
-    /// Swap in the online-adapted α/β forests
-    /// ([`AdaptedModels`](super::adapt::AdaptedModels)) in place of
-    /// this session's per-query models. `dim` is the deployment's
-    /// current feature width (`label_count + 1`); a mismatch — e.g.
-    /// models fitted before a label-growing update — leaves the
-    /// session frozen on its own models and returns `false`. β is
-    /// replaced only when the session trained one (its predictions
-    /// are clamped to the session's plan count either way), so a
-    /// β-disabled config stays β-disabled.
-    pub(crate) fn apply_adapted(&mut self, m: &super::adapt::AdaptedModels, dim: usize) -> bool {
-        if m.dim != dim {
-            return false;
-        }
-        self.alpha = m.alpha.clone();
-        if self.beta.is_some() {
-            if let Some(b) = &m.beta {
-                self.beta = Some(b.clone());
-            }
-        }
-        self.adapted_version = m.version;
-        true
-    }
-
-    /// Version of the adapted forests this session serves (0 = its own
-    /// per-query fit).
-    pub(crate) fn adapted_version(&self) -> u64 {
-        self.adapted_version
     }
 
     /// Predict (method index, plan index) for a feature row — the
@@ -368,7 +335,6 @@ impl GraphContext {
             strategies,
             alpha,
             beta,
-            adapted_version: 0,
             sum_steps,
             cnt_steps,
             global_avg,

@@ -61,7 +61,6 @@ pub mod single;
 pub mod smart;
 pub mod twothread;
 
-pub use engine::adapt::{AdaptedModels, AdaptiveConfig, AdaptiveStats, MIN_REFIT_SAMPLES};
 pub use engine::context::GraphContext;
 pub use engine::deploy::DeploymentSpec;
 pub use engine::evolve::{EvolvingContext, UpdateError, UpdateReport};
@@ -78,7 +77,7 @@ pub use fault::{
 };
 pub use limits::{EvalLimits, LimitTracker, POLL_INTERVAL};
 pub use plan::{heuristic_plan, sample_plans, Plan};
-pub use report::{FailureReport, FeedbackRow, NodeFailure, PsiResult, StageTimings};
+pub use report::{FailureReport, NodeFailure, PsiResult, StageTimings};
 pub use smart::{RetryPolicy, RunSpec, SmartPsi, SmartPsiConfig};
 
 /// Signature-store backends (re-exported `psi-signature` surface): the
@@ -101,7 +100,6 @@ pub use psi_obs as obs;
 /// use psi_core::prelude::*;
 /// ```
 pub mod prelude {
-    pub use crate::engine::adapt::{AdaptedModels, AdaptiveConfig, AdaptiveStats};
     pub use crate::engine::context::GraphContext;
     pub use crate::engine::deploy::DeploymentSpec;
     pub use crate::engine::evolve::{EvolvingContext, UpdateError, UpdateReport};
@@ -109,7 +107,7 @@ pub mod prelude {
     pub use psi_graph::GraphUpdate;
     pub use crate::fault::FaultPlan;
     pub use crate::limits::EvalLimits;
-    pub use crate::report::{FailureReport, FeedbackRow, PsiResult};
+    pub use crate::report::{FailureReport, PsiResult};
     pub use crate::smart::{RetryPolicy, RunSpec, SmartPsi, SmartPsiConfig};
     pub use crate::Strategy;
     pub use psi_obs::{MetricsRecorder, NoopRecorder, QueryProfile, Recorder};

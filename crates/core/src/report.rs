@@ -14,12 +14,10 @@ use psi_obs::QueryProfile;
 
 /// Result of evaluating one PSI query over the whole data graph.
 ///
-/// Equality deliberately ignores [`PsiResult::profile`] and
-/// [`PsiResult::feedback`]: two results are equal when they agree on
-/// the *answer* (valid set, accounting, failures), regardless of how
-/// long each phase took, which run was profiled, or what training
-/// telemetry it carried. The differential tests compare executors
-/// this way.
+/// Equality deliberately ignores [`PsiResult::profile`]: two results
+/// are equal when they agree on the *answer* (valid set, accounting,
+/// failures), regardless of how long each phase took or which run was
+/// profiled. The differential tests compare executors this way.
 #[derive(Debug, Clone)]
 pub struct PsiResult {
     /// Sorted distinct valid nodes (pivot bindings).
@@ -45,40 +43,6 @@ pub struct PsiResult {
     /// [`crate::single`]. Boxed so the common answer-only consumers
     /// pay one pointer.
     pub profile: Option<Box<QueryProfile>>,
-    /// Per-node training feedback collected when the run's
-    /// [`RunSpec`](crate::RunSpec) asked for it (`feedback(true)`):
-    /// one [`FeedbackRow`] per predictor-adjudicated candidate that
-    /// reached a verdict, sorted by node id. Empty otherwise. Like
-    /// `profile`, excluded from equality — it describes how the answer
-    /// was reached, not the answer. The adaptive serving layer
-    /// (`AdaptiveState` in [`crate::engine::adapt`]) absorbs
-    /// these rows to refit the α/β models online.
-    pub feedback: Vec<FeedbackRow>,
-}
-
-/// One per-node training observation: what the realist's predictor saw,
-/// what it (or the ε-exploration floor) chose, and what actually
-/// happened. This is exactly the §4.2 training tuple, harvested from
-/// production traffic instead of a per-query training sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeedbackRow {
-    /// The evaluated data node.
-    pub node: NodeId,
-    /// Model feature vector (signature row + stage-1 prefilter score).
-    pub features: Vec<f32>,
-    /// Method that evaluated the node: 0 = optimistic, 1 = pessimistic
-    /// (Model α's label convention: class 1 = valid ⇒ optimistic).
-    pub method: u8,
-    /// Plan sample index the node ran with (Model β's label).
-    pub plan: usize,
-    /// Whether the node's method choice came from the ε-exploration
-    /// floor rather than the predictor. Exploration rows keep the
-    /// feedback distribution unbiased; accuracy metrics skip them.
-    pub explored: bool,
-    /// Final verdict: `true` ⇔ the node is valid.
-    pub valid: bool,
-    /// Steps the winning evaluation spent on the node.
-    pub steps: u64,
 }
 
 impl PartialEq for PsiResult {
@@ -113,7 +77,6 @@ impl PsiResult {
             unresolved: candidates,
             failures: FailureReport::default(),
             profile: None,
-            feedback: Vec::new(),
         }
     }
 }
@@ -235,24 +198,14 @@ mod tests {
             unresolved: 0,
             failures: FailureReport::default(),
             profile: None,
-            feedback: Vec::new(),
         };
         assert_eq!(r.count(), 3);
         assert!(r.contains(4));
         assert!(!r.contains(5));
         assert!(r.failures.is_clean());
-        // Equality ignores the profile and the feedback telemetry.
+        // Equality ignores the profile.
         let mut p = r.clone();
         p.profile = Some(Box::new(QueryProfile::new()));
-        p.feedback.push(FeedbackRow {
-            node: 1,
-            features: vec![0.0],
-            method: 0,
-            plan: 0,
-            explored: false,
-            valid: true,
-            steps: 9,
-        });
         assert_eq!(p, r);
     }
 

@@ -121,7 +121,6 @@ pub fn psi_with_strategy_presig(
         unresolved,
         failures,
         profile: None,
-        feedback: Vec::new(),
     }
 }
 

@@ -52,7 +52,6 @@ use psi_graph::{Graph, NodeId, PivotedQuery};
 use psi_obs::{Counter, MetricsRecorder, NoopRecorder, QueryProfile, Recorder};
 use psi_signature::SigStore;
 
-use crate::engine::adapt::AdaptedModels;
 use crate::engine::context::GraphContext;
 use crate::engine::deploy::DeploymentSpec;
 use crate::engine::exec::{unresolved_report, work_stealing, ExecutorKind, PredictionCache};
@@ -98,18 +97,6 @@ pub struct RunSpec {
     pub(crate) fault: Option<Arc<FaultPlan>>,
     pub(crate) cache: Option<Arc<PredictionCache>>,
     pub(crate) recorder: Option<Arc<MetricsRecorder>>,
-    pub(crate) feedback: bool,
-    /// ε-exploration: force every surviving candidate onto method `m`
-    /// (0 = optimistic, 1 = pessimistic) instead of Model α's
-    /// prediction. Model β still picks the plan; the prediction cache
-    /// is bypassed in both directions so explored runs never pollute
-    /// it. Written by the adaptive serving layer at admission.
-    pub(crate) explore: Option<u8>,
-    /// Online-adapted α/β forests substituted for the per-query models
-    /// after training (frozen fallback when their feature layout no
-    /// longer matches the graph). Written by the adaptive serving
-    /// layer at admission.
-    pub(crate) adapted: Option<Arc<AdaptedModels>>,
 }
 
 impl RunSpec {
@@ -213,17 +200,6 @@ impl RunSpec {
     /// each run then absorbs the running totals).
     pub fn recorder(mut self, rec: Arc<MetricsRecorder>) -> Self {
         self.recorder = Some(rec);
-        self
-    }
-
-    /// Collect per-node training feedback: the result's
-    /// [`PsiResult::feedback`](crate::PsiResult) carries one
-    /// [`FeedbackRow`](crate::report::FeedbackRow) per
-    /// predictor-adjudicated candidate. Off by default — collection
-    /// costs one feature-vector copy per survivor. Feedback rows are
-    /// telemetry: they never change the answer or the accounted cost.
-    pub fn feedback(mut self, on: bool) -> Self {
-        self.feedback = on;
         self
     }
 }

@@ -168,7 +168,6 @@ impl GraphContext {
                 unresolved,
                 failures,
                 profile: None,
-                feedback: Vec::new(),
             },
             timings: StageTimings {
                 training_and_prediction: Duration::ZERO,

@@ -12,12 +12,22 @@
 //!    (`reconciles()`), and on a sequential run its per-phase spans
 //!    are disjoint slices of the run, so their sum never exceeds the
 //!    total wall time (one-sided, plus a jitter epsilon).
+//!
+//! A third test pins **liveness**: every declared counter and phase is
+//! either moved by ordinary recorded traffic or named as conditional,
+//! with the test that moves it.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
-use psi_core::obs::{Counter, MetricsRecorder, QueryProfile};
-use psi_core::{EvalLimits, PsiResult, RunSpec, SmartPsi, SmartPsiConfig};
+use psi_core::obs::{Counter, MetricsRecorder, Phase, QueryProfile};
+use psi_core::{
+    DeploymentSpec, EvalLimits, NetServer, NetServerConfig, PsiResult, RunSpec, SmartPsi,
+    SmartPsiConfig,
+};
 use psi_datasets::{generators, rwr};
 use psi_graph::{NodeId, PivotedQuery};
 
@@ -241,4 +251,221 @@ proptest! {
         prop_assert_eq!(p.counter(Counter::Steps), r.steps);
         prop_assert_eq!(p.counter(Counter::Unresolved), r.unresolved as u64);
     }
+}
+
+/// One declared metric: a counter or a phase span.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Metric {
+    C(Counter),
+    P(Phase),
+}
+
+/// Metrics that ordinary recorded traffic moves: the scenario in
+/// [`declared_metrics_are_live_or_conditional`] must read each one
+/// non-zero, so a metric listed here that loses its writer fails.
+const LIVE: &[Metric] = &[
+    Metric::C(Counter::Candidates),
+    Metric::C(Counter::TrainedNodes),
+    Metric::C(Counter::ResolvedS1),
+    Metric::C(Counter::RecoveredS2),
+    Metric::C(Counter::RecoveredS3),
+    Metric::C(Counter::NodesOptimistic),
+    Metric::C(Counter::NodesPessimistic),
+    Metric::C(Counter::PredictedValid),
+    Metric::C(Counter::Steps),
+    Metric::C(Counter::CacheHits),
+    Metric::C(Counter::CacheMisses),
+    Metric::C(Counter::Retries),
+    Metric::C(Counter::Escalations),
+    Metric::C(Counter::GrabSteals),
+    Metric::C(Counter::MlInferences),
+    Metric::C(Counter::QueriesServed),
+    Metric::C(Counter::CrossQueryCacheHits),
+    Metric::C(Counter::EpochsPublished),
+    Metric::C(Counter::RowsRepaired),
+    Metric::C(Counter::CacheInvalidations),
+    Metric::C(Counter::Admitted),
+    Metric::C(Counter::PrefilterPruned),
+    Metric::P(Phase::Train),
+    Metric::P(Phase::Prefilter),
+    Metric::P(Phase::Predict),
+    Metric::P(Phase::MatchS1),
+    Metric::P(Phase::MatchS2),
+    Metric::P(Phase::MatchS3),
+    Metric::P(Phase::ExactFallback),
+    Metric::P(Phase::Merge),
+    Metric::P(Phase::PoolSpawn),
+    Metric::P(Phase::GraphUpdate),
+    Metric::P(Phase::NetRead),
+    Metric::P(Phase::NetWrite),
+];
+
+/// Metrics that only move under faults, sharding, shedding, deadlines,
+/// drain, a full shape table or a cold worker pool. Each comment names
+/// a test that moves the metric.
+const CONDITIONAL: &[Metric] = &[
+    // fault_injection.rs: sticky_spurious_interrupt_is_an_accounted_failure
+    Metric::C(Counter::FailedNodes),
+    // exec.rs: pre_cancelled_pool_reports_everything_unresolved
+    Metric::C(Counter::Unresolved),
+    // fault_injection.rs: twothread_survives_one_sided_panics_and_records_two_sided_ones
+    Metric::C(Counter::PanicsRecovered),
+    // fault_injection.rs: killed_worker_grab_is_requeued_and_the_answer_stays_exact
+    Metric::C(Counter::Requeued),
+    // service.rs: job_that_kills_its_worker_is_requeued_then_failed_gracefully
+    Metric::C(Counter::WorkerDeaths),
+    // sharded.rs: scatter_gather_matches_sequential_across_shard_and_worker_counts
+    Metric::C(Counter::ShardFanout),
+    Metric::P(Phase::ShardMerge),
+    // net.rs: queue_full_sheds_with_retry_after_and_every_id_is_answered_once
+    Metric::C(Counter::Shed),
+    // service.rs: jobs_expired_in_queue_report_deadline_expired_and_never_run
+    Metric::C(Counter::DeadlineExpired),
+    // service.rs: generous_grace_drains_everything_without_aborts
+    Metric::C(Counter::Drained),
+    // service.rs: more_shapes_than_the_bound_evict_lru_and_stay_exact
+    Metric::C(Counter::CacheEvictions),
+    // pool.rs: ensure_bills_only_actual_spawns — the pool is shared by
+    // the whole process, so a run spawns threads only while it is cold.
+    Metric::C(Counter::PoolThreadsSpawned),
+];
+
+/// `query` as one wire `query` line.
+fn query_line(id: u64, q: &PivotedQuery) -> String {
+    let labels: Vec<String> = q.graph().labels().iter().map(|l| l.to_string()).collect();
+    let edges: Vec<String> = q
+        .graph()
+        .edges()
+        .map(|(u, v, _)| format!("[{u},{v}]"))
+        .collect();
+    format!(
+        r#"{{"op":"query","id":{id},"labels":[{}],"edges":[{}],"pivot":{}}}"#,
+        labels.join(","),
+        edges.join(","),
+        q.pivot()
+    )
+}
+
+/// Send one line and check its one response line is a success.
+fn exchange(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) {
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("write");
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("read");
+    assert!(response.contains("\"ok\":true"), "{line} got {response}");
+}
+
+/// Liveness of the metrics registry. One recorded 1-shard evolving
+/// deployment with 2 workers serves, behind a [`NetServer`], the same
+/// query twice (the second reuses the first's cache entries) and one
+/// update. Beside it one `RunSpec::threads(2)` run and one run below
+/// the training threshold (the no-ML sweep) record their own profiles.
+/// Every [`LIVE`] metric must read non-zero in the sum of those
+/// registries, and [`LIVE`] and [`CONDITIONAL`] together must place
+/// every declared counter and phase exactly once.
+#[test]
+fn declared_metrics_are_live_or_conditional() {
+    for c in Counter::ALL {
+        let placed = [LIVE, CONDITIONAL]
+            .concat()
+            .iter()
+            .filter(|&&m| m == Metric::C(c))
+            .count();
+        assert_eq!(
+            placed, 1,
+            "{c:?} must be on exactly one of LIVE and CONDITIONAL"
+        );
+    }
+    for p in Phase::ALL {
+        let placed = [LIVE, CONDITIONAL]
+            .concat()
+            .iter()
+            .filter(|&&m| m == Metric::P(p))
+            .count();
+        assert_eq!(
+            placed, 1,
+            "{p:?} must be on exactly one of LIVE and CONDITIONAL"
+        );
+    }
+
+    // A query whose run sends some candidates to stages 2 and 3 and
+    // finds structurally identical survivors in its own cache.
+    let g = generators::erdos_renyi(800, 2400, 3, 17);
+    let q = rwr::extract_query_seeded(&g, 5, 0).expect("query extraction");
+    let cfg = SmartPsiConfig {
+        min_candidates_for_ml: 10,
+        ..SmartPsiConfig::default()
+    };
+    let smart = SmartPsi::new(g.clone(), cfg);
+    let recorded = |smart: &SmartPsi, q: &PivotedQuery, spec: RunSpec| -> QueryProfile {
+        let r = smart.run(q, &spec.recorder(Arc::new(MetricsRecorder::new())));
+        *r.profile.expect("run always attaches a profile")
+    };
+    let threads = recorded(&smart, &q, RunSpec::new().threads(2));
+    // The paper's Figure 1: two candidates, below the training
+    // threshold, so the run takes the no-ML exact sweep.
+    let figure1 = psi_graph::builder::graph_from(
+        &[0, 1, 2, 2, 1, 0],
+        &[
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (0, 4),
+            (1, 2),
+            (1, 3),
+            (3, 4),
+            (2, 4),
+            (4, 5),
+        ],
+    )
+    .expect("valid graph");
+    let path = PivotedQuery::from_parts(&[0, 1, 2], &[(0, 1), (1, 2)], 0).expect("valid query");
+    let tiny = recorded(
+        &SmartPsi::new(figure1, SmartPsiConfig::default()),
+        &path,
+        RunSpec::new(),
+    );
+
+    let service = smart.deploy(&DeploymentSpec::new().workers(2).evolving(g.label_count()));
+    let mut server =
+        NetServer::bind(service, "127.0.0.1:0", NetServerConfig::default()).expect("bind loopback");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    exchange(&mut stream, &mut reader, &query_line(1, &q));
+    exchange(&mut stream, &mut reader, &query_line(2, &q));
+    let far = (1..g.node_count() as NodeId)
+        .find(|&v| !g.neighbors(0).contains(&v))
+        .expect("node 0 is not adjacent to every node");
+    exchange(
+        &mut stream,
+        &mut reader,
+        &format!(r#"{{"op":"update","id":3,"updates":[{{"add_edge":[0,{far},0]}}]}}"#),
+    );
+    drop((stream, reader));
+    server.shutdown(Duration::from_secs(5));
+    let (front_door, served) = (server.metrics(), server.service_metrics());
+
+    let value = |m: Metric| match m {
+        Metric::C(c) => {
+            threads.counter(c) + tiny.counter(c) + served.counter(c) + front_door.counter(c)
+        }
+        Metric::P(p) => {
+            (threads.span(p) + tiny.span(p) + served.span(p)).as_nanos() as u64
+                + front_door.phase_nanos(p)
+        }
+    };
+    let dead: Vec<Metric> = LIVE.iter().copied().filter(|&m| value(m) == 0).collect();
+    let all: Vec<(Metric, u64)> = LIVE
+        .iter()
+        .chain(CONDITIONAL)
+        .map(|&m| (m, value(m)))
+        .collect();
+    assert!(
+        dead.is_empty(),
+        "live metrics read zero: {dead:?}\nall: {all:?}"
+    );
 }

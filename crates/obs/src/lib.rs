@@ -10,7 +10,7 @@
 //! reports into this layer:
 //!
 //! * **Spans** ([`Phase`]) — wall-clock intervals for the query
-//!   phases: train / signature / predict / match-S1 / match-S2 /
+//!   phases: train / prefilter / predict / match-S1 / match-S2 /
 //!   match-S3 / exact-fallback / merge. Use the [`span!`] macro or
 //!   [`timed`]; with a disabled recorder neither even reads the clock.
 //! * **Counters** ([`Counter`]) — named monotonic counters (per-method
@@ -59,8 +59,6 @@ pub enum Phase {
     /// §4.2 training: ground-truth evaluation of the sample, plan
     /// timing, and fitting Models α and β.
     Train,
-    /// Neighborhood-signature construction (deployment load time).
-    Signature,
     /// Batched stage-1 prefilter: the structure-of-arrays
     /// `rows_satisfy`/`rows_score` sweep over the whole untrained
     /// candidate range, producing the survivor mask and score vector
@@ -102,20 +100,15 @@ pub enum Phase {
     /// Serializing and writing protocol responses back to client
     /// sockets (the front door's per-connection writer threads).
     NetWrite,
-    /// Refitting the online adaptation models (α/β) from the feedback
-    /// reservoir of an adaptive deployment (`AdaptiveState` in
-    /// `psi-core`).
-    Refit,
 }
 
 /// Number of [`Phase`] variants.
-pub const PHASE_COUNT: usize = 15;
+pub const PHASE_COUNT: usize = 13;
 
 impl Phase {
     /// All phases, in execution order.
     pub const ALL: [Phase; PHASE_COUNT] = [
         Phase::Train,
-        Phase::Signature,
         Phase::Prefilter,
         Phase::Predict,
         Phase::MatchS1,
@@ -128,14 +121,12 @@ impl Phase {
         Phase::ShardMerge,
         Phase::NetRead,
         Phase::NetWrite,
-        Phase::Refit,
     ];
 
     /// Stable snake_case name (used as the JSON key).
     pub fn name(self) -> &'static str {
         match self {
             Phase::Train => "train",
-            Phase::Signature => "signature",
             Phase::Prefilter => "prefilter",
             Phase::Predict => "predict",
             Phase::MatchS1 => "match_s1",
@@ -148,7 +139,6 @@ impl Phase {
             Phase::ShardMerge => "shard_merge",
             Phase::NetRead => "net_read",
             Phase::NetWrite => "net_write",
-            Phase::Refit => "refit",
         }
     }
 }
@@ -203,8 +193,6 @@ pub enum Counter {
     WorkerDeaths,
     /// Random-forest inferences (Model α + Model β calls).
     MlInferences,
-    /// Signature rows constructed.
-    SignatureRows,
     /// Queries a `PsiService` worker pool answered (service-level).
     QueriesServed,
     /// Prediction-cache hits on entries inserted by an *earlier* query
@@ -213,8 +201,8 @@ pub enum Counter {
     /// Epoch snapshots published by an evolving deployment (one per
     /// applied update batch).
     EpochsPublished,
-    /// Signature rows recomputed by incremental repair (the evolving
-    /// counterpart of [`Counter::SignatureRows`]).
+    /// Signature rows recomputed by incremental repair of an evolving
+    /// deployment.
     RowsRepaired,
     /// Cross-query prediction caches dropped because a graph update
     /// made their epoch stale (each invalidation retires one
@@ -247,16 +235,6 @@ pub enum Counter {
     /// Stays zero on runs that reuse already-warm pool threads — the
     /// complement of the amortization [`Phase::PoolSpawn`] measures.
     PoolThreadsSpawned,
-    /// Online α/β model refits performed by an adaptive deployment
-    /// (each one a [`Phase::Refit`] span over the feedback reservoir).
-    Refits,
-    /// Queries whose method choice was forced by the ε-exploration
-    /// floor instead of the predictor (adaptive deployments only;
-    /// keeps the feedback stream unbiased).
-    ExplorationRuns,
-    /// Per-node feedback rows absorbed into an adaptive deployment's
-    /// refit reservoir.
-    FeedbackSamples,
     /// Per-shape cross-query prediction caches a service dropped
     /// because its bounded shape table was full and a new shape
     /// arrived (least recently used first). Complements
@@ -266,7 +244,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants.
-pub const COUNTER_COUNT: usize = 37;
+pub const COUNTER_COUNT: usize = 33;
 
 impl Counter {
     /// All counters, in declaration order.
@@ -291,7 +269,6 @@ impl Counter {
         Counter::Requeued,
         Counter::WorkerDeaths,
         Counter::MlInferences,
-        Counter::SignatureRows,
         Counter::QueriesServed,
         Counter::CrossQueryCacheHits,
         Counter::EpochsPublished,
@@ -304,9 +281,6 @@ impl Counter {
         Counter::Drained,
         Counter::PrefilterPruned,
         Counter::PoolThreadsSpawned,
-        Counter::Refits,
-        Counter::ExplorationRuns,
-        Counter::FeedbackSamples,
         Counter::CacheEvictions,
     ];
 
@@ -333,7 +307,6 @@ impl Counter {
             Counter::Requeued => "requeued",
             Counter::WorkerDeaths => "worker_deaths",
             Counter::MlInferences => "ml_inferences",
-            Counter::SignatureRows => "signature_rows",
             Counter::QueriesServed => "queries_served",
             Counter::CrossQueryCacheHits => "cross_query_cache_hits",
             Counter::EpochsPublished => "epochs_published",
@@ -346,9 +319,6 @@ impl Counter {
             Counter::Drained => "drained",
             Counter::PrefilterPruned => "prefilter_pruned",
             Counter::PoolThreadsSpawned => "pool_threads_spawned",
-            Counter::Refits => "refits",
-            Counter::ExplorationRuns => "exploration_runs",
-            Counter::FeedbackSamples => "feedback_samples",
             Counter::CacheEvictions => "cache_evictions",
         }
     }

@@ -5,15 +5,8 @@
 //! nodes. […] nodes having the same neighborhood signature are deemed
 //! similar since they have similar graph structures around them."
 //!
-//! Two encodings are provided:
-//!
-//! * [`SignatureKey::exact`] — bit-exact: only nodes with *identical*
-//!   signatures share a key (the paper's semantics, always safe),
-//! * [`SignatureKey::quantized`] — weights bucketed to a grid, so
-//!   near-identical neighborhoods share cache entries. Coarser keys
-//!   raise the hit rate at the cost of more (recoverable) method/plan
-//!   mispredictions; SmartPSI stays exact because cached decisions
-//!   only choose *how* to evaluate, never the verdict.
+//! The one encoding, [`SignatureKey::exact`], is bit-exact: only nodes
+//! with *identical* signature rows share a key (the paper's semantics).
 
 /// Hashable encoding of one signature row.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -23,31 +16,6 @@ impl SignatureKey {
     /// Bit-exact key: equal iff the rows are identical `f32`-wise.
     pub fn exact(row: &[f32]) -> Self {
         Self(row.iter().map(|f| f.to_bits()).collect())
-    }
-
-    /// Quantized key: weights are bucketed to multiples of `1 /
-    /// resolution`. `resolution = 4` buckets at quarter steps (the
-    /// natural grid of depth-2 signatures, whose weights are multiples
-    /// of 0.25).
-    ///
-    /// # Panics
-    /// Panics if `resolution == 0`.
-    pub fn quantized(row: &[f32], resolution: u32) -> Self {
-        assert!(resolution > 0, "resolution must be positive");
-        let r = resolution as f32;
-        Self(
-            row.iter()
-                .map(|&w| {
-                    let b = (w * r).round();
-                    // Saturate rather than wrap for absurd weights.
-                    if b >= u32::MAX as f32 {
-                        u32::MAX
-                    } else {
-                        b.max(0.0) as u32
-                    }
-                })
-                .collect(),
-        )
     }
 
     /// Length of the encoded row.
@@ -75,34 +43,12 @@ mod tests {
     }
 
     #[test]
-    fn quantized_merges_nearby() {
-        let a = SignatureKey::quantized(&[1.0, 0.52], 4);
-        let b = SignatureKey::quantized(&[1.05, 0.48], 4);
-        assert_eq!(a, b, "both round to [4, 2] at quarter resolution");
-        let c = SignatureKey::quantized(&[1.4, 0.5], 4);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn finer_resolution_distinguishes_more() {
-        let a = SignatureKey::quantized(&[0.52], 100);
-        let b = SignatureKey::quantized(&[0.48], 100);
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn handles_extremes() {
-        let k = SignatureKey::quantized(&[f32::MAX, 0.0, -1.0], 4);
+        let k = SignatureKey::exact(&[f32::MAX, 0.0, -1.0]);
         assert_eq!(k.len(), 3);
         assert!(!k.is_empty());
         let empty = SignatureKey::exact(&[]);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "resolution")]
-    fn zero_resolution_rejected() {
-        SignatureKey::quantized(&[1.0], 0);
     }
 
     #[test]

