@@ -22,8 +22,8 @@
 //! chunking against work stealing at 1/2/4/8 workers on a skewed
 //! single-label workload (see [`scaling_study`] for why the paper
 //! datasets cannot exercise the prediction cache), also counting how
-//! often the shared cache serves a prediction versus per-worker
-//! private caches. Worker threads live in the engine's shared lazy
+//! often the shared cache serves a prediction and timing the pool on
+//! a deployment with the cache off. Worker threads live in the engine's shared lazy
 //! pool, so the OS-thread spawn bill (`pool_spawn_ms`) is paid once
 //! per thread level — the study warms the pool with one recorded run,
 //! reports that one-time bill as its own column, and times every
@@ -144,9 +144,9 @@ fn main() {
 }
 
 /// Static chunking vs. work stealing at increasing worker counts
-/// (the 1-thread row, where both degenerate to the sequential
-/// executor, is the baseline of `speedup_vs_1t`), plus
-/// shared-vs-private cache hit counts. Writes
+/// (the 1-thread row, where both run the one-worker driver on the
+/// calling thread, is the baseline of `speedup_vs_1t`), plus
+/// shared-cache hit counts and an uncached arm. Writes
 /// `BENCH_parallel.json` and enforces the 8-thread scaling floor:
 /// work stealing must beat static chunking by at least
 /// `2.0 / PSI_PARALLEL_SLACK` (slack defaults to 1.0, so the default
@@ -156,8 +156,8 @@ fn main() {
 /// datasets, for two reasons. First, with many labels every
 /// candidate's signature row is distinctive — on YouTube and Twitter
 /// not a single pair of candidates shares an exact signature, so the
-/// prediction cache can never hit and the shared-vs-private ablation
-/// is vacuous. With one label, 50–75% of candidates are exact
+/// prediction cache can never hit and the uncached ablation is
+/// vacuous. With one label, 50–75% of candidates are exact
 /// duplicates and the cache carries real traffic. Second, the
 /// single-label candidate set is every node in the graph, so the
 /// training cap binds globally but not per chunk: static chunking
@@ -179,7 +179,17 @@ fn scaling_study() {
         max_train_nodes: 400,
         ..SmartPsiConfig::default()
     };
-    let smart = SmartPsi::new(g.clone(), cfg);
+    let smart = SmartPsi::new(g.clone(), cfg.clone());
+    // The ablation arm's deployment: the same graph and config with
+    // the prediction cache off, so phase A predicts every survivor
+    // from scratch. Built here, outside every timed round.
+    let uncached = SmartPsi::new(
+        g.clone(),
+        SmartPsiConfig {
+            enable_cache: false,
+            ..cfg
+        },
+    );
     // Size-mixed (skewed) workload: small queries are cheap, large
     // ones expensive, so contiguous chunks get uneven work.
     let mut queries = Vec::new();
@@ -234,7 +244,6 @@ fn scaling_study() {
         let mut pruned = 0usize;
         let static_spec = RunSpec::new().static_chunks(threads);
         let ws_spec = RunSpec::new().threads(threads);
-        let uncached_spec = RunSpec::new().threads(threads).shared_cache(false);
         for _ in 0..STUDY_ROUNDS {
             let (_, t) = time(|| {
                 for q in &queries {
@@ -254,12 +263,11 @@ fn scaling_study() {
             t_ws = t_ws.min(t.as_secs_f64() * 1e3);
             shared_hits = hits;
             pruned = pr;
-            // Ablation: same pool and batch plan, but the phase-A
-            // sweep predicts every survivor from scratch — no
-            // prediction cache at all.
+            // Ablation: same driver and spec on the uncached
+            // deployment — no prediction cache at all.
             let (_, t) = time(|| {
                 for q in &queries {
-                    let _ = smart.run(q, &uncached_spec);
+                    let _ = uncached.run(q, &ws_spec);
                 }
             });
             t_private = t_private.min(t.as_secs_f64() * 1e3);

@@ -19,8 +19,6 @@ use crate::evaluator::NodeEvaluator;
 use crate::fault::{FaultPlan, PsiMatcher};
 use crate::smart::RunSpec;
 
-use super::ladder::RetryPolicy;
-
 /// SmartPSI configuration (defaults follow the paper).
 #[derive(Debug, Clone)]
 pub struct SmartPsiConfig {
@@ -53,8 +51,12 @@ pub struct SmartPsiConfig {
     pub initial_plan_limit: u64,
     /// RNG seed (training-sample selection, plan sampling, forests).
     pub seed: u64,
-    /// Retry/escalation policy of the preemptive executor.
-    pub retry: RetryPolicy,
+    /// Limited (budgeted) ladder attempts before the unlimited exact
+    /// fallback: the predicted method first, then alternating with the
+    /// opposite method, each budget double the last. The exact-pessimist
+    /// routine (training's ground truth and an exact plan's survivors)
+    /// makes at most `max_attempts + 1` attempts.
+    pub max_attempts: u32,
     /// Optional wall-clock budget per candidate node. A node that
     /// cannot be resolved within it (even by the exact fallback) is
     /// reported in `FailureReport` instead of stalling the query.
@@ -88,7 +90,7 @@ impl Default for SmartPsiConfig {
             enable_recovery: true,
             initial_plan_limit: 2_000,
             seed: 0x05aa_7951,
-            retry: RetryPolicy::default(),
+            max_attempts: 2,
             node_timeout: None,
             panic_isolation: true,
             fault: None,

@@ -3,32 +3,39 @@
 //! [`RunSpec`]'s `ExecutorKind` to one of them; each reads the spec
 //! and `ctx.config()` directly.
 //!
-//! Four drivers, three of which share the training and ladder layers:
+//! One realist driver, one splitter around it, and one baseline:
 //!
-//! * **Sequential** — train, then sweep on the calling thread.
-//! * **WorkStealing** — the pool: train once, share the models and a
-//!   sharded [`PredictionCache`]; an atomic cursor hands out grabs.
+//! * **WorkStealing** — the realist at every worker count: train once,
+//!   build one phase-A `BatchPlan` (model decisions with a
+//!   [`PredictionCache`], or an exact plan for a session without
+//!   models), then drain it in grabs from an atomic cursor. One worker
+//!   runs the grab loop on the calling thread; more run it as tasks on
+//!   the shared pool.
 //! * **StaticChunks** — one static candidate chunk per thread, each
-//!   with its own training run and cache (the Figure 9 static
-//!   splitter).
+//!   run through the one-worker driver with its own training run and
+//!   cache (the Figure 9 static splitter).
 //! * **TwoThread** — the §4.1 baseline in [`crate::twothread`]: race
 //!   the optimist and the pessimist on two threads per candidate over
 //!   the deployment's precomputed signatures.
 //!
+//! Every partial result — a grab, a requeued grab, a static chunk — is
+//! folded by the one merge, `SmartPsiReport::absorb`.
+//!
 //! **Determinism argument.** Which worker evaluates which candidate —
 //! and whether its (method, plan) came from the cache or a model —
 //! affects only *cost* (steps, stage counters, cache hits), never the
-//! *verdict*: every recovery pipeline ends in stage 3, an exhaustive
-//! unlimited run, and both methods are exact (§4.3). Hence the sorted
-//! `valid` vector and the `candidates`/`trained_nodes` counts are
-//! identical for any worker count, grab size, cache mode and run —
-//! tested in `valid_set_is_identical_across_worker_counts_and_runs`
+//! *verdict*: every recovery pipeline ends in an exhaustive unlimited
+//! run, and both methods are exact (§4.3). Phase A runs once on the
+//! calling thread, so the plan — and with it every per-node cost — is
+//! identical for any worker count, grab size and run; the whole
+//! result is, not only the sorted `valid` vector. Tested in
+//! `valid_set_is_identical_across_worker_counts_and_runs`
 //! (`tests/parallel_executor.rs`) and, under seeded faults, in
 //! `determinism_across_worker_counts_under_seeded_faults`
 //! (`crates/core/tests/fault_injection.rs`).
 //!
 //! **Limit observance.** A global deadline or cancel flag
-//! ([`EvalLimits`](crate::limits::EvalLimits)) is (a) threaded into
+//! ([`EvalLimits`]) is (a) threaded into
 //! every per-stage limit, so in-flight searches unwind within
 //! [`POLL_INTERVAL`](crate::limits::POLL_INTERVAL) steps, and (b)
 //! polled at every grab boundary, so no worker starts more than one
@@ -42,14 +49,15 @@
 //! (`GraphContext::eval_rest_node`), so a broken node costs one
 //! entry in the result's
 //! [`FailureReport`](crate::report::FailureReport), not the pool. A
-//! worker *thread* dying entirely (a panic outside the isolated
+//! pool worker *task* dying entirely (a panic outside the isolated
 //! region, or an injected
 //! [`FaultKind::KillWorker`](crate::fault::FaultKind::KillWorker)) is
 //! detected at join: each grab is committed to a shared ledger as a
 //! unit, so a dead worker loses only its in-flight grab, which the
 //! calling thread detects via the ledger and re-evaluates inline
 //! (`requeued` in the failure report). The pool never aborts on a
-//! worker death.
+//! worker death. The one-worker loop on the calling thread takes no
+//! ledger and never consults `KillWorker`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -60,8 +68,8 @@ use psi_graph::{NodeId, PivotedQuery};
 use psi_obs::{timed, Counter, Histogram, MetricsRecorder, NoopRecorder, Phase, Recorder};
 use psi_signature::SignatureKey;
 
-use crate::evaluator::QueryContext;
 use crate::fault::{unpoison, InjectedPanic, NodeMatcher};
+use crate::limits::EvalLimits;
 use crate::report::{PsiResult, StageTimings};
 use crate::single::pivot_candidates;
 use crate::smart::{RunSpec, SmartPsiReport};
@@ -75,15 +83,14 @@ use super::training::{TrainOutcome, TrainedSession};
 /// [`RunSpec`] to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum ExecutorKind {
-    /// One thread, candidates in shuffled training order.
+    /// The realist: train once, then drain one shared phase-A plan in
+    /// grabs — on the calling thread with one worker, on the pool with
+    /// more.
     #[default]
-    Sequential,
+    WorkStealing,
     /// The §4.1 two-threaded baseline: race the optimist and the
     /// pessimist per candidate (no training, no cache).
     TwoThread,
-    /// The work-stealing pool: train once, share the models and the
-    /// prediction cache across workers.
-    WorkStealing,
     /// The static splitter: one candidate chunk per thread, each with
     /// its own training run and cache (Figure 9's comparison arm).
     StaticChunks,
@@ -206,119 +213,12 @@ impl PredictionCache {
 }
 
 impl GraphContext {
-    /// Pick the prediction cache for one single-threaded sweep: the
-    /// run's external (cross-query) cache when one is attached, else a
-    /// fresh per-run cache — or none when caching is disabled.
-    fn run_cache<'a>(
-        &self,
-        spec: &'a RunSpec,
-        local: &'a mut Option<PredictionCache>,
-    ) -> Option<&'a PredictionCache> {
-        if !self.config.enable_cache {
-            return None;
-        }
-        match spec.cache.as_deref() {
-            Some(ext) => Some(ext),
-            None => {
-                *local = Some(PredictionCache::new(CACHE_SHARDS));
-                local.as_ref()
-            }
-        }
-    }
-
-    /// Sequential evaluation: train, then sweep the remaining
-    /// candidates on the calling thread. The body behind
-    /// [`ExecutorKind::Sequential`] (and the `threads ≤ 1` degenerate
-    /// case of the pool). `subset` overrides the spec's own candidate
-    /// subset (the static splitter hands each chunk its slice).
-    pub(crate) fn seq_run(
-        &self,
-        query: &PivotedQuery,
-        subset: Option<&[NodeId]>,
-        spec: &RunSpec,
-        rec: &dyn Recorder,
-    ) -> SmartPsiReport {
-        let candidates = subset_or(self, query, subset);
-        let total = candidates.len();
-        let mut matcher = self.matcher(spec);
-
-        let sess = match self.train_session(query, candidates, spec, rec) {
-            TrainOutcome::TooFew => {
-                let ctx = QueryContext::new(query.clone(), self.config.depth);
-                return self.plain_sweep(
-                    &ctx,
-                    &mut matcher,
-                    subset_or(self, query, subset),
-                    spec,
-                    rec,
-                );
-            }
-            TrainOutcome::Interrupted { steps, failures } => {
-                let mut r = unresolved_report(total, steps);
-                r.result.failures = failures;
-                return r;
-            }
-            TrainOutcome::Trained(sess) => sess,
-        };
-
-        // ---- Main loop over the remaining candidates -----------------
-        let t_eval = Instant::now();
-        let mut local = None;
-        let cache = self.run_cache(spec, &mut local);
-        // Phase A: one SoA prefilter sweep + survivor prediction.
-        let bp = self.batch_plan(&sess, cache, rec);
-        let mut report = SmartPsiReport {
-            result: PsiResult {
-                valid: Vec::new(),
-                candidates: total,
-                steps: 0,
-                unresolved: 0,
-                failures: sess.failures.clone(),
-                profile: None,
-            },
-            timings: StageTimings::default(),
-            trained_nodes: sess.n_train,
-            cache_hits: 0,
-            resolved_stage1: 0,
-            recovered_stage2: 0,
-            recovered_stage3: 0,
-            predicted_valid: 0,
-            alpha_accuracy: 0.0,
-        };
-        let mut alpha_correct = 0usize;
-        for i in 0..bp.len() {
-            let u = bp.ids[i];
-            let out = self.eval_rest_node(&sess, &mut matcher, bp.pred(i), u, spec, rec);
-            let stop = out.is_global_stop();
-            absorb_outcome(&mut report, &mut alpha_correct, u, &out);
-            if stop {
-                // Global limits fired: everything not yet evaluated is
-                // unresolved.
-                report.result.unresolved += bp.len() - i - 1;
-                break;
-            }
-        }
-
-        report.result.valid.extend_from_slice(&sess.train_valid);
-        report.result.valid.sort_unstable();
-        report.result.failures.sort();
-        report.result.steps += sess.train_steps;
-        report.alpha_accuracy = if sess.rest.is_empty() {
-            1.0
-        } else {
-            alpha_correct as f64 / sess.rest.len() as f64
-        };
-        report.timings = StageTimings {
-            training_and_prediction: sess.training_and_prediction,
-            evaluation: t_eval.elapsed(),
-        };
-        report
-    }
-
     /// The static chunk-per-thread driver behind
     /// [`ExecutorKind::StaticChunks`]: each of `spec.threads` (≥ 1)
-    /// chunks runs an independent sequential evaluation (its own
-    /// training and cache).
+    /// chunks runs the one-worker driver on its own pool task (its own
+    /// training and cache), and the chunk reports fold by the one
+    /// merge. A chunk never scatters onto the pool itself: a nested
+    /// scatter from inside a pool task could deadlock.
     pub(crate) fn static_chunks(
         &self,
         query: &PivotedQuery,
@@ -326,14 +226,10 @@ impl GraphContext {
         rec: &dyn Recorder,
     ) -> SmartPsiReport {
         let threads = spec.threads.max(1);
-        let subset = spec.subset.as_deref();
-        if threads == 1 {
-            return self.seq_run(query, subset, spec, rec);
-        }
-        let candidates = subset_or(self, query, subset);
+        let candidates = subset_or(self, query, spec.subset.as_deref());
         let chunk = candidates.len().div_ceil(threads);
-        if chunk == 0 {
-            return self.seq_run(query, subset, spec, rec);
+        if threads == 1 || chunk == 0 {
+            return work_stealing(self, query, candidates, 1, spec, rec);
         }
         let slices: Vec<&[NodeId]> = candidates.chunks(chunk).collect();
         let pool = pool::global();
@@ -349,7 +245,7 @@ impl GraphContext {
                     if let Some(t0) = t_attach {
                         rec.span_ns(Phase::PoolSpawn, t0.elapsed().as_nanos() as u64);
                     }
-                    let r = self.seq_run(query, Some(slice), spec, rec);
+                    let r = work_stealing(self, query, slice.to_vec(), 1, spec, rec);
                     *unpoison(slot.lock()) = Some(r);
                 }) as pool::ScopedTask<'_>
             })
@@ -370,39 +266,22 @@ impl GraphContext {
                 }
             })
             .collect();
-        // Merge.
         timed(rec, Phase::Merge, || {
-            let mut merged = reports[0].clone();
-            for r in &reports[1..] {
-                merged.result.valid.extend_from_slice(&r.result.valid);
-                merged.result.steps += r.result.steps;
-                merged.result.candidates += r.result.candidates;
-                merged.result.unresolved += r.result.unresolved;
-                merged.result.failures.merge(&r.result.failures);
-                merged.trained_nodes += r.trained_nodes;
-                merged.cache_hits += r.cache_hits;
-                merged.resolved_stage1 += r.resolved_stage1;
-                merged.recovered_stage2 += r.recovered_stage2;
-                merged.recovered_stage3 += r.recovered_stage3;
-                merged.predicted_valid += r.predicted_valid;
-                merged.timings.training_and_prediction += r.timings.training_and_prediction;
-                merged.timings.evaluation += r.timings.evaluation;
+            let mut merged = SmartPsiReport::default();
+            for r in &reports {
+                merged.absorb(r);
             }
-            merged.result.valid.sort_unstable();
-            merged.result.failures.sort();
-            merged.alpha_accuracy =
-                reports.iter().map(|r| r.alpha_accuracy).sum::<f64>() / reports.len() as f64;
+            merged.sort();
             merged
         })
     }
 }
 
-/// One committed grab's worth of results, merged deterministically
-/// after join.
+/// One committed grab's worth of results (or, on the calling thread,
+/// a whole one-worker sweep's), folded by the one merge after join.
 #[derive(Default)]
 struct Partial {
     report: SmartPsiReport,
-    alpha_correct: usize,
     grabbed: usize,
 }
 
@@ -418,26 +297,44 @@ struct PoolLedger {
     inflight: Vec<(usize, usize)>,
 }
 
+/// The shared work queue over one phase-A [`BatchPlan`]: an atomic
+/// cursor handing out `grab`-sized contiguous ranges.
+struct Grabs<'a> {
+    bp: &'a BatchPlan,
+    cursor: AtomicUsize,
+    grab: usize,
+    limits: &'a EvalLimits,
+}
+
+impl Grabs<'_> {
+    /// The next range to evaluate, or `None` once the plan is drained
+    /// or the global limits fired (polled at every grab boundary).
+    fn next(&self) -> Option<(usize, usize)> {
+        if self.limits.expired() {
+            return None;
+        }
+        let start = self.cursor.fetch_add(self.grab, Ordering::Relaxed);
+        (start < self.bp.len()).then(|| (start, (start + self.grab).min(self.bp.len())))
+    }
+}
+
 /// Evaluate one grab range — a contiguous slice of the phase-A
 /// [`BatchPlan`], i.e. same-`(method, plan)` candidates with ascending
-/// ids — into a fresh [`Partial`]. The bool is true when the *global*
-/// limits fired mid-grab (the caller must stop grabbing); the
-/// remainder of the grab is then already accounted as unresolved.
+/// ids — into `part`. Returns true when the *global* limits fired
+/// mid-grab (the caller must stop grabbing); the remainder of the
+/// grab is then already accounted as unresolved.
 #[allow(clippy::too_many_arguments)]
 fn run_grab(
     ctx: &GraphContext,
     sess: &TrainedSession,
     m: &mut dyn NodeMatcher,
     bp: &BatchPlan,
-    start: usize,
-    end: usize,
+    (start, end): (usize, usize),
     spec: &RunSpec,
     rec: &dyn Recorder,
-) -> (Partial, bool) {
-    let mut part = Partial {
-        grabbed: end - start,
-        ..Partial::default()
-    };
+    part: &mut Partial,
+) -> bool {
+    part.grabbed += end - start;
     rec.add(Counter::GrabSteals, 1);
     rec.observe(Histogram::GrabLength, (end - start) as u64);
     // Prefetch: touch each candidate's CSR adjacency span once before
@@ -449,63 +346,45 @@ fn run_grab(
     for i in start..end {
         let u = bp.ids[i];
         let out = ctx.eval_rest_node(sess, m, bp.pred(i), u, spec, rec);
-        let stop = out.is_global_stop();
-        absorb_outcome(&mut part.report, &mut part.alpha_correct, u, &out);
-        if stop {
+        absorb_outcome(&mut part.report, u, &out);
+        if out.is_global_stop() {
             part.report.result.unresolved += end - i - 1;
-            return (part, true);
+            return true;
         }
     }
-    (part, false)
+    false
 }
 
-/// Run one query through the work-stealing pool. Called via
-/// [`SmartPsi::run`](crate::SmartPsi::run) with
-/// [`RunSpec::threads`](crate::RunSpec::threads).
+/// The realist's one driver, behind [`RunSpec::new`],
+/// [`RunSpec::threads`](crate::RunSpec::threads) and every static
+/// chunk: train once on `candidates`, build the phase-A plan, and
+/// drain it in grabs with `workers` workers — the calling thread when
+/// `workers` is 1 (no pool task, no lock), else pool tasks.
 ///
-/// Instrumentation: workers record into *private*
+/// Instrumentation: pool workers record into *private*
 /// [`MetricsRecorder`] buffers (no cross-thread contention on the
 /// shared registry) and drain them into the caller's recorder exactly
 /// once at exit; the sums are order-independent, so profiled totals
-/// are deterministic across schedules. Each worker also reports its
-/// spawn/attach latency as a [`Phase::PoolSpawn`] span, so per-query
-/// pool setup is visible separately from evaluation time. A dead
-/// worker's undrained buffer is lost — observational metrics only; the
-/// exact accounting counters are rebuilt from the merged report either
-/// way.
+/// are deterministic across schedules. Each pool worker also reports
+/// its spawn/attach latency as a [`Phase::PoolSpawn`] span, so
+/// per-query pool setup is visible separately from evaluation time. A
+/// dead worker's undrained buffer is lost — observational metrics
+/// only; the exact accounting counters are rebuilt from the merged
+/// report either way.
 pub(crate) fn work_stealing(
     ctx: &GraphContext,
     query: &PivotedQuery,
+    candidates: Vec<NodeId>,
+    workers: usize,
     spec: &RunSpec,
     rec: &dyn Recorder,
 ) -> SmartPsiReport {
     let cfg = ctx.config();
-    let threads = match spec.threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        t => t,
-    };
-    let grab = if spec.grab != 0 { spec.grab } else { DEFAULT_GRAB };
-    let shared = spec.shared_cache.unwrap_or(true);
-    let limits = &spec.limits;
-    let subset = spec.subset.as_deref();
-
-    let candidates = subset_or(ctx, query, subset);
     let total = candidates.len();
-    if limits.expired() {
+    if spec.limits.expired() {
         return unresolved_report(total, 0);
     }
-    if threads <= 1 {
-        // One worker degenerates to the sequential executor (which the
-        // determinism tests rely on for their 1-thread baseline).
-        return ctx.seq_run(query, subset, spec, rec);
-    }
-
     let sess = match ctx.train_session(query, candidates, spec, rec) {
-        // Too few candidates for ML: spinning up a pool would cost
-        // more than the sweep itself.
-        TrainOutcome::TooFew => {
-            return ctx.seq_run(query, subset, spec, rec);
-        }
         TrainOutcome::Interrupted { steps, failures } => {
             let mut r = unresolved_report(total, steps);
             r.result.failures = failures;
@@ -514,34 +393,107 @@ pub(crate) fn work_stealing(
         TrainOutcome::Trained(sess) => sess,
     };
 
-    // A run-level external cache (attached by a PsiService) doubles as
-    // the run's shared cache; otherwise the run owns a fresh one. With
-    // phase A centralizing every prediction on the calling thread, the
-    // `shared_cache = false` ablation simply runs phase A uncached.
-    let external = cfg.enable_cache.then_some(spec.cache.as_deref()).flatten();
-    let owned = (cfg.enable_cache && shared && external.is_none())
-        .then(|| PredictionCache::new(CACHE_SHARDS));
-    let shared_cache: Option<&PredictionCache> = external.or(owned.as_ref());
+    // The one cache rule: with `enable_cache`, phase A probes the
+    // run's attached (cross-query) cache, else a fresh one. An exact
+    // plan predicts nothing and needs none.
+    let fresh;
+    let cache = if sess.models.is_none() || !cfg.enable_cache {
+        None
+    } else if let Some(attached) = spec.cache.as_deref() {
+        Some(attached)
+    } else {
+        fresh = PredictionCache::new(CACHE_SHARDS);
+        Some(&fresh)
+    };
 
     // Phase A: the SoA prefilter sweep + survivor prediction, once,
-    // before any worker attaches. Every executor sees this identical
+    // before any worker starts. Every worker count sees this identical
     // plan, and grabs become contiguous same-(method, plan) ranges.
-    let bp = ctx.batch_plan(&sess, shared_cache, rec);
-
-    let pool = pool::global();
-    pool.ensure(threads, rec);
-    let cursor = AtomicUsize::new(0);
-    let ledger = Mutex::new(PoolLedger::default());
-    let fault = spec.fault.as_ref().or(cfg.fault.as_ref());
-    let t_spawn = rec.enabled().then(Instant::now);
+    let bp = ctx.batch_plan(&sess, cache, rec);
+    let grabs = Grabs {
+        bp: &bp,
+        cursor: AtomicUsize::new(0),
+        grab: if spec.grab != 0 { spec.grab } else { DEFAULT_GRAB },
+        limits: &spec.limits,
+    };
     let t_eval = Instant::now();
+    let (partials, worker_deaths) = if workers <= 1 {
+        let mut matcher = ctx.matcher(spec);
+        let mut part = Partial::default();
+        while let Some(range) = grabs.next() {
+            if run_grab(ctx, &sess, &mut matcher, &bp, range, spec, rec, &mut part) {
+                break;
+            }
+        }
+        (vec![part], 0)
+    } else {
+        pool_sweep(ctx, &sess, &grabs, workers, spec, rec)
+    };
+    let evaluation = t_eval.elapsed();
+
+    // ---- Deterministic merge ---------------------------------------
+    timed(rec, Phase::Merge, || {
+        let grabbed: usize = partials.iter().map(|p| p.grabbed).sum();
+        let mut report = SmartPsiReport {
+            result: PsiResult {
+                valid: sess.train_valid.clone(),
+                candidates: sess.total_candidates,
+                steps: sess.train_steps,
+                // Candidates the cursor handed out past cancellation
+                // to nobody, plus dead-worker grabs the requeue pass
+                // could not finish.
+                unresolved: bp.len() - grabbed,
+                failures: sess.failures.clone(),
+                profile: None,
+            },
+            timings: StageTimings {
+                training_and_prediction: sess.training_and_prediction,
+                evaluation,
+            },
+            trained_nodes: sess.n_train,
+            // A model decided every planned candidate; an exact plan,
+            // none.
+            alpha_predicted: if sess.models.is_some() { bp.len() } else { 0 },
+            ..SmartPsiReport::default()
+        };
+        report.result.failures.worker_deaths = worker_deaths;
+        for p in &partials {
+            report.absorb(&p.report);
+        }
+        report.sort();
+        debug_assert_eq!(
+            report.result.valid.len()
+                + report.result.unresolved
+                + report.result.failures.len()
+                + invalid_count(&report, sess.n_train),
+            report.result.candidates,
+            "every candidate is valid, invalid, unresolved or failed"
+        );
+        report
+    })
+}
+
+/// Drain `grabs` with `workers` pool tasks, then requeue on the
+/// calling thread whatever grab a dead worker dropped. Returns the
+/// committed partials and the number of worker deaths.
+fn pool_sweep(
+    ctx: &GraphContext,
+    sess: &TrainedSession,
+    grabs: &Grabs<'_>,
+    workers: usize,
+    spec: &RunSpec,
+    rec: &dyn Recorder,
+) -> (Vec<Partial>, usize) {
+    let bp = grabs.bp;
+    let pool = pool::global();
+    pool.ensure(workers, rec);
+    let ledger = Mutex::new(PoolLedger::default());
+    let fault = spec.fault.as_ref().or(ctx.config().fault.as_ref());
+    let t_spawn = rec.enabled().then(Instant::now);
 
     let worker_deaths = {
-        let bp = &bp;
-        let sess = &sess;
-        let cursor = &cursor;
         let ledger = &ledger;
-        let tasks: Vec<pool::ScopedTask<'_>> = (0..threads)
+        let tasks: Vec<pool::ScopedTask<'_>> = (0..workers)
             .map(|_| {
                 Box::new(move || {
                     let mut matcher = ctx.matcher(spec);
@@ -555,15 +507,7 @@ pub(crate) fn work_stealing(
                     if let Some(t0) = t_spawn {
                         wrec.span_ns(Phase::PoolSpawn, t0.elapsed().as_nanos() as u64);
                     }
-                    loop {
-                        if limits.expired() {
-                            break;
-                        }
-                        let start = cursor.fetch_add(grab, Ordering::Relaxed);
-                        if start >= bp.len() {
-                            break;
-                        }
-                        let end = (start + grab).min(bp.len());
+                    while let Some((start, end)) = grabs.next() {
                         unpoison(ledger.lock()).inflight.push((start, end));
                         // Simulated worker death: a KillWorker fault
                         // on any node of this grab kills the task
@@ -576,8 +520,9 @@ pub(crate) fn work_stealing(
                                 }
                             }
                         }
-                        let (part, stopped) =
-                            run_grab(ctx, sess, &mut matcher, bp, start, end, spec, wrec);
+                        let mut part = Partial::default();
+                        let stopped =
+                            run_grab(ctx, sess, &mut matcher, bp, (start, end), spec, wrec, &mut part);
                         {
                             let mut l = unpoison(ledger.lock());
                             l.partials.push(part);
@@ -612,69 +557,24 @@ pub(crate) fn work_stealing(
     // ---- Requeue grabs dropped by dead workers ---------------------
     if !inflight.is_empty() {
         let mut matcher = ctx.matcher(spec);
-        for &(start, end) in &inflight {
-            if limits.expired() {
+        for &range in &inflight {
+            if spec.limits.expired() {
                 // Unrecovered ranges fall into the `rest - grabbed`
-                // unresolved accounting below.
+                // unresolved accounting of the merge.
                 break;
             }
-            let (mut part, stopped) =
-                run_grab(ctx, &sess, &mut matcher, &bp, start, end, spec, rec);
-            part.report.result.failures.requeued += end - start;
-            rec.add(Counter::Requeued, (end - start) as u64);
+            let mut part = Partial::default();
+            let stopped = run_grab(ctx, sess, &mut matcher, bp, range, spec, rec, &mut part);
+            let n = range.1 - range.0;
+            part.report.result.failures.requeued += n;
+            rec.add(Counter::Requeued, n as u64);
             partials.push(part);
             if stopped {
                 break;
             }
         }
     }
-    let evaluation = t_eval.elapsed();
-
-    // ---- Deterministic merge ---------------------------------------
-    timed(rec, Phase::Merge, || {
-        let grabbed: usize = partials.iter().map(|p| p.grabbed).sum();
-        let mut report = unresolved_report(sess.total_candidates, sess.train_steps);
-        // Candidates the cursor handed out past cancellation to nobody,
-        // plus dead-worker grabs the requeue pass could not finish.
-        report.result.unresolved = bp.len() - grabbed;
-        report.result.valid.extend_from_slice(&sess.train_valid);
-        report.result.failures = sess.failures.clone();
-        report.result.failures.worker_deaths = worker_deaths;
-        report.trained_nodes = sess.n_train;
-        let mut alpha_correct = 0usize;
-        for p in &partials {
-            report.result.valid.extend_from_slice(&p.report.result.valid);
-            report.result.steps += p.report.result.steps;
-            report.result.unresolved += p.report.result.unresolved;
-            report.result.failures.merge(&p.report.result.failures);
-            report.cache_hits += p.report.cache_hits;
-            report.resolved_stage1 += p.report.resolved_stage1;
-            report.recovered_stage2 += p.report.recovered_stage2;
-            report.recovered_stage3 += p.report.recovered_stage3;
-            report.predicted_valid += p.report.predicted_valid;
-            alpha_correct += p.alpha_correct;
-        }
-        report.result.valid.sort_unstable();
-        report.result.failures.sort();
-        report.alpha_accuracy = if sess.rest.is_empty() {
-            1.0
-        } else {
-            alpha_correct as f64 / sess.rest.len() as f64
-        };
-        report.timings = StageTimings {
-            training_and_prediction: sess.training_and_prediction,
-            evaluation,
-        };
-        debug_assert_eq!(
-            report.result.valid.len()
-                + report.result.unresolved
-                + report.result.failures.len()
-                + invalid_count(&report, sess.n_train),
-            report.result.candidates,
-            "every candidate is valid, invalid, unresolved or failed"
-        );
-        report
-    })
+    (partials, worker_deaths)
 }
 
 fn invalid_count(report: &SmartPsiReport, n_train: usize) -> usize {
@@ -684,7 +584,8 @@ fn invalid_count(report: &SmartPsiReport, n_train: usize) -> usize {
 }
 
 /// Report for a query whose evaluation was stopped before any
-/// candidate resolved.
+/// candidate resolved. Every candidate counts as a mispredicted α
+/// call, so its α-accuracy reads 0.
 pub(crate) fn unresolved_report(candidates: usize, steps: u64) -> SmartPsiReport {
     SmartPsiReport {
         result: PsiResult::empty(candidates, steps),
@@ -695,7 +596,8 @@ pub(crate) fn unresolved_report(candidates: usize, steps: u64) -> SmartPsiReport
         recovered_stage2: 0,
         recovered_stage3: 0,
         predicted_valid: 0,
-        alpha_accuracy: 0.0,
+        alpha_correct: 0,
+        alpha_predicted: candidates,
     }
 }
 
@@ -817,20 +719,32 @@ mod tests {
         // On a labeled graph many candidates fail the pivot-signature
         // containment check; the batched phase-A sweep must prune them
         // (Proposition 3.2 — no survivor lost, no prediction spent)
-        // while the stage accounting identity keeps reconciling.
-        let (smart, q) = deployment();
-        let rec = Arc::new(MetricsRecorder::new());
-        let r = smart.run(&q, &RunSpec::new().threads(4).recorder(rec.clone()));
-        assert!(
-            rec.counter(Counter::PrefilterPruned) > 0,
-            "a 3-label deployment must prune some candidates in phase A"
+        // while the stage accounting identity keeps reconciling. A
+        // deployment that never trains gets a model-less (exact) plan,
+        // which the prefilter fronts just the same.
+        let (trained, q) = deployment();
+        let g = trained.graph().clone();
+        let model_less = SmartPsi::new(
+            g,
+            SmartPsiConfig {
+                min_candidates_for_ml: usize::MAX,
+                ..SmartPsiConfig::default()
+            },
         );
-        let p = r.profile.as_ref().unwrap();
-        assert!(p.reconciles());
-        // Pruned nodes resolve at stage 1 with zero cost and must agree
-        // with the sequential driver bit-for-bit.
-        let seq = smart.run(&q, &RunSpec::new());
-        assert_eq!(seq, r);
+        for smart in [&trained, &model_less] {
+            let rec = Arc::new(MetricsRecorder::new());
+            let r = smart.run(&q, &RunSpec::new().threads(4).recorder(rec.clone()));
+            assert!(
+                rec.counter(Counter::PrefilterPruned) > 0,
+                "a 3-label deployment must prune some candidates in phase A"
+            );
+            let p = r.profile.as_ref().unwrap();
+            assert!(p.reconciles());
+            // Pruned nodes resolve at stage 1 with zero cost and must
+            // agree with the one-worker run bit-for-bit.
+            let seq = smart.run(&q, &RunSpec::new());
+            assert_eq!(seq, r);
+        }
     }
 
     #[test]

@@ -2,17 +2,19 @@
 //! and the realist, per candidate node.
 //!
 //! One candidate's evaluation runs up to
-//! [`RetryPolicy::max_attempts`] *limited* attempts — the predicted
-//! method first (stage 1), then alternating with the opposite method
-//! under escalating budgets (stage 2) — and finally one unlimited
-//! attempt with the exact fallback (stage 3). Both methods are
-//! exhaustive, so stage 3 is conclusive: scheduling, caching and
-//! worker count can change the *cost* of a node, never its verdict.
+//! [`SmartPsiConfig::max_attempts`](super::context::SmartPsiConfig::max_attempts)
+//! *limited* attempts — the predicted method first (stage 1), then
+//! alternating with the opposite method under doubling budgets
+//! (stage 2) — and finally one unlimited attempt with the exact
+//! fallback (stage 3). Both methods are exhaustive, so stage 3 is
+//! conclusive: scheduling, caching and worker count can change the
+//! *cost* of a node, never its verdict.
 //!
-//! This module owns [`RetryPolicy`], the per-node outcome types, the
-//! batched phase-A sweep (`GraphContext::batch_plan`), the ladder
-//! itself (`GraphContext::eval_rest_node`) and the no-ML exact sweep
-//! used below the training threshold (`GraphContext::plain_sweep`).
+//! This module owns the per-node outcome types, the batched phase-A
+//! sweep (`GraphContext::batch_plan`), the ladder itself
+//! (`GraphContext::eval_rest_node`) and the exact-pessimist routine
+//! (`GraphContext::settle_exact`) that both training's ground truth
+//! and a model-less plan's survivors run.
 //!
 //! **Phase A / phase B split.** Evaluation of the non-training
 //! candidates is two-phased. Phase A (`GraphContext::batch_plan`)
@@ -23,10 +25,13 @@
 //! over maximal contiguous id runs) settles provably-invalid
 //! candidates without touching a matcher, and the survivors get their
 //! `(method, plan)` predicted — cache probe first, forests otherwise —
-//! with the sweep score appended as the last ML feature. Phase B (the
-//! per-survivor retry ladder below) then only ever runs the matcher.
-//! Because phase A is identical for every executor, answers *and*
-//! per-node costs stay bit-identical across worker counts.
+//! with the sweep score appended as the last ML feature. A session
+//! without models (below `min_candidates_for_ml`, or every training
+//! node failed) gets an *exact* plan instead: its survivors skip
+//! prediction and the ladder, and the exact-pessimist routine settles
+//! each one. Phase B (the per-survivor work below) then only ever
+//! runs the matcher. Because phase A is identical for every worker
+//! count, answers *and* per-node costs stay bit-identical across them.
 
 use std::time::Instant;
 
@@ -34,67 +39,25 @@ use psi_graph::NodeId;
 use psi_obs::{timed, Counter, Histogram, Phase, Recorder};
 use psi_signature::{SignatureKey, SignatureStore};
 
-use crate::evaluator::{QueryContext, Verdict};
+use crate::evaluator::{CompiledPlan, QueryContext, Verdict};
 use crate::fault::{eval_isolated, IsolatedOutcome, NodeMatcher};
 use crate::limits::EvalLimits;
-use crate::plan::heuristic_plan;
-use crate::report::{FailureReport, PsiResult, StageTimings};
 use crate::smart::{RunSpec, SmartPsiReport};
 use crate::Strategy;
 
 use super::context::GraphContext;
 use super::exec::PredictionCache;
-use super::training::TrainedSession;
+use super::training::{Models, TrainedSession};
 
-/// How the preemptive executor retries a node whose evaluation was
-/// interrupted by its step budget, spuriously interrupted, or panicked
-/// (§4.3 recovery, generalized into an explicit ladder).
-///
-/// The ladder runs `max_attempts` *limited* attempts — the predicted
-/// method first, then alternating with the opposite method, each under
-/// a budget of `2×AvgT × budget_multiplier^attempt` — and then one
-/// final unlimited attempt: the pessimist exact matcher on the
-/// heuristic plan when `escalate_to_exact` is set (the predicted
-/// method otherwise). Both methods are exhaustive, so the final
-/// attempt is conclusive unless the node's matcher itself is broken,
-/// in which case the node is reported in
-/// [`FailureReport`] instead of being
-/// silently dropped.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Limited (budgeted) attempts before the unlimited fallback.
-    pub max_attempts: u32,
-    /// Budget growth per limited attempt (clamped to ≥ 1.0).
-    pub budget_multiplier: f64,
-    /// Run the final unlimited attempt with the pessimist exact
-    /// matcher on the heuristic plan rather than the predicted method.
-    pub escalate_to_exact: bool,
-}
-
-impl Default for RetryPolicy {
-    /// Two limited attempts (predicted, then opposite at 2× budget),
-    /// then the exact fallback — the paper's three-stage executor
-    /// expressed as a policy.
-    fn default() -> Self {
-        Self {
-            max_attempts: 2,
-            budget_multiplier: 2.0,
-            escalate_to_exact: true,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Step budget for limited attempt `attempt` (0-based) given the
-    /// trained base budget. Saturates instead of overflowing.
-    pub fn budget(&self, base: u64, attempt: u32) -> u64 {
-        let m = self.budget_multiplier.max(1.0);
-        let scaled = base as f64 * m.powi(attempt.min(64) as i32);
-        if scaled >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            (scaled as u64).max(base).max(1)
-        }
+/// Step budget for limited ladder attempt `attempt` (0-based) given
+/// the trained base budget: the base doubles per attempt. Saturates
+/// instead of overflowing.
+fn budget(base: u64, attempt: u32) -> u64 {
+    let scaled = base as f64 * 2f64.powi(attempt.min(64) as i32);
+    if scaled >= u64::MAX as f64 {
+        u64::MAX
+    } else {
+        (scaled as u64).max(base).max(1)
     }
 }
 
@@ -110,33 +73,59 @@ pub(crate) struct NodeCost {
 /// Outcome of one main-loop candidate (see
 /// [`GraphContext::eval_rest_node`]).
 #[derive(Debug, Clone)]
-pub(crate) enum NodeOutcome {
+pub(crate) struct NodeOutcome {
+    pub(crate) end: NodeEnd,
+    /// Whether the node's (method, plan) came from the cache.
+    pub(crate) cache_hit: bool,
+    /// Model α's call (`true` = valid, optimist first); `None` when
+    /// an exact plan settled the node without a model.
+    pub(crate) predicted_valid: Option<bool>,
+    pub(crate) cost: NodeCost,
+}
+
+/// How one candidate's evaluation ended.
+#[derive(Debug, Clone)]
+pub(crate) enum NodeEnd {
     /// The candidate resolved (stage 1–3), or the *global*
     /// deadline/cancel fired first (stage 0, verdict `Interrupted`).
     Done {
         verdict: Verdict,
         /// Resolving stage (1–3); 0 = unresolved (global stop).
         stage: u8,
-        cache_hit: bool,
-        predicted_valid: bool,
-        cost: NodeCost,
     },
     /// The candidate could not be resolved despite panic isolation and
-    /// the full retry ladder — its matcher is broken or its per-node
-    /// timeout expired.
-    Failed {
-        reason: String,
-        attempts: u32,
-        cache_hit: bool,
-        predicted_valid: bool,
-        cost: NodeCost,
-    },
+    /// every retry — its matcher is broken or its per-node timeout
+    /// expired.
+    Failed { reason: String, attempts: u32 },
 }
 
 impl NodeOutcome {
     /// Whether the executor must stop sweeping (global limits fired).
     pub(crate) fn is_global_stop(&self) -> bool {
-        matches!(self, NodeOutcome::Done { stage: 0, .. })
+        matches!(self.end, NodeEnd::Done { stage: 0, .. })
+    }
+}
+
+/// How [`GraphContext::settle_exact`] ended.
+pub(crate) enum Exact {
+    /// A conclusive verdict, with the steps of the attempt that
+    /// reached it.
+    Settled(Verdict, u64),
+    /// The global deadline or cancel flag fired.
+    Stopped,
+    /// No attempt concluded: each panicked, or came back interrupted
+    /// without the global limits firing.
+    Failed { reason: String, attempts: u32 },
+}
+
+/// Why an unlimited attempt came back interrupted although the global
+/// limits did not fire: the per-node timeout, or a matcher
+/// misreporting its budget.
+fn interrupted_reason(node_deadline: Option<Instant>) -> String {
+    if node_deadline.is_some_and(|d| Instant::now() >= d) {
+        "node timeout".to_string()
+    } else {
+        "interrupted without an expired budget".to_string()
     }
 }
 
@@ -172,7 +161,7 @@ pub(crate) fn stage_limits_node(
 /// (ids ascending), then one contiguous group per predicted
 /// `(method, plan)` pair with ids ascending inside each group — so a
 /// pool grab is a contiguous range of same-plan candidates over an
-/// ascending CSR span.
+/// ascending CSR span. An exact plan has one survivor group.
 pub(crate) struct BatchPlan {
     /// Candidate ids in grouped evaluation order.
     pub(crate) ids: Vec<NodeId>,
@@ -186,6 +175,9 @@ pub(crate) struct BatchPlan {
     /// `ids[..pruned]` failed the pivot-signature prefilter: provably
     /// invalid without running any matcher.
     pruned: usize,
+    /// No model made these decisions: the session has no models, and
+    /// the exact-pessimist routine settles every survivor.
+    exact: bool,
 }
 
 impl BatchPlan {
@@ -198,8 +190,7 @@ impl BatchPlan {
     pub(crate) fn pred(&self, i: usize) -> NodePred {
         NodePred {
             survives: i >= self.pruned,
-            method_idx: self.method[i] as usize,
-            plan_idx: self.plan[i] as usize,
+            model: (!self.exact).then(|| (self.method[i] as usize, self.plan[i] as usize)),
             cache_hit: self.cached[i],
         }
     }
@@ -211,8 +202,9 @@ impl BatchPlan {
 pub(crate) struct NodePred {
     /// Passed the stage-1 prefilter; `false` means settled Invalid.
     pub(crate) survives: bool,
-    pub(crate) method_idx: usize,
-    pub(crate) plan_idx: usize,
+    /// The models' (method index, plan index); `None` on an exact
+    /// plan.
+    pub(crate) model: Option<(usize, usize)>,
     pub(crate) cache_hit: bool,
 }
 
@@ -231,13 +223,14 @@ impl GraphContext {
     ///    forests once per survivor, with the sweep score appended as
     ///    the last ML feature. Fresh predictions are published to the
     ///    cache immediately, so structurally identical survivors hit
-    ///    within the same sweep.
+    ///    within the same sweep. A session without models skips this
+    ///    step: its plan is exact.
     /// 3. **Group**: pruned ids first, then one contiguous group per
     ///    predicted `(method, plan)`, ids ascending within each group.
     ///
-    /// The plan is built before any worker spawns and is identical for
-    /// every executor — which is what keeps answers and per-node costs
-    /// bit-identical across worker counts.
+    /// The plan is built before any worker starts and is identical for
+    /// every worker count — which is what keeps answers and per-node
+    /// costs bit-identical across them.
     pub(crate) fn batch_plan(
         &self,
         sess: &TrainedSession,
@@ -269,37 +262,39 @@ impl GraphContext {
         let mut method = vec![1u8; n];
         let mut plan = vec![0u16; n];
         let mut cached = vec![false; n];
-        timed(rec, Phase::Predict, || {
-            let mut row_buf = Vec::new();
-            let mut feat = Vec::with_capacity(dim);
-            for i in 0..n {
-                if !survives[i] {
-                    continue;
-                }
-                let row = self.sigs.row_view(sorted[i], &mut row_buf);
-                let key = cache.map(|_| SignatureKey::exact(row));
-                let hit = match (cache, &key) {
-                    (Some(c), Some(k)) => c.get(k),
-                    _ => None,
-                };
-                cached[i] = hit.is_some();
-                let (mi, pi) = match hit {
-                    Some(v) => v,
-                    None => {
-                        feat.clear();
-                        feat.extend_from_slice(row);
-                        feat.push(scores[i]);
-                        let v = sess.predict(&feat, rec);
-                        if let (Some(c), Some(k)) = (cache, key) {
-                            c.insert(k, v);
-                        }
-                        v
+        if let Some(models) = &sess.models {
+            timed(rec, Phase::Predict, || {
+                let mut row_buf = Vec::new();
+                let mut feat = Vec::with_capacity(dim);
+                for i in 0..n {
+                    if !survives[i] {
+                        continue;
                     }
-                };
-                method[i] = mi as u8;
-                plan[i] = pi.min(u16::MAX as usize) as u16;
-            }
-        });
+                    let row = self.sigs.row_view(sorted[i], &mut row_buf);
+                    let key = cache.map(|_| SignatureKey::exact(row));
+                    let hit = match (cache, &key) {
+                        (Some(c), Some(k)) => c.get(k),
+                        _ => None,
+                    };
+                    cached[i] = hit.is_some();
+                    let (mi, pi) = match hit {
+                        Some(v) => v,
+                        None => {
+                            feat.clear();
+                            feat.extend_from_slice(row);
+                            feat.push(scores[i]);
+                            let v = models.predict(&feat, rec);
+                            if let (Some(c), Some(k)) = (cache, key) {
+                                c.insert(k, v);
+                            }
+                            v
+                        }
+                    };
+                    method[i] = mi as u8;
+                    plan[i] = pi.min(u16::MAX as usize) as u16;
+                }
+            });
+        }
         let pruned = survives.iter().filter(|&&s| !s).count();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_unstable_by_key(|&i| (survives[i], method[i], plan[i], sorted[i]));
@@ -309,19 +304,22 @@ impl GraphContext {
             plan: order.iter().map(|&i| plan[i]).collect(),
             cached: order.iter().map(|&i| cached[i]).collect(),
             pruned,
+            exact: sess.models.is_none(),
         }
     }
 
-    /// Evaluate one non-training candidate with the preemptive
-    /// executor (§4.3), generalized into the [`RetryPolicy`] ladder:
-    /// take the phase-A decision (survivor mask, method, plan, cache
-    /// provenance), then run up to `max_attempts` *limited* attempts —
-    /// the predicted method first (stage 1), then alternating with the
-    /// opposite method under escalating budgets (stage 2) — and
-    /// finally one unlimited attempt with the exact fallback
-    /// (stage 3). Every attempt is panic-isolated; a panic costs the
-    /// attempt, not the query. A candidate the prefilter pruned skips
-    /// the matcher entirely and resolves Invalid at zero step cost.
+    /// Evaluate one non-training candidate from its phase-A decision.
+    /// A candidate the prefilter pruned skips the matcher entirely and
+    /// resolves Invalid at zero step cost. A survivor with a model
+    /// decision climbs the preemptive ladder (§4.3): up to
+    /// `max_attempts` *limited* attempts — the predicted method first
+    /// (stage 1), then alternating with the opposite method under
+    /// doubling budgets (stage 2) — and finally one unlimited attempt
+    /// with the exact fallback (stage 3). A survivor of an exact plan
+    /// is settled by [`GraphContext::settle_exact`] inside a
+    /// [`Phase::ExactFallback`] span and counts as resolved at stage 1.
+    /// Every attempt is panic-isolated; a panic costs the attempt, not
+    /// the query.
     ///
     /// Exits: `Done { stage: 1..3 }` (conclusive), `Done { stage: 0 }`
     /// (global deadline/cancel fired — the only inexact exit), or
@@ -342,316 +340,228 @@ impl GraphContext {
         spec: &RunSpec,
         rec: &dyn Recorder,
     ) -> NodeOutcome {
-        let out = if pred.survives {
-            self.eval_rest_node_inner(sess, m, pred, u, spec, rec)
-        } else {
+        let mut cost = NodeCost::default();
+        let end = match (pred.survives, pred.model, &sess.models) {
             // Settled by the phase-A sweep: the pivot-signature
             // necessary condition failed, so no embedding can map the
             // pivot onto `u` under either method. The prefilter is
-            // always right, so this counts toward α-accuracy as a
-            // correct pessimistic call.
-            NodeOutcome::Done {
+            // always right, so under a model this counts toward
+            // α-accuracy as a correct pessimistic call.
+            (false, ..) => NodeEnd::Done {
                 verdict: Verdict::Invalid,
                 stage: 1,
-                cache_hit: false,
-                predicted_valid: false,
-                cost: NodeCost::default(),
+            },
+            (true, Some((mi, pi)), Some(models)) => {
+                self.climb_ladder(sess, models, m, (mi, pi), u, spec, rec, &mut cost)
             }
+            _ => match timed(rec, Phase::ExactFallback, || {
+                self.settle_exact(&sess.ctx, &sess.heuristic, m, u, spec, &mut cost)
+            }) {
+                Exact::Settled(verdict, _) => NodeEnd::Done { verdict, stage: 1 },
+                Exact::Stopped => NodeEnd::Done {
+                    verdict: Verdict::Interrupted,
+                    stage: 0,
+                },
+                Exact::Failed { reason, attempts } => NodeEnd::Failed { reason, attempts },
+            },
         };
-        let (cache_hit, predicted_valid, cost) = match &out {
-            NodeOutcome::Done {
-                cache_hit,
-                predicted_valid,
-                cost,
-                ..
-            }
-            | NodeOutcome::Failed {
-                cache_hit,
-                predicted_valid,
-                cost,
-                ..
-            } => (*cache_hit, *predicted_valid, *cost),
+        let out = NodeOutcome {
+            end,
+            cache_hit: pred.cache_hit,
+            predicted_valid: pred.model.map(|(mi, _)| mi == 0),
+            cost,
         };
         if rec.enabled() {
-            if pred.survives {
+            if !pred.survives {
+                rec.add(Counter::PrefilterPruned, 1);
+            } else if pred.model.is_some() {
                 rec.add(
-                    if cache_hit { Counter::CacheHits } else { Counter::CacheMisses },
+                    if out.cache_hit { Counter::CacheHits } else { Counter::CacheMisses },
                     1,
                 );
-            } else {
-                rec.add(Counter::PrefilterPruned, 1);
             }
             rec.add(
-                if predicted_valid { Counter::NodesOptimistic } else { Counter::NodesPessimistic },
+                if out.predicted_valid == Some(true) {
+                    Counter::NodesOptimistic
+                } else {
+                    Counter::NodesPessimistic
+                },
                 1,
             );
             rec.add(Counter::Steps, cost.steps);
             rec.add(Counter::Escalations, cost.escalations);
             rec.add(Counter::PanicsRecovered, cost.panics_recovered);
             rec.observe(Histogram::StepsPerNode, cost.steps);
-            match &out {
-                NodeOutcome::Done { stage, .. } => match stage {
+            match &out.end {
+                NodeEnd::Done { stage, .. } => match stage {
                     1 => rec.add(Counter::ResolvedS1, 1),
                     2 => rec.add(Counter::RecoveredS2, 1),
                     3 => rec.add(Counter::RecoveredS3, 1),
                     _ => rec.add(Counter::Unresolved, 1),
                 },
-                NodeOutcome::Failed { .. } => rec.add(Counter::FailedNodes, 1),
+                NodeEnd::Failed { .. } => rec.add(Counter::FailedNodes, 1),
             }
         }
         out
     }
 
-    fn eval_rest_node_inner(
+    /// The preemptive ladder for one survivor with a model decision
+    /// `(method_idx, plan_idx)`; see [`GraphContext::eval_rest_node`].
+    #[allow(clippy::too_many_arguments)]
+    fn climb_ladder(
         &self,
         sess: &TrainedSession,
+        models: &Models,
         m: &mut dyn NodeMatcher,
-        pred: NodePred,
+        (method_idx, plan_idx): (usize, usize),
         u: NodeId,
         spec: &RunSpec,
         rec: &dyn Recorder,
-    ) -> NodeOutcome {
-        let NodePred {
-            method_idx,
-            plan_idx,
-            cache_hit,
-            ..
-        } = pred;
-        let predicted_valid = method_idx == 0;
-        let plan = &sess.plans[plan_idx];
+        cost: &mut NodeCost,
+    ) -> NodeEnd {
+        let plan = &models.plans[plan_idx];
         let limits = &spec.limits;
         let node_deadline = self.config.node_timeout.map(|t| Instant::now() + t);
         let isolate = self.isolation(spec);
-        let retry = self.config.retry;
-        let mut cost = NodeCost::default();
+        let recovery = self.config.enable_recovery;
         let mut attempts = 0u32;
-
-        let (verdict, stage) = 'ladder: {
-            if self.config.enable_recovery {
-                // Limited attempts: predicted method first, then
-                // alternating with the opposite, budgets escalating by
-                // the policy's multiplier.
-                for attempt in 0..retry.max_attempts {
-                    let mi = if attempt % 2 == 0 { method_idx } else { 1 - method_idx };
-                    let budget = retry.budget(sess.max_time(mi, plan_idx), attempt);
-                    let lim = stage_limits_node(budget, limits, node_deadline);
-                    attempts += 1;
-                    if attempt > 0 {
-                        rec.add(Counter::Retries, 1);
-                    }
-                    let phase = if attempt == 0 { Phase::MatchS1 } else { Phase::MatchS2 };
-                    match timed(rec, phase, || {
-                        eval_isolated(m, &sess.ctx, plan, u, sess.strategies[mi], &lim, isolate)
-                    }) {
-                        IsolatedOutcome::Finished(v, s) => {
-                            cost.steps += s;
-                            if v != Verdict::Interrupted {
-                                break 'ladder (v, if attempt == 0 { 1 } else { 2 });
-                            }
-                            if limits.expired() {
-                                break 'ladder (Verdict::Interrupted, 0);
-                            }
-                            cost.escalations += 1;
+        if recovery {
+            // Limited attempts: predicted method first, then
+            // alternating with the opposite, budgets doubling.
+            for attempt in 0..self.config.max_attempts {
+                let mi = if attempt % 2 == 0 { method_idx } else { 1 - method_idx };
+                let lim = stage_limits_node(
+                    budget(models.max_time(mi, plan_idx), attempt),
+                    limits,
+                    node_deadline,
+                );
+                attempts += 1;
+                if attempt > 0 {
+                    rec.add(Counter::Retries, 1);
+                }
+                let phase = if attempt == 0 { Phase::MatchS1 } else { Phase::MatchS2 };
+                match timed(rec, phase, || {
+                    eval_isolated(m, &sess.ctx, plan, u, models.strategies[mi], &lim, isolate)
+                }) {
+                    IsolatedOutcome::Finished(v, s) => {
+                        cost.steps += s;
+                        if v != Verdict::Interrupted {
+                            let stage = if attempt == 0 { 1 } else { 2 };
+                            return NodeEnd::Done { verdict: v, stage };
                         }
-                        IsolatedOutcome::Panicked(_) => cost.panics_recovered += 1,
+                        if limits.expired() {
+                            return NodeEnd::Done {
+                                verdict: Verdict::Interrupted,
+                                stage: 0,
+                            };
+                        }
+                        cost.escalations += 1;
+                    }
+                    IsolatedOutcome::Panicked(_) => cost.panics_recovered += 1,
+                }
+            }
+        }
+        // Final attempt, no step budget: the exact fallback (the
+        // pessimist on the heuristic plan); the predicted method and
+        // plan when recovery is disabled.
+        let (final_mi, final_plan, phase, stage) = if recovery {
+            (1, &sess.heuristic, Phase::MatchS3, 3)
+        } else {
+            (method_idx, plan, Phase::MatchS1, 1)
+        };
+        let lim = stage_limits_node(0, limits, node_deadline);
+        attempts += 1;
+        if attempts > 1 {
+            rec.add(Counter::Retries, 1);
+        }
+        match timed(rec, phase, || {
+            eval_isolated(m, &sess.ctx, final_plan, u, models.strategies[final_mi], &lim, isolate)
+        }) {
+            IsolatedOutcome::Finished(v, s) => {
+                cost.steps += s;
+                if v != Verdict::Interrupted {
+                    NodeEnd::Done { verdict: v, stage }
+                } else if limits.expired() {
+                    NodeEnd::Done {
+                        verdict: Verdict::Interrupted,
+                        stage: 0,
+                    }
+                } else {
+                    NodeEnd::Failed {
+                        reason: interrupted_reason(node_deadline),
+                        attempts,
                     }
                 }
             }
-            // Final attempt, no step budget: the exact fallback (the
-            // pessimist on the heuristic plan) by default; the
-            // predicted method when the policy opts out of escalation
-            // or recovery is disabled.
-            let (final_mi, final_plan) = if !self.config.enable_recovery {
-                (method_idx, plan)
-            } else if retry.escalate_to_exact {
-                (1, &sess.heuristic)
-            } else {
-                (method_idx, &sess.heuristic)
-            };
-            let lim = stage_limits_node(0, limits, node_deadline);
-            attempts += 1;
-            if attempts > 1 {
-                rec.add(Counter::Retries, 1);
-            }
-            let phase = if self.config.enable_recovery { Phase::MatchS3 } else { Phase::MatchS1 };
-            match timed(rec, phase, || {
-                eval_isolated(
-                    m,
-                    &sess.ctx,
-                    final_plan,
-                    u,
-                    sess.strategies[final_mi],
-                    &lim,
-                    isolate,
-                )
-            }) {
+            IsolatedOutcome::Panicked(reason) => NodeEnd::Failed { reason, attempts },
+        }
+    }
+
+    /// The exact pessimist: run the pessimistic method on the
+    /// heuristic plan, unlimited but for the per-node deadline, for at
+    /// most `max_attempts + 1` panic-isolated attempts, until one
+    /// concludes. A panic adds to `cost.panics_recovered`; an
+    /// interruption that is not the global limits' adds to
+    /// `cost.escalations`; an expired global limit stops at once.
+    ///
+    /// Training's ground truth (§4.2.1) and an exact plan's survivors
+    /// both settle nodes here. It opens no span: training's calls sit
+    /// inside [`Phase::Train`], the sweep's inside
+    /// [`Phase::ExactFallback`].
+    pub(crate) fn settle_exact(
+        &self,
+        ctx: &QueryContext,
+        heuristic: &CompiledPlan,
+        m: &mut dyn NodeMatcher,
+        u: NodeId,
+        spec: &RunSpec,
+        cost: &mut NodeCost,
+    ) -> Exact {
+        let limits = &spec.limits;
+        let node_deadline = self.config.node_timeout.map(|t| Instant::now() + t);
+        let lim = stage_limits_node(0, limits, node_deadline);
+        let isolate = self.isolation(spec);
+        let attempts = self.config.max_attempts.saturating_add(1);
+        let mut reason = String::new();
+        for _ in 0..attempts {
+            match eval_isolated(m, ctx, heuristic, u, Strategy::Pessimistic, &lim, isolate) {
                 IsolatedOutcome::Finished(v, s) => {
                     cost.steps += s;
                     if v != Verdict::Interrupted {
-                        (v, if self.config.enable_recovery { 3 } else { 1 })
-                    } else if limits.expired() {
-                        (Verdict::Interrupted, 0)
-                    } else {
-                        // An unlimited attempt interrupted without the
-                        // global limits firing: per-node timeout, or a
-                        // matcher misreporting its budget.
-                        let reason = if node_deadline.is_some_and(|d| Instant::now() >= d) {
-                            "node timeout".to_string()
-                        } else {
-                            "interrupted without an expired budget".to_string()
-                        };
-                        return NodeOutcome::Failed {
-                            reason,
-                            attempts,
-                            cache_hit,
-                            predicted_valid,
-                            cost,
-                        };
+                        return Exact::Settled(v, s);
                     }
+                    if limits.expired() {
+                        return Exact::Stopped;
+                    }
+                    cost.escalations += 1;
+                    reason = interrupted_reason(node_deadline);
                 }
-                IsolatedOutcome::Panicked(reason) => {
-                    return NodeOutcome::Failed {
-                        reason,
-                        attempts,
-                        cache_hit,
-                        predicted_valid,
-                        cost,
-                    };
+                IsolatedOutcome::Panicked(r) => {
+                    cost.panics_recovered += 1;
+                    reason = r;
                 }
             }
-        };
-
-        NodeOutcome::Done {
-            verdict,
-            stage,
-            cache_hit,
-            predicted_valid,
-            cost,
         }
-    }
-
-    /// Exact sweep without ML for small candidate sets. Each node is
-    /// panic-isolated and retried like the main path, so a broken node
-    /// is recorded instead of failing the query. Runs inside a
-    /// [`Phase::ExactFallback`] span.
-    pub(crate) fn plain_sweep(
-        &self,
-        ctx: &QueryContext,
-        m: &mut dyn NodeMatcher,
-        candidates: Vec<NodeId>,
-        spec: &RunSpec,
-        rec: &dyn Recorder,
-    ) -> SmartPsiReport {
-        let t0 = Instant::now();
-        let heuristic = ctx.compile(&heuristic_plan(&self.g, ctx.query()));
-        let isolate = self.isolation(spec);
-        let limits = &spec.limits;
-        let retry = self.config.retry;
-        let mut valid = Vec::new();
-        let mut steps = 0u64;
-        let mut unresolved = 0usize;
-        let mut resolved = 0usize;
-        let mut failures = FailureReport::default();
-        'sweep: for (i, &u) in candidates.iter().enumerate() {
-            let node_deadline = self.config.node_timeout.map(|t| Instant::now() + t);
-            let mut attempts = 0u32;
-            let mut last_reason = String::new();
-            while attempts <= retry.max_attempts {
-                attempts += 1;
-                let lim = stage_limits_node(0, limits, node_deadline);
-                match timed(rec, Phase::ExactFallback, || {
-                    eval_isolated(m, ctx, &heuristic, u, Strategy::Pessimistic, &lim, isolate)
-                }) {
-                    IsolatedOutcome::Finished(v, s) => {
-                        steps += s;
-                        rec.observe(Histogram::StepsPerNode, s);
-                        match v {
-                            Verdict::Valid => {
-                                valid.push(u);
-                                resolved += 1;
-                                continue 'sweep;
-                            }
-                            Verdict::Invalid => {
-                                resolved += 1;
-                                continue 'sweep;
-                            }
-                            Verdict::Interrupted => {
-                                if limits.expired() {
-                                    unresolved += candidates.len() - i;
-                                    break 'sweep;
-                                }
-                                failures.escalations += 1;
-                                last_reason = "node timeout".into();
-                            }
-                        }
-                    }
-                    IsolatedOutcome::Panicked(reason) => {
-                        failures.panics_recovered += 1;
-                        last_reason = reason;
-                    }
-                }
-            }
-            failures.record(u, last_reason, attempts);
-        }
-        valid.sort_unstable();
-        failures.sort();
-        rec.add(Counter::Steps, steps);
-        SmartPsiReport {
-            result: PsiResult {
-                valid,
-                candidates: candidates.len(),
-                steps,
-                unresolved,
-                failures,
-                profile: None,
-            },
-            timings: StageTimings {
-                training_and_prediction: std::time::Duration::ZERO,
-                evaluation: t0.elapsed(),
-            },
-            trained_nodes: 0,
-            cache_hits: 0,
-            resolved_stage1: resolved,
-            recovered_stage2: 0,
-            recovered_stage3: 0,
-            predicted_valid: 0,
-            alpha_accuracy: 1.0,
-        }
+        Exact::Failed { reason, attempts }
     }
 }
 
-/// Accumulate one [`NodeOutcome`] into a report.
-pub(crate) fn absorb_outcome(
-    report: &mut SmartPsiReport,
-    alpha_correct: &mut usize,
-    u: NodeId,
-    out: &NodeOutcome,
-) {
-    let (cache_hit, predicted_valid, cost) = match out {
-        NodeOutcome::Done {
-            cache_hit,
-            predicted_valid,
-            cost,
-            ..
-        }
-        | NodeOutcome::Failed {
-            cache_hit,
-            predicted_valid,
-            cost,
-            ..
-        } => (*cache_hit, *predicted_valid, *cost),
-    };
+/// Accumulate one [`NodeOutcome`] into a report. Only nodes a model
+/// decided count toward α's correct calls; the report's `alpha_predicted`
+/// is set once per run by its driver.
+pub(crate) fn absorb_outcome(report: &mut SmartPsiReport, u: NodeId, out: &NodeOutcome) {
+    let cost = &out.cost;
     report.result.steps += cost.steps;
     report.result.failures.panics_recovered += cost.panics_recovered;
     report.result.failures.escalations += cost.escalations;
-    if cache_hit {
+    if out.cache_hit {
         report.cache_hits += 1;
     }
-    if predicted_valid {
+    if out.predicted_valid == Some(true) {
         report.predicted_valid += 1;
     }
-    match out {
-        NodeOutcome::Done { verdict, stage, .. } => {
+    match &out.end {
+        NodeEnd::Done { verdict, stage } => {
             match stage {
                 1 => report.resolved_stage1 += 1,
                 2 => report.recovered_stage2 += 1,
@@ -662,13 +572,11 @@ pub(crate) fn absorb_outcome(
             if is_valid {
                 report.result.valid.push(u);
             }
-            if *stage != 0 && is_valid == predicted_valid {
-                *alpha_correct += 1;
+            if *stage != 0 && out.predicted_valid == Some(is_valid) {
+                report.alpha_correct += 1;
             }
         }
-        NodeOutcome::Failed {
-            reason, attempts, ..
-        } => {
+        NodeEnd::Failed { reason, attempts } => {
             report.result.failures.record(u, reason.clone(), *attempts);
         }
     }

@@ -12,11 +12,13 @@
 //!      │      forest fitting → TrainedSession
 //!      ▼
 //!   ladder    the optimist/pessimist/realist stage-1/2/3 preemptive
-//!      │      executor with RetryPolicy escalation, per node
+//!      │      executor with doubling budgets, and the exact-pessimist
+//!      │      routine, per node
 //!      ▼
-//!   exec      the drivers: sequential / work-stealing pool / static
-//!      │      chunks (the two-thread baseline lives in twothread),
-//!      │      matched from the RunSpec in SmartPsi::run
+//!   exec      the realist's one driver (one worker on the calling
+//!      │      thread, more on the work-stealing pool) and the static
+//!      │      splitter around it (the two-thread baseline lives in
+//!      │      twothread), matched from the RunSpec in SmartPsi::run
 //!      ▼
 //!   service   PsiService: k ≥ 1 shards, each a persistent worker
 //!   + shard   pool serving a stream of (query, spec) jobs with
@@ -59,7 +61,6 @@ pub use context::{GraphContext, SmartPsiConfig};
 pub use deploy::DeploymentSpec;
 pub use evolve::{EvolvingContext, UpdateError, UpdateReport};
 pub use exec::PredictionCache;
-pub use ladder::RetryPolicy;
 pub use net::{NetServer, NetServerConfig};
 pub use proto::{ErrorKind, ProtoError, Request};
 pub use service::{

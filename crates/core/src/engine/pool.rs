@@ -21,9 +21,9 @@
 //! **No nested scatter.** Tasks must never call `scatter` themselves:
 //! tasks are independent units and the pool makes no provision for a
 //! task blocking on other tasks. Today's only submitters are the
-//! work-stealing and static-chunk drivers in
-//! [`exec`](super::exec), whose tasks run grab loops / sequential
-//! sweeps and submit nothing.
+//! realist's driver and the static splitter in [`exec`](super::exec),
+//! whose tasks run grab loops — a static chunk runs the one-worker
+//! loop inline on its task — and submit nothing.
 //!
 //! Mutexes and condvars ride out poisoning through the crate's one
 //! helper (`fault::unpoison`): a task panic is already accounted by

@@ -3,9 +3,12 @@
 //!
 //! `GraphContext::train_session` runs exactly once per query —
 //! regardless of executor or worker count — and produces a
-//! `TrainedSession`: compiled plans, Models α and β, the step-budget
-//! tables, and the shuffled candidate split. The session is shared
-//! read-only by every executor worker of the query.
+//! `TrainedSession`: the heuristic plan, the shuffled candidate split
+//! and, when ML pays, `Models` — the sampled plans, Models α and β and
+//! the step-budget tables. Below `min_candidates_for_ml`, or when
+//! every training node failed, the session has no models and its
+//! phase-A plan is exact. The session is shared read-only by every
+//! executor worker of the query.
 //!
 //! **Refit policy under graph evolution.** Sessions are never cached
 //! across queries, so an evolving deployment gets model refits for
@@ -33,32 +36,29 @@ use crate::smart::RunSpec;
 use crate::Strategy;
 
 use super::context::GraphContext;
-use super::ladder::{stage_limits, stage_limits_node};
+use super::ladder::{stage_limits, Exact, NodeCost};
 
 /// Everything [`TrainedSession`]-building can conclude.
 pub(crate) enum TrainOutcome {
-    /// Too few candidates for ML to pay off; run the plain sweep.
-    TooFew,
     /// A *global* deadline or cancel flag fired during training;
     /// `steps` were spent and `failures` accumulated before stopping.
     Interrupted { steps: u64, failures: FailureReport },
-    /// Models are fitted and ready.
+    /// The session is ready, with models or without.
     Trained(Box<TrainedSession>),
 }
 
 /// Per-query state produced by the training phase (§4.2), shared
-/// read-only by every executor worker: compiled plans, both models,
-/// the step-budget tables and the candidate split.
+/// read-only by every executor worker: the heuristic plan, the models
+/// (when there are any) and the candidate split.
 pub(crate) struct TrainedSession {
     pub(crate) ctx: QueryContext,
-    pub(crate) plans: Vec<CompiledPlan>,
+    /// The heuristic plan: the exact routine's plan and the ladder's
+    /// stage-3 fallback.
     pub(crate) heuristic: CompiledPlan,
-    pub(crate) strategies: [Strategy; 2],
-    alpha: RandomForest,
-    beta: Option<RandomForest>,
-    sum_steps: Vec<Vec<u64>>,
-    cnt_steps: Vec<Vec<u64>>,
-    global_avg: u64,
+    /// Models α and β; `None` for a session without models — too few
+    /// candidates for ML to pay off, or every training node failed —
+    /// whose phase-A plan is exact.
+    pub(crate) models: Option<Models>,
     /// Valid nodes discovered among the training sample.
     pub(crate) train_valid: Vec<NodeId>,
     /// Steps spent during training.
@@ -73,7 +73,19 @@ pub(crate) struct TrainedSession {
     pub(crate) failures: FailureReport,
 }
 
-impl TrainedSession {
+/// Fitted Models α and β with the compiled plans β chooses among and
+/// the step-budget tables the ladder reads.
+pub(crate) struct Models {
+    pub(crate) plans: Vec<CompiledPlan>,
+    pub(crate) strategies: [Strategy; 2],
+    alpha: RandomForest,
+    beta: Option<RandomForest>,
+    sum_steps: Vec<Vec<u64>>,
+    cnt_steps: Vec<Vec<u64>>,
+    global_avg: u64,
+}
+
+impl Models {
     /// `MaxTime(u) = 2 × AvgT(method, plan)` (§4.3), with a floor so a
     /// zero-cost training average cannot starve stage 1.
     pub(crate) fn max_time(&self, method_idx: usize, plan_idx: usize) -> u64 {
@@ -122,26 +134,39 @@ impl GraphContext {
         spec: &RunSpec,
         rec: &dyn Recorder,
     ) -> TrainOutcome {
-        if candidates.len() < self.config.min_candidates_for_ml {
-            return TrainOutcome::TooFew;
-        }
+        let t_setup = Instant::now();
         let ctx = QueryContext::new(query.clone(), self.config.depth);
+        let heuristic = ctx.compile(&heuristic_plan(&self.g, query));
+        let total_candidates = candidates.len();
+        if total_candidates < self.config.min_candidates_for_ml {
+            // Too few candidates for ML to pay off: no models, and the
+            // whole candidate set is left for the exact plan.
+            return TrainOutcome::Trained(Box::new(TrainedSession {
+                ctx,
+                heuristic,
+                models: None,
+                train_valid: Vec::new(),
+                train_steps: 0,
+                n_train: 0,
+                rest: candidates,
+                total_candidates,
+                training_and_prediction: Duration::ZERO,
+                failures: FailureReport::default(),
+            }));
+        }
         let mut matcher = self.matcher(spec);
         let m: &mut dyn NodeMatcher = &mut matcher;
         let isolate = self.isolation(spec);
         let limits = &spec.limits;
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let t_setup = Instant::now();
 
         // ---- Plans -------------------------------------------------
         let plan_orders = sample_plans(&self.g, query, self.config.plan_sample.max(1), rng.gen());
         let plans: Vec<CompiledPlan> = plan_orders.iter().map(|p| ctx.compile(p)).collect();
-        let heuristic = ctx.compile(&heuristic_plan(&self.g, query));
 
         // ---- Training sample ---------------------------------------
-        let n_train = ((candidates.len() as f64 * self.config.train_fraction).ceil() as usize)
-            .clamp(1, self.config.max_train_nodes.min(candidates.len()));
-        let total_candidates = candidates.len();
+        let n_train = ((total_candidates as f64 * self.config.train_fraction).ceil() as usize)
+            .clamp(1, self.config.max_train_nodes.min(total_candidates));
         let mut shuffled = candidates;
         for i in (1..shuffled.len()).rev() {
             let j = rng.gen_range(0..=i);
@@ -164,42 +189,23 @@ impl GraphContext {
         let mut alpha_rows: Vec<(NodeId, usize)> = Vec::with_capacity(n_train);
         let mut beta_rows: Vec<(NodeId, usize)> = Vec::with_capacity(n_train);
         'train: for &u in &train_nodes {
-            // True type via the pessimistic method (§4.2.1: "more
-            // stable and performs better on average"), isolated and
-            // retried so one broken training node cannot fail the
-            // query.
-            let mut truth: Option<(Verdict, u64)> = None;
-            let mut attempts = 0u32;
-            let mut last_reason = String::new();
-            while truth.is_none() && attempts <= self.config.retry.max_attempts {
-                attempts += 1;
-                let node_deadline = self.config.node_timeout.map(|t| Instant::now() + t);
-                let lim = stage_limits_node(0, limits, node_deadline);
-                match eval_isolated(m, &ctx, &heuristic, u, Strategy::Pessimistic, &lim, isolate) {
-                    IsolatedOutcome::Finished(v, s) => {
-                        steps += s;
-                        if v != Verdict::Interrupted {
-                            truth = Some((v, s));
-                        } else if limits.expired() {
-                            // Only the global deadline/cancel — not a
-                            // node fault — aborts training.
-                            return TrainOutcome::Interrupted { steps, failures };
-                        } else {
-                            // Per-node timeout or a matcher claiming a
-                            // budget it never had.
-                            failures.escalations += 1;
-                            last_reason = "node timeout during training".into();
-                        }
-                    }
-                    IsolatedOutcome::Panicked(reason) => {
-                        failures.panics_recovered += 1;
-                        last_reason = reason;
-                    }
+            // True type via the exact pessimist (§4.2.1: "more stable
+            // and performs better on average"), isolated and retried
+            // so one broken training node cannot fail the query.
+            let mut cost = NodeCost::default();
+            let truth = self.settle_exact(&ctx, &heuristic, m, u, spec, &mut cost);
+            steps += cost.steps;
+            failures.panics_recovered += cost.panics_recovered;
+            failures.escalations += cost.escalations;
+            let (truth_verdict, s_truth) = match truth {
+                Exact::Settled(v, s) => (v, s),
+                // Only the global deadline/cancel — not a node fault —
+                // aborts training.
+                Exact::Stopped => return TrainOutcome::Interrupted { steps, failures },
+                Exact::Failed { reason, attempts } => {
+                    failures.record(u, reason, attempts);
+                    continue 'train;
                 }
-            }
-            let Some((truth_verdict, s_truth)) = truth else {
-                failures.record(u, last_reason, attempts);
-                continue 'train;
             };
             let is_valid = truth_verdict == Verdict::Valid;
             if is_valid {
@@ -273,77 +279,79 @@ impl GraphContext {
             beta_rows.push((u, best_plan));
         }
 
-        if alpha_rows.is_empty() {
-            // Every training node failed: no model can be fitted. The
-            // plain exact sweep (which is itself fault-isolated) covers
-            // all candidates instead.
-            return TrainOutcome::TooFew;
-        }
-
         // ---- Fit the models -----------------------------------------
-        // Feature vector = the signature row plus the stage-1
-        // satisfiability score against the pivot's query signature —
-        // the same score the batched prefilter sweep hands the
-        // predictor at evaluation time (bitwise-equal per the batch
-        // parity tests), so training and inference share one feature
-        // map.
-        let dim = self.sigs.label_count() + 1;
-        let pivot_row = ctx.signatures().row(query.pivot());
-        // One reusable row buffer: a no-op view for dense storage, the
-        // dequantization target for compact storage.
-        let mut row_buf = Vec::new();
-        let mut feat = Vec::with_capacity(dim);
-        let mut alpha_ds = Dataset::with_capacity(dim, alpha_rows.len());
-        for &(u, label) in &alpha_rows {
-            feat.clear();
-            feat.extend_from_slice(self.sigs.row_view(u, &mut row_buf));
-            feat.push(self.sigs.row_score(u, pivot_row));
-            alpha_ds.push(&feat, label);
-        }
-        let mut alpha = RandomForest::new(self.config.forest);
-        alpha.fit(&alpha_ds, rng.gen());
-
-        let beta = if self.config.enable_beta && plans.len() > 1 {
-            let mut beta_ds = Dataset::with_capacity(dim, beta_rows.len());
-            for &(u, label) in &beta_rows {
+        // When every training node failed no model can be fitted: the
+        // session keeps training's steps and faults, and the exact plan
+        // covers `rest`.
+        let models = (!alpha_rows.is_empty()).then(|| {
+            // Feature vector = the signature row plus the stage-1
+            // satisfiability score against the pivot's query signature —
+            // the same score the batched prefilter sweep hands the
+            // predictor at evaluation time (bitwise-equal per the batch
+            // parity tests), so training and inference share one feature
+            // map.
+            let dim = self.sigs.label_count() + 1;
+            let pivot_row = ctx.signatures().row(query.pivot());
+            // One reusable row buffer: a no-op view for dense storage, the
+            // dequantization target for compact storage.
+            let mut row_buf = Vec::new();
+            let mut feat = Vec::with_capacity(dim);
+            let mut alpha_ds = Dataset::with_capacity(dim, alpha_rows.len());
+            for &(u, label) in &alpha_rows {
                 feat.clear();
                 feat.extend_from_slice(self.sigs.row_view(u, &mut row_buf));
                 feat.push(self.sigs.row_score(u, pivot_row));
-                beta_ds.push(&feat, label);
+                alpha_ds.push(&feat, label);
             }
-            let mut f = RandomForest::new(self.config.forest);
-            f.fit(&beta_ds, rng.gen());
-            Some(f)
-        } else {
-            None
-        };
+            let mut alpha = RandomForest::new(self.config.forest);
+            alpha.fit(&alpha_ds, rng.gen());
 
-        let global_avg = {
-            let total: u64 = sum_steps.iter().flatten().sum();
-            let cnt: u64 = cnt_steps.iter().flatten().sum();
-            match total.checked_div(cnt) {
-                None => self.config.initial_plan_limit,
-                Some(avg) => avg.max(16),
+            let beta = if self.config.enable_beta && plans.len() > 1 {
+                let mut beta_ds = Dataset::with_capacity(dim, beta_rows.len());
+                for &(u, label) in &beta_rows {
+                    feat.clear();
+                    feat.extend_from_slice(self.sigs.row_view(u, &mut row_buf));
+                    feat.push(self.sigs.row_score(u, pivot_row));
+                    beta_ds.push(&feat, label);
+                }
+                let mut f = RandomForest::new(self.config.forest);
+                f.fit(&beta_ds, rng.gen());
+                Some(f)
+            } else {
+                None
+            };
+
+            let global_avg = {
+                let total: u64 = sum_steps.iter().flatten().sum();
+                let cnt: u64 = cnt_steps.iter().flatten().sum();
+                match total.checked_div(cnt) {
+                    None => self.config.initial_plan_limit,
+                    Some(avg) => avg.max(16),
+                }
+            };
+            Models {
+                plans,
+                strategies,
+                alpha,
+                beta,
+                sum_steps,
+                cnt_steps,
+                global_avg,
             }
-        };
-        rec.add(Counter::TrainedNodes, (n_train - failures.len()) as u64);
+        });
+        // Failed training nodes are accounted in `failures`, not as
+        // trained (keeps `trained + stages + failed + unresolved ==
+        // candidates` exact).
+        let n_trained = n_train - failures.len();
+        rec.add(Counter::TrainedNodes, n_trained as u64);
         rec.add(Counter::Steps, steps);
         TrainOutcome::Trained(Box::new(TrainedSession {
             ctx,
-            plans,
             heuristic,
-            strategies,
-            alpha,
-            beta,
-            sum_steps,
-            cnt_steps,
-            global_avg,
+            models,
             train_valid: valid,
             train_steps: steps,
-            // Failed training nodes are accounted in `failures`, not
-            // as trained (keeps `trained + stages + failed + unresolved
-            // == candidates` exact).
-            n_train: n_train - failures.len(),
+            n_train: n_trained,
             rest,
             total_candidates,
             training_and_prediction: t_setup.elapsed(),

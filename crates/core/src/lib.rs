@@ -27,8 +27,9 @@
 //! finisher wins) is included for Figure 9.
 //!
 //! **One run surface.** [`SmartPsi::run`](smart::SmartPsi::run) is the
-//! only way into any executor — the realist sequentially or on the
-//! work-stealing pool, the static splitter, the two-threaded baseline —
+//! only way into any executor — the realist's one driver (one worker
+//! on the calling thread, or the work-stealing pool), the static
+//! splitter, the two-threaded baseline —
 //! and its [`RunSpec`], read together with the
 //! deployment's [`SmartPsiConfig`], is the only
 //! per-run settings struct. The single-strategy runners in [`single`]
@@ -78,7 +79,7 @@ pub use fault::{
 pub use limits::{EvalLimits, LimitTracker, POLL_INTERVAL};
 pub use plan::{heuristic_plan, sample_plans, Plan};
 pub use report::{FailureReport, NodeFailure, PsiResult, StageTimings};
-pub use smart::{RetryPolicy, RunSpec, SmartPsi, SmartPsiConfig};
+pub use smart::{RunSpec, SmartPsi, SmartPsiConfig};
 
 /// Signature-store backends (re-exported `psi-signature` surface): the
 /// [`SignatureStore`] trait, the
@@ -108,7 +109,7 @@ pub mod prelude {
     pub use crate::fault::FaultPlan;
     pub use crate::limits::EvalLimits;
     pub use crate::report::{FailureReport, PsiResult};
-    pub use crate::smart::{RetryPolicy, RunSpec, SmartPsi, SmartPsiConfig};
+    pub use crate::smart::{RunSpec, SmartPsi, SmartPsiConfig};
     pub use crate::Strategy;
     pub use psi_obs::{MetricsRecorder, NoopRecorder, QueryProfile, Recorder};
     pub use psi_signature::{SigStore, SigStoreKind, SignatureStore};

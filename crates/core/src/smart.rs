@@ -29,13 +29,14 @@
 //! thin public surface over it: [`SmartPsi`] wraps an
 //! `Arc<`[`GraphContext`]`>` and [`SmartPsi::run`] matches the
 //! [`RunSpec`]'s executor kind to one of the engine's drivers.
-//! `SmartPsiConfig` and `RetryPolicy` are re-exported here.
+//! `SmartPsiConfig` is re-exported here.
 //!
 //! # The one run surface
 //!
-//! [`SmartPsi::run`] is the only way into any executor: the realist on
-//! the calling thread, the work-stealing pool, the static splitter and
-//! the §4.1 two-thread baseline. Its builder-style [`RunSpec`]
+//! [`SmartPsi::run`] is the only way into any executor: the realist's
+//! one driver (on the calling thread with one worker, on the
+//! work-stealing pool with more), the static splitter and the §4.1
+//! two-thread baseline. Its builder-style [`RunSpec`]
 //! (`.threads(n)`, `.two_thread()`, `.limits(..)`, `.faults(..)`,
 //! `.recorder(..)`), read together with the context's
 //! [`SmartPsiConfig`], is the only per-run settings struct. The result
@@ -54,14 +55,15 @@ use psi_signature::SigStore;
 
 use crate::engine::context::GraphContext;
 use crate::engine::deploy::DeploymentSpec;
-use crate::engine::exec::{unresolved_report, work_stealing, ExecutorKind, PredictionCache};
+use crate::engine::exec::{
+    subset_or, unresolved_report, work_stealing, ExecutorKind, PredictionCache,
+};
 use crate::engine::service::PsiService;
 use crate::fault::FaultPlan;
 use crate::limits::EvalLimits;
 use crate::report::{PsiResult, StageTimings};
 
 pub use crate::engine::context::SmartPsiConfig;
-pub use crate::engine::ladder::RetryPolicy;
 
 /// Builder-style specification of one [`SmartPsi::run`] call: executor
 /// choice, thread count, global limits, candidate subset, and per-run
@@ -71,9 +73,9 @@ pub use crate::engine::ladder::RetryPolicy;
 /// per-run settings struct: the executors, training and the ladder
 /// read it directly.
 ///
-/// `RunSpec::default()` is a sequential, unlimited, unprofiled run
-/// with every knob deferring to the deployment's
-/// [`SmartPsiConfig`].
+/// `RunSpec::default()` is a one-worker, unlimited, unprofiled run
+/// of the realist on the calling thread, with every knob deferring to
+/// the deployment's [`SmartPsiConfig`].
 ///
 /// ```no_run
 /// # use psi_core::smart::RunSpec;
@@ -90,7 +92,6 @@ pub struct RunSpec {
     pub(crate) executor: ExecutorKind,
     pub(crate) threads: usize,
     pub(crate) grab: usize,
-    pub(crate) shared_cache: Option<bool>,
     pub(crate) limits: EvalLimits,
     pub(crate) subset: Option<Vec<NodeId>>,
     pub(crate) panic_isolation: Option<bool>,
@@ -100,16 +101,20 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// A sequential, unlimited, unprofiled run (same as `default()`).
+    /// A one-worker, unlimited, unprofiled run (same as `default()`).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Run on the work-stealing pool with `n` workers (`0` = one per
-    /// available hardware thread; `1` runs on the calling thread).
+    /// Run the realist with `n` workers (`0` = one per available
+    /// hardware thread): `1` runs the driver's grab loop on the calling
+    /// thread, more run it on the work-stealing pool.
     pub fn threads(mut self, n: usize) -> Self {
         self.executor = ExecutorKind::WorkStealing;
-        self.threads = n;
+        self.threads = match n {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
         self
     }
 
@@ -134,15 +139,6 @@ impl RunSpec {
     /// traffic.
     pub fn grab(mut self, n: usize) -> Self {
         self.grab = n;
-        self
-    }
-
-    /// Whether the pool's phase-A sweep uses a prediction cache
-    /// (default `true`, the paper's cache-reuse optimization).
-    /// `false` is the ablation baseline: every survivor is predicted
-    /// from scratch.
-    pub fn shared_cache(mut self, share: bool) -> Self {
-        self.shared_cache = Some(share);
         self
     }
 
@@ -235,16 +231,59 @@ pub(crate) struct SmartPsiReport {
     pub(crate) recovered_stage3: usize,
     /// Candidates Model α predicted valid.
     pub(crate) predicted_valid: usize,
-    /// Accuracy of Model α measured against the final ground truth of
-    /// every predicted candidate (Figure 11's metric). Candidates left
+    /// Model α calls that matched the final ground truth.
+    pub(crate) alpha_correct: usize,
+    /// Candidates a model decided. Model α's accuracy (Figure 11's
+    /// metric) is `alpha_correct / alpha_predicted`; candidates left
     /// unresolved by a deadline/cancel count as mispredicted.
-    pub(crate) alpha_accuracy: f64,
+    pub(crate) alpha_predicted: usize,
 }
 
 impl Default for SmartPsiReport {
     /// An empty report (no candidates, nothing resolved).
     fn default() -> Self {
         unresolved_report(0, 0)
+    }
+}
+
+impl SmartPsiReport {
+    /// The one merge: fold another report of the same query — a grab,
+    /// a requeued grab, a static chunk — into this one. Every field is
+    /// a sum, so merging is order-independent up to the final
+    /// [`SmartPsiReport::sort`].
+    pub(crate) fn absorb(&mut self, other: &SmartPsiReport) {
+        let (r, o) = (&mut self.result, &other.result);
+        r.valid.extend_from_slice(&o.valid);
+        r.candidates += o.candidates;
+        r.steps += o.steps;
+        r.unresolved += o.unresolved;
+        r.failures.merge(&o.failures);
+        self.timings.training_and_prediction += other.timings.training_and_prediction;
+        self.timings.evaluation += other.timings.evaluation;
+        self.trained_nodes += other.trained_nodes;
+        self.cache_hits += other.cache_hits;
+        self.resolved_stage1 += other.resolved_stage1;
+        self.recovered_stage2 += other.recovered_stage2;
+        self.recovered_stage3 += other.recovered_stage3;
+        self.predicted_valid += other.predicted_valid;
+        self.alpha_correct += other.alpha_correct;
+        self.alpha_predicted += other.alpha_predicted;
+    }
+
+    /// Canonical order for comparison across executors: valid ids and
+    /// failed nodes ascending.
+    pub(crate) fn sort(&mut self) {
+        self.result.valid.sort_unstable();
+        self.result.failures.sort();
+    }
+
+    /// Model α's accuracy; 1.0 when no model decided any candidate.
+    fn alpha_accuracy(&self) -> f64 {
+        if self.alpha_predicted == 0 {
+            1.0
+        } else {
+            self.alpha_correct as f64 / self.alpha_predicted as f64
+        }
     }
 }
 
@@ -315,8 +354,10 @@ impl SmartPsi {
         };
         let ctx = &*self.ctx;
         let report = match spec.executor {
-            ExecutorKind::Sequential => ctx.seq_run(query, spec.subset.as_deref(), spec, rec),
-            ExecutorKind::WorkStealing => work_stealing(ctx, query, spec, rec),
+            ExecutorKind::WorkStealing => {
+                let candidates = subset_or(ctx, query, spec.subset.as_deref());
+                work_stealing(ctx, query, candidates, spec.threads.max(1), spec, rec)
+            }
             ExecutorKind::StaticChunks => ctx.static_chunks(query, spec, rec),
             ExecutorKind::TwoThread => ctx.two_thread(query, spec, rec),
         };
@@ -338,7 +379,7 @@ impl SmartPsi {
         profile.signature_build_ns = self.ctx.signature_build_time().as_nanos() as u64;
         profile.train_ns = report.timings.training_and_prediction.as_nanos() as u64;
         profile.evaluation_ns = report.timings.evaluation.as_nanos() as u64;
-        profile.alpha_accuracy = report.alpha_accuracy;
+        profile.alpha_accuracy = report.alpha_accuracy();
         // The executor's own bookkeeping overrides whatever the
         // recorder sampled: the accounting identity must be exact even
         // on unprofiled runs (and recorder totals may span several

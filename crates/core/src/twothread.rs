@@ -179,7 +179,8 @@ impl GraphContext {
             recovered_stage2: 0,
             recovered_stage3: 0,
             predicted_valid: 0,
-            alpha_accuracy: 1.0,
+            alpha_correct: 0,
+            alpha_predicted: 0,
         }
     }
 }

@@ -148,13 +148,12 @@ fn static_chunks_roundtrips() {
 fn tuned_work_stealing_roundtrips() {
     let (smart, q) = deployment();
     roundtrip(
-        "threads+grab+shared_cache",
+        "threads+grab",
         &smart,
         &q,
         &RunSpec::new()
             .threads(4)
             .grab(2)
-            .shared_cache(true)
             .limits(EvalLimits::unlimited()),
     );
 }

@@ -74,8 +74,10 @@ pub enum Phase {
     MatchS2,
     /// Stage 3: the final unlimited attempt of the retry ladder.
     MatchS3,
-    /// The no-ML exact sweep used below the training threshold, and
-    /// training-phase ground-truth runs.
+    /// The exact-pessimist routine settling the survivors of a
+    /// model-less plan (below the training threshold, or when every
+    /// training node failed). Training's ground-truth runs use the same
+    /// routine inside [`Phase::Train`].
     ExactFallback,
     /// Deterministic merge of per-worker partials (sorting, failure
     /// ledger, requeue recovery).

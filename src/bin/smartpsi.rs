@@ -126,11 +126,11 @@ fn print_usage() {
          \x20            [--sig-store dense|compact]\n\
          \x20            engines: smartpsi (default), optimistic, pessimistic, twothread,\n\
          \x20                     turboiso+, enumerate\n\
-         \x20            --threads: smartpsi work-stealing pool size (1 = sequential,\n\
+         \x20            --threads: smartpsi workers (1 = the calling thread, default;\n\
          \x20                       0 = one worker per hardware thread)\n\
          \x20            --max-retries: budget-escalation attempts before the exact\n\
          \x20                       fallback (smartpsi engine, default 2)\n\
-         \x20            --node-timeout-ms: per-node wall-clock budget per attempt\n\
+         \x20            --node-timeout-ms: per-node wall-clock budget, all attempts\n\
          \x20                       (smartpsi engine, default unlimited)\n\
          \x20            --fault-seed: enable the deterministic fault-injection drill\n\
          \x20                       (seeded panics/interrupts/step-burns; see DESIGN.md §11)\n\
@@ -331,18 +331,14 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
                 sig_store: sig_store_opt(opts)?,
                 ..SmartPsiConfig::default()
             };
-            config.retry.max_attempts = max_retries;
+            config.max_attempts = max_retries;
             if node_timeout_ms > 0 {
                 config.node_timeout = Some(std::time::Duration::from_millis(node_timeout_ms));
             }
             let smart = SmartPsi::new(g.clone(), config);
             let profile_out = opts.get("profile-out").cloned();
             // 0 = auto (one worker per hardware thread).
-            let base_spec = if threads == 1 {
-                RunSpec::new()
-            } else {
-                RunSpec::new().threads(threads)
-            };
+            let base_spec = RunSpec::new().threads(threads);
             let mut profiles = Vec::new();
             for (i, q) in w.queries.iter().enumerate() {
                 // Fresh recorder per query so spans and counters do not

@@ -79,6 +79,27 @@ fn full_pipeline_via_cli() {
             .map(|l| l.split_whitespace().nth(1).unwrap().to_string())
     };
     assert_eq!(totals(&stdout(&smart)), totals(&stdout(&pess)));
+    // One driver and one phase-A plan at every worker count: the
+    // smartpsi engine's per-query "N valid nodes (S steps)" lines are
+    // byte-identical to the default one-worker run. This workload
+    // takes both plans: some queries train, some fall below the
+    // training threshold.
+    let per_query = |o: &Output| -> Vec<String> {
+        stdout(o)
+            .lines()
+            .filter(|l| l.starts_with("query "))
+            .map(str::to_string)
+            .collect()
+    };
+    let lines = per_query(&smart);
+    assert_eq!(lines.len(), 5, "{lines:?}");
+    for threads in ["2", "4"] {
+        let o = run(&[
+            "query", "--graph", graph_s, "--queries", queries_s, "--threads", threads,
+        ]);
+        assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+        assert_eq!(per_query(&o), lines, "--threads {threads}");
+    }
     let two = run(&[
         "query", "--graph", graph_s, "--queries", queries_s, "--engine", "twothread",
     ]);

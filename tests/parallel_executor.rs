@@ -1,11 +1,12 @@
 //! Determinism and limit-observance tests for the work-stealing
 //! parallel SmartPSI executor (`psi_core::engine::exec`).
 //!
-//! The executor's contract: the sorted `valid` vector and the
-//! candidate/trained counts are identical for every worker count, grab
-//! size, cache mode and repeated run (only cost counters may vary),
-//! and a global deadline or cancel flag stops the whole pool promptly,
-//! reporting untouched candidates as unresolved.
+//! The executor's contract: the whole result — the sorted `valid`
+//! vector, steps, failures and the accounting counters — is identical
+//! for every worker count and repeated run, the valid set is identical
+//! for every grab size and cache mode, and a global deadline or cancel
+//! flag stops the whole pool promptly, reporting untouched candidates
+//! as unresolved.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -25,11 +26,17 @@ fn counter(r: &PsiResult, c: Counter) -> u64 {
 }
 
 fn deployment() -> (SmartPsi, PivotedQuery) {
+    deployment_with(SmartPsiConfig::default())
+}
+
+/// The shared workload on a deployment of `cfg`, forced onto the ML
+/// path.
+fn deployment_with(cfg: SmartPsiConfig) -> (SmartPsi, PivotedQuery) {
     let g = generators::erdos_renyi(600, 2600, 3, 17);
     let q = rwr::extract_query_seeded(&g, 5, 11).expect("query extraction");
     let cfg = SmartPsiConfig {
         min_candidates_for_ml: 10, // force the ML + pool path
-        ..SmartPsiConfig::default()
+        ..cfg
     };
     (SmartPsi::new(g, cfg), q)
 }
@@ -46,12 +53,22 @@ fn valid_set_is_identical_across_worker_counts_and_runs() {
                 r.valid, baseline.valid,
                 "threads={threads} run={run}: valid set must be byte-identical"
             );
-            assert_eq!(r.candidates, baseline.candidates);
+            // One driver at every worker count and one phase-A plan:
+            // the whole result (steps and failures too) matches.
+            assert_eq!(r, baseline, "threads={threads} run={run}: whole result");
             assert_eq!(r.unresolved, 0, "unlimited run resolves everything");
+            for c in [Counter::TrainedNodes, Counter::PredictedValid, Counter::CacheHits] {
+                assert_eq!(
+                    counter(&r, c),
+                    counter(&baseline, c),
+                    "threads={threads} run={run}: {c:?}"
+                );
+            }
+            let alpha = |r: &PsiResult| r.profile.as_ref().map_or(0.0, |p| p.alpha_accuracy);
             assert_eq!(
-                counter(&r, Counter::TrainedNodes),
-                counter(&baseline, Counter::TrainedNodes),
-                "the session trains once with a fixed seed"
+                alpha(&r).to_bits(),
+                alpha(&baseline).to_bits(),
+                "threads={threads} run={run}: alpha_accuracy bits"
             );
             assert_eq!(
                 counter(&r, Counter::TrainedNodes)
@@ -69,11 +86,15 @@ fn valid_set_is_identical_across_worker_counts_and_runs() {
 fn valid_set_is_invariant_to_grab_size_and_cache_mode() {
     let (smart, q) = deployment();
     let baseline = smart.run(&q, &RunSpec::new()).valid;
-    for grab in [1usize, 3, 64] {
-        for shared in [true, false] {
-            let spec = RunSpec::new().threads(4).grab(grab).shared_cache(shared);
-            let r = smart.run(&q, &spec);
-            assert_eq!(r.valid, baseline, "grab={grab} shared_cache={shared}");
+    for enable_cache in [true, false] {
+        let (deployed, q) = deployment_with(SmartPsiConfig {
+            enable_cache,
+            ..SmartPsiConfig::default()
+        });
+        for grab in [1usize, 3, 64] {
+            let spec = RunSpec::new().threads(4).grab(grab);
+            let r = deployed.run(&q, &spec);
+            assert_eq!(r.valid, baseline, "grab={grab} enable_cache={enable_cache}");
         }
     }
 }

@@ -106,9 +106,10 @@ proptest! {
     }
 
     /// Differential harness over every executor: the work-stealing
-    /// pool, the static-chunk parallel driver, the sequential SmartPSI
-    /// evaluator and both single-strategy runners return the same
-    /// valid set on random labeled graphs.
+    /// pool, the static-chunk parallel driver, the one-worker SmartPSI
+    /// run, the model-less plan below the training threshold and both
+    /// single-strategy runners return the same valid set on random
+    /// labeled graphs.
     #[test]
     fn all_executors_agree(
         g in random_graph(),
@@ -137,6 +138,17 @@ proptest! {
         prop_assert_eq!(&chunked.valid, &optimistic);
         prop_assert_eq!(ws.unresolved, 0);
         prop_assert_eq!(ws.candidates, seq.candidates);
+        // Below the training threshold the plan is exact: the
+        // pessimist on the heuristic plan per candidate, so the valid
+        // set and the steps are the pessimist runner's.
+        let untrained = SmartPsi::new(g.clone(), SmartPsiConfig {
+            min_candidates_for_ml: usize::MAX,
+            ..SmartPsiConfig::default()
+        });
+        let exact = untrained.run(&q, &RunSpec::new().threads(threads));
+        let pessimist = psi_with_strategy(&g, &q, PsiStrategy::pessimistic(), &opts);
+        prop_assert_eq!(&exact.valid, &pessimist.valid);
+        prop_assert_eq!(exact.steps, pessimist.steps);
     }
 
     /// Re-pivoting the query changes the question but every answer set
