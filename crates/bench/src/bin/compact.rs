@@ -28,12 +28,10 @@
 
 use std::fmt::Write as _;
 
-use psi_bench::{slack, time, write_bench_json, ResultTable};
-use psi_core::{PsiResult, RunSpec, SmartPsi, SmartPsiConfig};
+use psi_bench::{locality_graph, projection, slack, time, write_bench_json, ResultTable};
+use psi_core::{RunSpec, SmartPsi, SmartPsiConfig};
 use psi_datasets::QueryWorkload;
-use psi_graph::{Graph, GraphBuilder};
 use psi_signature::SigStoreKind;
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Timing rounds per arm; the minimum is recorded.
 const ROUNDS: usize = 2;
@@ -44,45 +42,6 @@ const ROUNDS: usize = 2;
 /// stream is a serving workload rather than one giant scan.
 const NODES: usize = 5_000_000;
 const LABELS: u16 = 64;
-/// Chord reach of the locality generator, in id distance.
-const WINDOW: u32 = 64;
-
-/// Same ring-with-chords generator as the shard bench: one random
-/// short-range chord per node over a ring. Degrees stay small (~4), so
-/// depth-2 signature weights sit far below the u8 saturation cap and
-/// the quantized index is lossless — the regime where dense and
-/// compact engines agree not just on verdicts but on every step.
-fn locality_graph(nodes: usize, labels: u16, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::with_capacity(nodes, nodes * 2);
-    for _ in 0..nodes {
-        b.add_node(rng.gen_range(0..labels));
-    }
-    let n = nodes as u32;
-    for i in 0..n {
-        if i + 1 < n {
-            b.add_edge(i, i + 1);
-        }
-        let j = rng.gen_range(i.saturating_sub(WINDOW)..=(i + WINDOW).min(n - 1));
-        if j != i {
-            b.add_edge(i, j);
-        }
-    }
-    b.build().expect("valid bench graph")
-}
-
-/// The answer-projection both engines must agree on. Model training is
-/// per-engine, and training changes cost, never verdicts — but on this
-/// graph the quantized rows dequantize bit-exactly, so even the cost
-/// side matches in practice.
-fn projection(r: &PsiResult) -> (Vec<u32>, usize, usize, Vec<u32>) {
-    (
-        r.valid.clone(),
-        r.candidates,
-        r.unresolved,
-        r.failures.nodes.iter().map(|f| f.node).collect(),
-    )
-}
 
 fn main() {
     let slack = slack("PSI_COMPACT_SLACK", 1.5);

@@ -7,34 +7,31 @@
 //! candidate nodes, while the baseline spends its two threads racing
 //! the optimistic and pessimistic methods on the *same* node. Every arm
 //! runs through `SmartPsi::run` on one deployment, so the baseline
-//! reuses the precomputed signatures exactly like SmartPSI does. SmartPSI
-//! appears three times: on one thread (the honest baseline for its
-//! parallel arms), the static-chunk driver (one candidate chunk per
-//! thread, each with its own training run and cache) and the
-//! work-stealing pool (train once, shared queue, shared prediction
-//! cache).
+//! reuses the precomputed signatures exactly like SmartPSI does.
+//! SmartPSI appears twice: on one thread (the honest baseline for its
+//! parallel arm) and on the work-stealing pool with two workers (train
+//! once with the per-node runs and tree fits on the pool, one phase-A
+//! plan whose inferences fan out, a shared grab queue).
 //!
 //! Paper's claims to reproduce: the baseline can win on the smallest
 //! queries (no training overhead), but grows much faster with query
 //! size and eventually times out where SmartPSI keeps finishing.
 //!
-//! The scaling study then drops the baseline and compares static
-//! chunking against work stealing at 1/2/4/8 workers on a skewed
-//! single-label workload (see [`scaling_study`] for why the paper
-//! datasets cannot exercise the prediction cache), also counting how
-//! often the shared cache serves a prediction and timing the pool on
-//! a deployment with the cache off. Worker threads live in the engine's shared lazy
-//! pool, so the OS-thread spawn bill (`pool_spawn_ms`) is paid once
-//! per thread level — the study warms the pool with one recorded run,
-//! reports that one-time bill as its own column, and times every
-//! arm against warm workers. Each row reports its speedup against the
-//! 1-thread row (`speedup_vs_1t`, the honest baseline) next to its
-//! speedup against static chunking (`speedup_vs_static`, the gated
-//! one). With `PSI_FIG9_SCALING_ONLY` set, the binary skips the
-//! paper-dataset comparison and runs just the scaling study; `ci.sh`
-//! uses that mode to enforce the 8-thread scaling floor
-//! (`PSI_PARALLEL_SLACK`). Results land in `BENCH_parallel.json` next
-//! to the CSVs.
+//! The scaling study then drops the baseline and times the pool at
+//! 1/2/4/8 workers on a skewed single-label workload (see
+//! [`scaling_study`] for why the paper datasets cannot exercise the
+//! prediction cache), also counting how often the shared cache serves
+//! a prediction and timing the pool on a deployment with the cache
+//! off. Worker threads live in the engine's shared lazy pool, so the
+//! OS-thread spawn bill (`pool_spawn_ms`) is paid once per thread
+//! level — the study warms the pool with one recorded run, reports
+//! that one-time bill as its own column, and times every arm against
+//! warm workers. Each row reports its speedup against the 1-thread row
+//! (`speedup_vs_1t`). With `PSI_FIG9_SCALING_ONLY` set, the binary
+//! skips the paper-dataset comparison and runs just the scaling study;
+//! `ci.sh` uses that mode to enforce the 2-thread scaling floor
+//! ([`FLOOR_2T`] / `PSI_PARALLEL_SLACK`). Results land in
+//! `BENCH_parallel.json` next to the CSVs.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -46,6 +43,14 @@ use psi_datasets::PaperDataset;
 
 /// Timing rounds per scaling-study arm; the minimum is recorded.
 const STUDY_ROUNDS: usize = 3;
+
+/// The scaling floor: the pool at 2 threads must run the study at
+/// least this many times faster than its own 1-thread row, divided by
+/// `PSI_PARALLEL_SLACK` (default 1.0). Chosen below the lowest of 15
+/// runs of the study on a 2-core host, which read 1.18–2.01×
+/// (EXPERIMENTS.md, Figure 9); a host with one core reports the
+/// 2-thread row ungated.
+const FLOOR_2T: f64 = 1.15;
 
 fn main() {
     // CI mode: only the scaling study (which asserts the 8-thread
@@ -69,7 +74,6 @@ fn main() {
             "size",
             "two_threaded_ms",
             "smartpsi1_ms",
-            "smartpsi2_static_ms",
             "smartpsi2_ws_ms",
             "baseline_unresolved",
         ],
@@ -83,7 +87,6 @@ fn main() {
         let mut series = vec![
             Series { name: "two-threaded".into(), values: Vec::new() },
             Series { name: "SmartPSI (1t)".into(), values: Vec::new() },
-            Series { name: "SmartPSI static (2t)".into(), values: Vec::new() },
             Series { name: "SmartPSI stealing (2t)".into(), values: Vec::new() },
         ];
         for size in 4..=8 {
@@ -104,12 +107,6 @@ fn main() {
                     let _ = smart.run(q, &seq);
                 }
             });
-            let static2 = RunSpec::new().static_chunks(2);
-            let (_, t_static) = time(|| {
-                for q in &w.queries {
-                    let _ = smart.run(q, &static2);
-                }
-            });
             let ws2 = RunSpec::new().threads(2);
             let (_, t_ws) = time(|| {
                 for q in &w.queries {
@@ -121,15 +118,13 @@ fn main() {
                 size.to_string(),
                 t_two.as_millis().to_string(),
                 t_seq.as_millis().to_string(),
-                t_static.as_millis().to_string(),
                 t_ws.as_millis().to_string(),
                 unresolved.to_string(),
             ]);
             xs.push(format!("query size {size}"));
             series[0].values.push(Some(t_two.as_millis() as f64));
             series[1].values.push(Some(t_seq.as_millis() as f64));
-            series[2].values.push(Some(t_static.as_millis() as f64));
-            series[3].values.push(Some(t_ws.as_millis() as f64));
+            series[2].values.push(Some(t_ws.as_millis() as f64));
             eprintln!("[fig9] {} size {size} done", d.name());
         }
         println!("{}", render_grouped_bars(&format!("Figure 9({}): total ms per workload", d.name()), &xs, &series, 48));
@@ -143,14 +138,13 @@ fn main() {
     scaling_study();
 }
 
-/// Static chunking vs. work stealing at increasing worker counts
-/// (the 1-thread row, where both run the one-worker driver on the
-/// calling thread, is the baseline of `speedup_vs_1t`), plus
-/// shared-cache hit counts and an uncached arm. Writes
-/// `BENCH_parallel.json` and enforces the 8-thread scaling floor:
-/// work stealing must beat static chunking by at least
-/// `2.0 / PSI_PARALLEL_SLACK` (slack defaults to 1.0, so the default
-/// floor is a hard 2.0×; the checked-in JSON targets ≥ 2.5×).
+/// The work-stealing pool at increasing worker counts against its own
+/// 1-thread row (the baseline of `speedup_vs_1t`), plus shared-cache
+/// hit counts and an uncached arm. Writes `BENCH_parallel.json` and
+/// enforces the 2-thread scaling floor: on a host with at least two
+/// cores, `speedup_vs_1t` at 2 threads must reach
+/// [`FLOOR_2T`] / `PSI_PARALLEL_SLACK`. The 4- and 8-thread rows are
+/// reported, not gated: on a 2-core host they add workers, not cores.
 ///
 /// The study runs on a dense single-label graph rather than the paper
 /// datasets, for two reasons. First, with many labels every
@@ -160,21 +154,18 @@ fn main() {
 /// vacuous. With one label, 50–75% of candidates are exact
 /// duplicates and the cache carries real traffic. Second, the
 /// single-label candidate set is every node in the graph, so the
-/// training cap binds globally but not per chunk: static chunking
-/// pays for `threads ×` as many ground-truth runs (expensive
-/// exhaustive searches on a dense graph) while the pool trains once —
-/// the redundancy that grows with the worker count is exactly what
-/// the study is after. Each arm is timed as the best of
-/// [`STUDY_ROUNDS`] rounds to damp scheduler noise.
+/// training sample is large (the cap of 400 binds: 0.5 × 6000 » 400)
+/// and its ground-truth runs are expensive exhaustive searches on a
+/// dense graph — the set-up the pool now spreads over its workers
+/// instead of running it on the calling thread. Each arm is timed as
+/// the best of [`STUDY_ROUNDS`] rounds to damp scheduler noise.
 fn scaling_study() {
     let g = psi_datasets::generators::erdos_renyi(6_000, 36_000, 1, 31);
     let cfg = SmartPsiConfig {
         // An aggressive fraction under a web-scale cap: the cap of 400
-        // binds for the pool's single training run (0.5 × 6000 » 400),
-        // while each static chunk re-trains its own fraction (0.5 ×
-        // 750 = 375 nodes at 8 threads, 3000 ground-truth runs total
-        // vs. the pool's 400) — the per-chunk redundancy that grows
-        // with the worker count is exactly what the study measures.
+        // binds (0.5 × 6000 » 400), so every query trains on 400
+        // expensive ground-truth runs — the heavy set-up the pool
+        // carries in parallel.
         train_fraction: 0.50,
         max_train_nodes: 400,
         ..SmartPsiConfig::default()
@@ -209,17 +200,15 @@ fn scaling_study() {
         "parallel_scaling",
         &[
             "threads",
-            "static_ms",
             "ws_ms",
             "pool_spawn_ms",
-            "speedup_vs_static",
             "speedup_vs_1t",
             "shared_hits",
             "prefilter_pruned",
         ],
     );
     let mut json_rows = String::new();
-    let mut speedup_at_8 = f64::MAX;
+    let mut speedup_at_2 = f64::NAN;
     let mut t_one = f64::NAN;
     for &threads in &[1usize, 2, 4, 8] {
         // Warm the shared pool at this thread level with one recorded
@@ -237,20 +226,12 @@ fn scaling_study() {
                 p.counter(Counter::PoolThreadsSpawned),
             )
         });
-        let mut t_static = f64::MAX;
         let mut t_ws = f64::MAX;
         let mut t_private = f64::MAX;
         let mut shared_hits = 0usize;
         let mut pruned = 0usize;
-        let static_spec = RunSpec::new().static_chunks(threads);
         let ws_spec = RunSpec::new().threads(threads);
         for _ in 0..STUDY_ROUNDS {
-            let (_, t) = time(|| {
-                for q in &queries {
-                    let _ = smart.run(q, &static_spec);
-                }
-            });
-            t_static = t_static.min(t.as_secs_f64() * 1e3);
             let ((hits, pr), t) = time(|| {
                 let (mut hits, mut pr) = (0usize, 0usize);
                 for q in &queries {
@@ -275,28 +256,25 @@ fn scaling_study() {
         if threads == 1 {
             t_one = t_ws;
         }
-        let speedup = t_static / t_ws.max(1e-9);
         let speedup_1t = t_one / t_ws.max(1e-9);
-        if threads == 8 {
-            speedup_at_8 = speedup;
+        if threads == 2 {
+            speedup_at_2 = speedup_1t;
         }
         table.row(vec![
             threads.to_string(),
-            format!("{t_static:.1}"),
             format!("{t_ws:.1}"),
             format!("{pool_spawn_ms:.2}"),
-            format!("{speedup:.2}"),
             format!("{speedup_1t:.2}"),
             shared_hits.to_string(),
             pruned.to_string(),
         ]);
         let _ = writeln!(
             json_rows,
-            "    {{\"threads\": {threads}, \"static_ms\": {t_static:.1}, \
+            "    {{\"threads\": {threads}, \
              \"work_stealing_ms\": {t_ws:.1}, \"work_stealing_uncached_ms\": {t_private:.1}, \
              \"pool_spawn_ms\": {pool_spawn_ms:.2}, \
              \"pool_threads_spawned\": {pool_threads_spawned}, \
-             \"speedup_vs_static\": {speedup:.3}, \"speedup_vs_1t\": {speedup_1t:.3}, \
+             \"speedup_vs_1t\": {speedup_1t:.3}, \
              \"shared_cache_hits\": {shared_hits}, \
              \"prefilter_pruned\": {pruned}}},",
         );
@@ -304,27 +282,39 @@ fn scaling_study() {
     }
     table.finish();
 
+    // Scaling floor: with the set-up (training's runs, the tree fits,
+    // phase-A inference) and the grab loop all on the pool, two
+    // workers on two cores must beat one by FLOOR_2T
+    // (`PSI_PARALLEL_SLACK` loosens it for noisy CI hosts). One core
+    // cannot run two workers at once, so there the row is a report.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let slack = slack("PSI_PARALLEL_SLACK", 1.0);
+    let floor = FLOOR_2T / slack;
+    let gated = cores >= 2;
     let json = format!(
         "{{\n  \"experiment\": \"fig9 parallel scaling (dense single-label skewed workload, \
          best of {STUDY_ROUNDS} rounds)\",\n  \
+         \"floor\": {{\"speedup_vs_1t_at_2_threads\": {FLOOR_2T:.2}, \"slack\": {slack:.2}, \
+         \"cores\": {cores}, \"gated\": {gated}}},\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
         json_rows.trim_end().trim_end_matches(','),
     );
     write_bench_json("BENCH_parallel.json", &json);
 
-    // Scaling floor: train-once + one batched phase-A sweep + warm
-    // workers must beat per-chunk retraining by at least 2.0× at 8
-    // threads (`PSI_PARALLEL_SLACK` loosens the floor for noisy CI
-    // hosts; the checked-in numbers target ≥ 2.5×).
-    let slack = slack("PSI_PARALLEL_SLACK", 1.0);
-    let floor = 2.0 / slack;
+    if !gated {
+        println!(
+            "[fig9] scaling floor not gated on a {cores}-core host: \
+             {speedup_at_2:.2}x at 2 threads (floor {floor:.2}x needs 2 cores)"
+        );
+        return;
+    }
     assert!(
-        speedup_at_8 >= floor,
-        "scaling floor: work stealing at 8 threads is only {speedup_at_8:.2}x \
-         over static chunking (floor {floor:.2}x; raise PSI_PARALLEL_SLACK only \
-         for a provably noisy host)"
+        speedup_at_2 >= floor,
+        "scaling floor: the pool at 2 threads is only {speedup_at_2:.2}x over its \
+         1-thread row (floor {floor:.2}x; raise PSI_PARALLEL_SLACK only for a \
+         provably noisy host)"
     );
-    println!("[fig9] scaling floor ok: {speedup_at_8:.2}x >= {floor:.2}x at 8 threads");
+    println!("[fig9] scaling floor ok: {speedup_at_2:.2}x >= {floor:.2}x at 2 threads");
 }
 
 /// Prediction-cache hits served during `r`'s evaluation, read back

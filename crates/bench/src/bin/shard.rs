@@ -17,7 +17,7 @@
 //!   bytes) must undercut half the full matrix on the 4-shard cut
 //!   (owned quarter + halo); the ratio is recorded in the JSON. This
 //!   is deterministic, no slack needed. The bench graph is a
-//!   locality-ordered ring-with-chords (see [`locality_graph`]) —
+//!   locality-ordered ring-with-chords (see [`psi_bench::locality_graph`]) —
 //!   range cuts only buy memory when node order has locality.
 //! * **correctness** — every sharded answer projection (valid set,
 //!   candidate count, unresolved, failure nodes) must equal the
@@ -28,12 +28,10 @@
 
 use std::fmt::Write as _;
 
-use psi_bench::{slack, time, write_bench_json, ResultTable};
+use psi_bench::{locality_graph, projection, slack, time, write_bench_json, ResultTable};
 use psi_core::obs::Counter;
-use psi_core::{DeploymentSpec, PsiResult, RunSpec, SmartPsi, SmartPsiConfig};
+use psi_core::{DeploymentSpec, RunSpec, SmartPsi, SmartPsiConfig};
 use psi_datasets::QueryWorkload;
-use psi_graph::{Graph, GraphBuilder};
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Timing rounds per arm; the minimum is recorded.
 const ROUNDS: usize = 2;
@@ -46,46 +44,6 @@ const WORKERS: usize = 2;
 /// stream is a serving workload rather than one giant scan.
 const NODES: usize = 500_000;
 const LABELS: u16 = 48;
-/// Chord reach of the locality generator, in id distance.
-const WINDOW: u32 = 64;
-
-/// A ring with one random short-range chord per node: every edge spans
-/// at most [`WINDOW`] ids, so node order has real locality — the
-/// regime a range-sharded deployment is built for (graphs renumbered
-/// by BFS/community order, road networks, event streams). On an
-/// expander like Erdős–Rényi a depth-D halo ball is nearly the whole
-/// graph and *no* range cut can be memory-local; that is a property of
-/// the ordering, not of the scatter-gather machinery.
-fn locality_graph(nodes: usize, labels: u16, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::with_capacity(nodes, nodes * 2);
-    for _ in 0..nodes {
-        b.add_node(rng.gen_range(0..labels));
-    }
-    let n = nodes as u32;
-    for i in 0..n {
-        if i + 1 < n {
-            b.add_edge(i, i + 1);
-        }
-        let j = rng.gen_range(i.saturating_sub(WINDOW)..=(i + WINDOW).min(n - 1));
-        if j != i {
-            b.add_edge(i, j);
-        }
-    }
-    b.build().expect("valid bench graph")
-}
-
-/// The answer-projection two deployments must agree on. Steps and
-/// profile counters legitimately differ: each shard trains on its own
-/// candidate sample, and training changes cost, never verdicts.
-fn projection(r: &PsiResult) -> (Vec<u32>, usize, usize, Vec<u32>) {
-    (
-        r.valid.clone(),
-        r.candidates,
-        r.unresolved,
-        r.failures.nodes.iter().map(|f| f.node).collect(),
-    )
-}
 
 fn main() {
     let slack = slack("PSI_SHARD_SLACK", 1.5);

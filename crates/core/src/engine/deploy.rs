@@ -32,10 +32,10 @@
 
 use psi_signature::SigStoreKind;
 
-use crate::engine::shard::{ShardBalance, DEFAULT_HALO_DEPTH};
+use crate::engine::shard::DEFAULT_HALO_DEPTH;
 
 /// Builder-style description of one serving deployment: worker count,
-/// sharding, halo depth, partition balance, signature store backend,
+/// sharding, halo depth, signature store backend,
 /// and static-vs-evolving. `DeploymentSpec::default()` is a 1-worker,
 /// 1-shard, static deployment on the context's existing store.
 #[derive(Debug, Clone, Default)]
@@ -43,7 +43,6 @@ pub struct DeploymentSpec {
     workers: usize,
     shards: usize,
     halo: Option<u32>,
-    balance: ShardBalance,
     sig_store: Option<SigStoreKind>,
     evolving: Option<usize>,
 }
@@ -77,13 +76,6 @@ impl DeploymentSpec {
         self
     }
 
-    /// Partition balance policy for sharded deployments. Ignored with
-    /// one shard.
-    pub fn balance(mut self, balance: ShardBalance) -> Self {
-        self.balance = balance;
-        self
-    }
-
     /// Signature store backend for the deployment. Unset (the default)
     /// keeps whatever store the context was built with; setting a
     /// different backend converts once at deploy time.
@@ -111,10 +103,6 @@ impl DeploymentSpec {
 
     pub(crate) fn halo_depth(&self) -> u32 {
         self.halo.unwrap_or(DEFAULT_HALO_DEPTH)
-    }
-
-    pub(crate) fn shard_balance(&self) -> ShardBalance {
-        self.balance
     }
 
     pub(crate) fn label_capacity(&self) -> Option<usize> {

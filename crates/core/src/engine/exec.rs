@@ -3,32 +3,35 @@
 //! [`RunSpec`]'s `ExecutorKind` to one of them; each reads the spec
 //! and `ctx.config()` directly.
 //!
-//! One realist driver, one splitter around it, and one baseline:
+//! One realist driver and one baseline:
 //!
 //! * **WorkStealing** — the realist at every worker count: train once,
 //!   build one phase-A `BatchPlan` (model decisions with a
 //!   [`PredictionCache`], or an exact plan for a session without
 //!   models), then drain it in grabs from an atomic cursor. One worker
-//!   runs the grab loop on the calling thread; more run it as tasks on
-//!   the shared pool.
-//! * **StaticChunks** — one static candidate chunk per thread, each
-//!   run through the one-worker driver with its own training run and
-//!   cache (the Figure 9 static splitter).
+//!   runs everything on the calling thread. More run training's
+//!   per-node runs, forest fitting and phase-A inference as pool tasks
+//!   through the pool's one parallel map (`pool::scatter_map`), and the
+//!   grab loop as pool tasks below.
 //! * **TwoThread** — the §4.1 baseline in [`crate::twothread`]: race
 //!   the optimist and the pessimist on two threads per candidate over
 //!   the deployment's precomputed signatures.
 //!
-//! Every partial result — a grab, a requeued grab, a static chunk — is
-//! folded by the one merge, `SmartPsiReport::absorb`.
+//! Every partial result — a grab or a requeued grab — is folded by the
+//! one merge, `SmartPsiReport::absorb`.
 //!
 //! **Determinism argument.** Which worker evaluates which candidate —
 //! and whether its (method, plan) came from the cache or a model —
 //! affects only *cost* (steps, stage counters, cache hits), never the
 //! *verdict*: every recovery pipeline ends in an exhaustive unlimited
-//! run, and both methods are exact (§4.3). Phase A runs once on the
-//! calling thread, so the plan — and with it every per-node cost — is
-//! identical for any worker count, grab size and run; the whole
-//! result is, not only the sorted `valid` vector. Tested in
+//! run, and both methods are exact (§4.3). The set-up is
+//! schedule-free too: training's rows, the forests' trees and phase
+//! A's inferences each land in their own slot by index and are folded
+//! on the calling thread in index order, where every RNG draw, cache
+//! probe, dedupe and cache insert also happens. So the models and the
+//! phase-A plan — and with them every per-node cost — are identical
+//! for any worker count, grab size and run; the whole result is, not
+//! only the sorted `valid` vector. Tested in
 //! `valid_set_is_identical_across_worker_counts_and_runs`
 //! (`tests/parallel_executor.rs`) and, under seeded faults, in
 //! `determinism_across_worker_counts_under_seeded_faults`
@@ -57,7 +60,7 @@
 //! calling thread detects via the ledger and re-evaluates inline
 //! (`requeued` in the failure report). The pool never aborts on a
 //! worker death. The one-worker loop on the calling thread takes no
-//! ledger and never consults `KillWorker`.
+//! ledger, and only phase-B grab tasks consult `KillWorker`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -91,9 +94,6 @@ pub(crate) enum ExecutorKind {
     /// The §4.1 two-threaded baseline: race the optimist and the
     /// pessimist per candidate (no training, no cache).
     TwoThread,
-    /// The static splitter: one candidate chunk per thread, each with
-    /// its own training run and cache (Figure 9's comparison arm).
-    StaticChunks,
 }
 
 /// Candidates per work-stealing queue grab when the spec leaves
@@ -101,7 +101,10 @@ pub(crate) enum ExecutorKind {
 const DEFAULT_GRAB: usize = 8;
 
 /// Shards of every prediction cache the engine creates (a power of
-/// two). More shards = less lock contention between pool workers.
+/// two). Pool workers never touch a cache — phase A probes and fills it
+/// on the calling thread — but a service's concurrent jobs of one shape
+/// share theirs, and more shards keep those jobs off each other's
+/// locks.
 pub(crate) const CACHE_SHARDS: usize = 16;
 
 /// One cached conclusion: the confirmed (method, plan) indices and the
@@ -116,9 +119,11 @@ struct CacheEntry {
 type CacheShard = Mutex<FxHashMap<SignatureKey, CacheEntry>>;
 
 /// Concurrent (method, plan) prediction cache keyed by exact
-/// signature, sharded to keep workers off each other's locks. With a
-/// single shard this is exactly the sequential executor's cache plus
-/// one uncontended lock.
+/// signature. Phase A probes and fills it on the calling thread, so
+/// pool workers never touch it; it is sharded because a
+/// [`PsiService`](super::service::PsiService)'s concurrent jobs of one
+/// shape share one, and the shards keep those jobs off each other's
+/// locks.
 ///
 /// The cache carries an *epoch* so a long-lived instance (the
 /// cross-query cache of a [`PsiService`](super::service::PsiService))
@@ -212,71 +217,6 @@ impl PredictionCache {
     }
 }
 
-impl GraphContext {
-    /// The static chunk-per-thread driver behind
-    /// [`ExecutorKind::StaticChunks`]: each of `spec.threads` (≥ 1)
-    /// chunks runs the one-worker driver on its own pool task (its own
-    /// training and cache), and the chunk reports fold by the one
-    /// merge. A chunk never scatters onto the pool itself: a nested
-    /// scatter from inside a pool task could deadlock.
-    pub(crate) fn static_chunks(
-        &self,
-        query: &PivotedQuery,
-        spec: &RunSpec,
-        rec: &dyn Recorder,
-    ) -> SmartPsiReport {
-        let threads = spec.threads.max(1);
-        let candidates = subset_or(self, query, spec.subset.as_deref());
-        let chunk = candidates.len().div_ceil(threads);
-        if threads == 1 || chunk == 0 {
-            return work_stealing(self, query, candidates, 1, spec, rec);
-        }
-        let slices: Vec<&[NodeId]> = candidates.chunks(chunk).collect();
-        let pool = pool::global();
-        pool.ensure(threads, rec);
-        let t_attach = rec.enabled().then(Instant::now);
-        let slots: Vec<Mutex<Option<SmartPsiReport>>> =
-            slices.iter().map(|_| Mutex::new(None)).collect();
-        let tasks: Vec<pool::ScopedTask<'_>> = slices
-            .iter()
-            .zip(&slots)
-            .map(|(&slice, slot)| {
-                Box::new(move || {
-                    if let Some(t0) = t_attach {
-                        rec.span_ns(Phase::PoolSpawn, t0.elapsed().as_nanos() as u64);
-                    }
-                    let r = work_stealing(self, query, slice.to_vec(), 1, spec, rec);
-                    *unpoison(slot.lock()) = Some(r);
-                }) as pool::ScopedTask<'_>
-            })
-            .collect();
-        pool.scatter(tasks);
-        let reports: Vec<SmartPsiReport> = slices
-            .iter()
-            .zip(slots)
-            .map(|(slice, slot)| match unpoison(slot.into_inner()) {
-                Some(r) => r,
-                None => {
-                    // The chunk's task died outside the isolated
-                    // per-node path; its candidates stay unresolved,
-                    // the run keeps going.
-                    let mut r = unresolved_report(slice.len(), 0);
-                    r.result.failures.worker_deaths = 1;
-                    r
-                }
-            })
-            .collect();
-        timed(rec, Phase::Merge, || {
-            let mut merged = SmartPsiReport::default();
-            for r in &reports {
-                merged.absorb(r);
-            }
-            merged.sort();
-            merged
-        })
-    }
-}
-
 /// One committed grab's worth of results (or, on the calling thread,
 /// a whole one-worker sweep's), folded by the one merge after join.
 #[derive(Default)]
@@ -355,18 +295,20 @@ fn run_grab(
     false
 }
 
-/// The realist's one driver, behind [`RunSpec::new`],
-/// [`RunSpec::threads`](crate::RunSpec::threads) and every static
-/// chunk: train once on `candidates`, build the phase-A plan, and
-/// drain it in grabs with `workers` workers — the calling thread when
-/// `workers` is 1 (no pool task, no lock), else pool tasks.
+/// The realist's one driver, behind [`RunSpec::new`] and
+/// [`RunSpec::threads`](crate::RunSpec::threads): train once on the
+/// run's candidates, build the phase-A plan, and drain it in grabs
+/// with `spec.workers()` workers — everything on the calling thread
+/// with one worker (no pool task, no lock), else training's per-node
+/// runs, the forests' trees, phase A's inferences and the grab loop on
+/// the pool.
 ///
-/// Instrumentation: pool workers record into *private*
+/// Instrumentation: pool tasks record into *private*
 /// [`MetricsRecorder`] buffers (no cross-thread contention on the
 /// shared registry) and drain them into the caller's recorder exactly
 /// once at exit; the sums are order-independent, so profiled totals
-/// are deterministic across schedules. Each pool worker also reports
-/// its spawn/attach latency as a [`Phase::PoolSpawn`] span, so
+/// are deterministic across schedules. Each phase-B grab worker also
+/// reports its spawn/attach latency as a [`Phase::PoolSpawn`] span, so
 /// per-query pool setup is visible separately from evaluation time. A
 /// dead worker's undrained buffer is lost — observational metrics
 /// only; the exact accounting counters are rebuilt from the merged
@@ -374,11 +316,11 @@ fn run_grab(
 pub(crate) fn work_stealing(
     ctx: &GraphContext,
     query: &PivotedQuery,
-    candidates: Vec<NodeId>,
-    workers: usize,
     spec: &RunSpec,
     rec: &dyn Recorder,
 ) -> SmartPsiReport {
+    let candidates = subset_or(ctx, query, spec.subset.as_deref());
+    let workers = spec.workers();
     let cfg = ctx.config();
     let total = candidates.len();
     if spec.limits.expired() {
@@ -407,9 +349,9 @@ pub(crate) fn work_stealing(
     };
 
     // Phase A: the SoA prefilter sweep + survivor prediction, once,
-    // before any worker starts. Every worker count sees this identical
-    // plan, and grabs become contiguous same-(method, plan) ranges.
-    let bp = ctx.batch_plan(&sess, cache, rec);
+    // before any grab. Every worker count sees this identical plan, and
+    // grabs become contiguous same-(method, plan) ranges.
+    let bp = ctx.batch_plan(&sess, cache, workers, rec);
     let grabs = Grabs {
         bp: &bp,
         cursor: AtomicUsize::new(0),
@@ -702,10 +644,8 @@ mod tests {
             let smart = SmartPsi::new(g.clone(), cfg);
             let seq = smart.run(&q, &RunSpec::new());
             let par = smart.run(&q, &RunSpec::new().threads(2));
-            let stat = smart.run(&q, &RunSpec::new().static_chunks(2));
             let two = smart.run(&q, &RunSpec::new().two_thread());
             assert_eq!(seq.valid, par.valid, "store {}", kind.name());
-            assert_eq!(seq.valid, stat.valid, "store {}", kind.name());
             assert_eq!(seq.valid, two.valid, "store {}", kind.name());
             // PartialEq ignores the profile, so whole-result comparison
             // works across executors (costs differ for the baseline, so

@@ -18,23 +18,29 @@
 //!
 //! **Phase A / phase B split.** Evaluation of the non-training
 //! candidates is two-phased. Phase A (`GraphContext::batch_plan`)
-//! runs once per query on the calling thread: a structure-of-arrays
+//! runs once per query, before any grab: a structure-of-arrays
 //! stage-1 prefilter sweep (the chunked
 //! [`psi_signature::SignatureStore::rows_satisfy`] /
 //! [`rows_score`](psi_signature::SignatureStore::rows_score) kernels
 //! over maximal contiguous id runs) settles provably-invalid
 //! candidates without touching a matcher, and the survivors get their
 //! `(method, plan)` predicted — cache probe first, forests otherwise —
-//! with the sweep score appended as the last ML feature. A session
-//! without models (below `min_candidates_for_ml`, or every training
-//! node failed) gets an *exact* plan instead: its survivors skip
-//! prediction and the ladder, and the exact-pessimist routine settles
-//! each one. Phase B (the per-survivor work below) then only ever
-//! runs the matcher. Because phase A is identical for every worker
-//! count, answers *and* per-node costs stay bit-identical across them.
+//! with the sweep score appended as the last ML feature. Everything
+//! but the forest inference runs on the calling thread in sorted-id
+//! order; the inference of the distinct rows the cache misses fans
+//! out over the run's workers. A session without models (below
+//! `min_candidates_for_ml`, or every training node failed) gets an
+//! *exact* plan instead: its survivors skip prediction and the ladder,
+//! and the exact-pessimist routine settles each one. Phase B (the
+//! per-survivor work below) then only ever runs the matcher. Because
+//! phase A is identical for every worker count, answers *and*
+//! per-node costs stay bit-identical across them.
 
+use std::collections::hash_map::Entry;
+use std::ops::ControlFlow;
 use std::time::Instant;
 
+use psi_graph::hash::FxHashMap;
 use psi_graph::NodeId;
 use psi_obs::{timed, Counter, Histogram, Phase, Recorder};
 use psi_signature::{SignatureKey, SignatureStore};
@@ -47,6 +53,7 @@ use crate::Strategy;
 
 use super::context::GraphContext;
 use super::exec::PredictionCache;
+use super::pool::scatter_map;
 use super::training::{Models, TrainedSession};
 
 /// Step budget for limited ladder attempt `attempt` (0-based) given
@@ -219,22 +226,28 @@ impl GraphContext {
     ///    necessary condition cannot host the pivot under either
     ///    method, so it resolves Invalid on the spot (stage 1, zero
     ///    matcher steps).
-    /// 2. **Predict** ([`Phase::Predict`]): probe the cache / run the
-    ///    forests once per survivor, with the sweep score appended as
-    ///    the last ML feature. Fresh predictions are published to the
-    ///    cache immediately, so structurally identical survivors hit
-    ///    within the same sweep. A session without models skips this
-    ///    step: its plan is exact.
+    /// 2. **Predict** ([`Phase::Predict`]): probe the cache once per
+    ///    survivor, in sorted-id order on the calling thread; a row an
+    ///    earlier survivor of the sweep already missed on counts as a
+    ///    hit and takes that row's decision, as if its insert had come
+    ///    first. The distinct missing rows then go through the forests
+    ///    — with the sweep score appended as the last ML feature —
+    ///    over `workers` workers, and their decisions are inserted into
+    ///    the cache. So hits, inferences and decisions are the same at
+    ///    every worker count. Without a cache every survivor is
+    ///    predicted. A session without models skips this step: its
+    ///    plan is exact.
     /// 3. **Group**: pruned ids first, then one contiguous group per
     ///    predicted `(method, plan)`, ids ascending within each group.
     ///
-    /// The plan is built before any worker starts and is identical for
-    /// every worker count — which is what keeps answers and per-node
-    /// costs bit-identical across them.
+    /// The plan is built before any grab and is identical for every
+    /// worker count — which is what keeps answers and per-node costs
+    /// bit-identical across them.
     pub(crate) fn batch_plan(
         &self,
         sess: &TrainedSession,
         cache: Option<&PredictionCache>,
+        workers: usize,
         rec: &dyn Recorder,
     ) -> BatchPlan {
         let n = sess.rest.len();
@@ -264,34 +277,67 @@ impl GraphContext {
         let mut cached = vec![false; n];
         if let Some(models) = &sess.models {
             timed(rec, Phase::Predict, || {
+                // `infer`: survivors whose rows need the forests;
+                // `copies`: survivors whose row an earlier survivor
+                // already sent there, with that row's slot in `infer`
+                // (a hit, as if that row's insert preceded the probe).
+                let mut infer: Vec<usize> = Vec::new();
+                let mut copies: Vec<(usize, usize)> = Vec::new();
+                let mut pending: FxHashMap<SignatureKey, usize> = FxHashMap::default();
                 let mut row_buf = Vec::new();
-                let mut feat = Vec::with_capacity(dim);
-                for i in 0..n {
-                    if !survives[i] {
+                for i in (0..n).filter(|&i| survives[i]) {
+                    let Some(c) = cache else {
+                        infer.push(i);
+                        continue;
+                    };
+                    let key = SignatureKey::exact(self.sigs.row_view(sorted[i], &mut row_buf));
+                    if let Some((mi, pi)) = c.get(&key) {
+                        cached[i] = true;
+                        method[i] = mi as u8;
+                        plan[i] = pi.min(u16::MAX as usize) as u16;
                         continue;
                     }
-                    let row = self.sigs.row_view(sorted[i], &mut row_buf);
-                    let key = cache.map(|_| SignatureKey::exact(row));
-                    let hit = match (cache, &key) {
-                        (Some(c), Some(k)) => c.get(k),
-                        _ => None,
-                    };
-                    cached[i] = hit.is_some();
-                    let (mi, pi) = match hit {
-                        Some(v) => v,
-                        None => {
-                            feat.clear();
-                            feat.extend_from_slice(row);
-                            feat.push(scores[i]);
-                            let v = models.predict(&feat, rec);
-                            if let (Some(c), Some(k)) = (cache, key) {
-                                c.insert(k, v);
-                            }
-                            v
+                    match pending.entry(key) {
+                        Entry::Occupied(k) => {
+                            cached[i] = true;
+                            copies.push((i, *k.get()));
                         }
-                    };
+                        Entry::Vacant(slot) => {
+                            slot.insert(infer.len());
+                            infer.push(i);
+                        }
+                    }
+                }
+                // Inference of the distinct missing rows: the only
+                // step of phase A that fans out.
+                let mut decided = Vec::with_capacity(infer.len());
+                scatter_map(
+                    infer.len(),
+                    workers,
+                    rec,
+                    || (Vec::new(), Vec::with_capacity(dim)),
+                    |(row_buf, feat), k, out: &mut (usize, usize), rec| {
+                        let i = infer[k];
+                        feat.clear();
+                        feat.extend_from_slice(self.sigs.row_view(sorted[i], row_buf));
+                        feat.push(scores[i]);
+                        *out = models.predict(feat, rec);
+                    },
+                    |_, out| {
+                        decided.push(*out);
+                        ControlFlow::Continue(())
+                    },
+                );
+                let slots = infer.iter().enumerate().map(|(k, &i)| (i, k));
+                for (i, k) in slots.chain(copies) {
+                    let (mi, pi) = decided[k];
                     method[i] = mi as u8;
                     plan[i] = pi.min(u16::MAX as usize) as u16;
+                }
+                if let Some(c) = cache {
+                    for (key, k) in pending {
+                        c.insert(key, decided[k]);
+                    }
                 }
             });
         }
@@ -606,7 +652,7 @@ mod tests {
     }
 
     #[test]
-    fn tiny_graph_uses_plain_sweep_and_is_exact() {
+    fn tiny_graph_takes_the_exact_plan_and_is_exact() {
         let (g, q) = figure1();
         let smart = SmartPsi::new(g, SmartPsiConfig::default());
         let r = smart.run(&q, &RunSpec::new());

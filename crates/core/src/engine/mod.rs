@@ -16,9 +16,10 @@
 //!      │      routine, per node
 //!      ▼
 //!   exec      the realist's one driver (one worker on the calling
-//!      │      thread, more on the work-stealing pool) and the static
-//!      │      splitter around it (the two-thread baseline lives in
-//!      │      twothread), matched from the RunSpec in SmartPsi::run
+//!      │      thread; more run training, fitting, phase-A inference
+//!      │      and the grab loop on the work-stealing pool; the
+//!      │      two-thread baseline lives in twothread), matched from
+//!      │      the RunSpec in SmartPsi::run
 //!      ▼
 //!   service   PsiService: k ≥ 1 shards, each a persistent worker
 //!   + shard   pool serving a stream of (query, spec) jobs with
@@ -34,8 +35,8 @@
 //! incrementally-updated deployment ([`EvolvingContext`]), [`shard`]
 //! holds the k > 1 half of the service (partition, halo, routing,
 //! merge), [`deploy`] the one [`DeploymentSpec`] builder, and the
-//! crate-private `pool` owns the process-global lazy worker pool both
-//! parallel drivers draw their OS threads from.
+//! crate-private `pool` owns the process-global lazy worker pool the
+//! realist's driver draws its OS threads from.
 //!
 //! [`crate::smart`] remains the thin public facade: [`SmartPsi`]
 //! wraps an `Arc<GraphContext>`, and `SmartPsi::run` — the only way
@@ -67,4 +68,4 @@ pub use service::{
     DrainReport, JobHandle, PsiService, ServiceStats, ABORTED_BY_SHUTDOWN_REASON,
     DEADLINE_EXPIRED_REASON, MAX_LIVE_SHAPES, QUERY_TOO_DEEP_REASON,
 };
-pub use shard::{ShardBalance, DEFAULT_HALO_DEPTH};
+pub use shard::DEFAULT_HALO_DEPTH;

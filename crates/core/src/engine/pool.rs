@@ -21,9 +21,10 @@
 //! **No nested scatter.** Tasks must never call `scatter` themselves:
 //! tasks are independent units and the pool makes no provision for a
 //! task blocking on other tasks. Today's only submitters are the
-//! realist's driver and the static splitter in [`exec`](super::exec),
-//! whose tasks run grab loops — a static chunk runs the one-worker
-//! loop inline on its task — and submit nothing.
+//! realist's driver in [`exec`](super::exec), whose tasks run phase-B
+//! grab loops, and [`scatter_map`], whose tasks run training's
+//! per-node runs, forest fitting and phase-A inference; no task
+//! submits anything.
 //!
 //! Mutexes and condvars ride out poisoning through the crate's one
 //! helper (`fault::unpoison`): a task panic is already accounted by
@@ -31,11 +32,13 @@
 //! counters) stay consistent across unwinds.
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-use psi_obs::{Counter, Phase, Recorder};
+use psi_obs::{Counter, MetricsRecorder, NoopRecorder, Phase, Recorder};
 
 use crate::fault::unpoison;
 
@@ -181,6 +184,95 @@ impl WorkerPool {
     }
 }
 
+/// The one parallel map: run `f` on every index of `0..n` and hand
+/// each result to `sink` in index order, stopping at the first
+/// [`ControlFlow::Break`]. Training's per-node runs, forest fitting and
+/// phase-A inference all go through it.
+///
+/// With one worker (or at most one index) it is a plain loop on the
+/// calling thread: one `scratch`, one result slot reused for every
+/// index, `sink` right after each `f` — no task, lock or allocation of
+/// its own, and nothing runs past a `Break`. With more, `workers` pool
+/// tasks pull indices from an atomic cursor, each with its own
+/// `scratch` and a private recorder drained into `rec` at task exit,
+/// and write each result into the index's own slot; the calling thread
+/// then folds the slots in index order. `f` must fill its slot from the
+/// index alone, so whatever the fold builds equals the one-worker
+/// loop's at every worker count. A task that dies leaves its in-flight
+/// slot empty and the calling thread fills it inline: a death costs
+/// time, never a different result. Tasks submit nothing, bill no
+/// [`Phase::PoolSpawn`] span (the phase-B grab loop bills one per
+/// worker per run) and never consult
+/// [`FaultKind::KillWorker`](crate::fault::FaultKind::KillWorker).
+pub(crate) fn scatter_map<S, R>(
+    n: usize,
+    workers: usize,
+    rec: &dyn Recorder,
+    scratch: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, &mut R, &dyn Recorder) + Sync,
+    mut sink: impl FnMut(usize, &mut R) -> ControlFlow<()>,
+) where
+    R: Default + Send + Sync,
+{
+    if workers <= 1 || n <= 1 {
+        let mut s = scratch();
+        let mut slot = R::default();
+        for i in 0..n {
+            f(&mut s, i, &mut slot, rec);
+            if sink(i, &mut slot).is_break() {
+                return;
+            }
+        }
+        return;
+    }
+    let pool = global();
+    let tasks = workers.min(n);
+    pool.ensure(tasks, rec);
+    let slots: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
+    let cursor = AtomicUsize::new(0);
+    let (scratch, f, slots_ref, cursor) = (&scratch, &f, &slots, &cursor);
+    pool.scatter(
+        (0..tasks)
+            .map(|_| {
+                Box::new(move || {
+                    let local = rec.enabled().then(MetricsRecorder::new);
+                    let wrec: &dyn Recorder = match &local {
+                        Some(l) => l,
+                        None => &NoopRecorder,
+                    };
+                    let mut s = scratch();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let mut r = R::default();
+                        f(&mut s, i, &mut r, wrec);
+                        let _ = slots_ref[i].set(r);
+                    }
+                    if let Some(l) = &local {
+                        l.drain_into(rec);
+                    }
+                }) as ScopedTask<'_>
+            })
+            .collect(),
+    );
+    let mut inline = None;
+    for (i, slot) in slots.into_iter().enumerate() {
+        let mut r = match slot.into_inner() {
+            Some(r) => r,
+            None => {
+                let mut r = R::default();
+                f(inline.get_or_insert_with(scratch), i, &mut r, rec);
+                r
+            }
+        };
+        if sink(i, &mut r).is_break() {
+            return;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -236,6 +328,62 @@ mod tests {
     #[test]
     fn empty_scatter_returns_immediately() {
         assert_eq!(global().scatter(Vec::new()), 0);
+    }
+
+    #[test]
+    fn scatter_map_folds_in_index_order_at_every_worker_count() {
+        let caller = std::thread::current().id();
+        for workers in [1, 2, 4] {
+            let mut seen = Vec::new();
+            scatter_map(
+                50,
+                workers,
+                &NoopRecorder,
+                || (),
+                |_, i, out: &mut usize, _| {
+                    // One worker is a plain loop on the calling thread.
+                    if workers == 1 {
+                        assert_eq!(std::thread::current().id(), caller);
+                    }
+                    *out = i * i;
+                },
+                |i, out| {
+                    assert_eq!(*out, i * i);
+                    seen.push(i);
+                    if i == 40 {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            assert_eq!(seen, (0..=40).collect::<Vec<_>>(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn scatter_map_fills_a_dead_task_slot_inline() {
+        // Index 3 panics on a pool thread only; the calling thread
+        // recomputes it, so the fold still sees every result.
+        let caller = std::thread::current().id();
+        let mut sum = 0;
+        scatter_map(
+            8,
+            2,
+            &NoopRecorder,
+            || (),
+            |_, i, out: &mut usize, _| {
+                if i == 3 && std::thread::current().id() != caller {
+                    panic!("injected");
+                }
+                *out = i + 1;
+            },
+            |_, out| {
+                sum += *out;
+                ControlFlow::Continue(())
+            },
+        );
+        assert_eq!(sum, (1..=8).sum::<usize>());
     }
 
     #[test]

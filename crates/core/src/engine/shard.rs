@@ -99,20 +99,6 @@ use super::deploy::DeploymentSpec;
 use super::evolve::{UpdateError, UpdateReport};
 use super::service::{structured_failure, with_store, JobHandle, Shard, QUERY_TOO_DEEP_REASON};
 
-/// How a sharded deployment cuts the node range into contiguous owned
-/// ranges ([`DeploymentSpec::balance`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardBalance {
-    /// Equal node counts per shard.
-    #[default]
-    EvenNodes,
-    /// Balance the *expected candidate load* instead of raw node
-    /// counts: each node weighs `1 / label_frequency(label(node))`, so
-    /// every shard owns roughly the same fraction of each label class
-    /// under a uniformly random pivot label.
-    LabelAware,
-}
-
 /// Default halo depth: supports query pivot eccentricities up to 4
 /// (e.g. any connected query of ≤ 5 nodes).
 pub const DEFAULT_HALO_DEPTH: u32 = 4;
@@ -201,7 +187,7 @@ impl Sharding {
         let mut shard_config = config.clone();
         let base_fault = shard_config.fault.take();
         let halo_depth = spec.halo_depth();
-        let (ranges, contexts) = partition(g, spec.shard_count(), spec.shard_balance())
+        let (ranges, contexts) = partition(g, spec.shard_count())
             .into_iter()
             .map(|(lo, hi)| {
                 let b = build_shard(g, sigs, lo, hi, halo_depth);
@@ -519,35 +505,13 @@ fn pivot_eccentricity(q: &PivotedQuery) -> u32 {
         .unwrap_or(0)
 }
 
-/// Cut `[0, n)` into `k` contiguous ranges.
-fn partition(g: &Graph, k: usize, balance: ShardBalance) -> Vec<(NodeId, NodeId)> {
+/// Cut `[0, n)` into `k` contiguous ranges of equal node counts.
+fn partition(g: &Graph, k: usize) -> Vec<(NodeId, NodeId)> {
     let n = g.node_count();
     let k = k.max(1);
-    match balance {
-        ShardBalance::EvenNodes => (0..k)
-            .map(|i| ((i * n / k) as NodeId, ((i + 1) * n / k) as NodeId))
-            .collect(),
-        ShardBalance::LabelAware => {
-            let weight = |u: NodeId| 1.0 / g.label_frequency(g.label(u)).max(1) as f64;
-            let total: f64 = (0..n as NodeId).map(weight).sum();
-            let mut cuts = Vec::with_capacity(k + 1);
-            cuts.push(0 as NodeId);
-            let mut acc = 0.0;
-            for u in 0..n as NodeId {
-                acc += weight(u);
-                // Close every range whose cumulative weight target
-                // (i/k of the total for the i-th boundary) is met.
-                while cuts.len() < k && acc + 1e-9 >= total * cuts.len() as f64 / k as f64 {
-                    cuts.push(u + 1);
-                }
-            }
-            while cuts.len() < k {
-                cuts.push(n as NodeId);
-            }
-            cuts.push(n as NodeId);
-            cuts.windows(2).map(|w| (w[0], w[1])).collect()
-        }
-    }
+    (0..k)
+        .map(|i| ((i * n / k) as NodeId, ((i + 1) * n / k) as NodeId))
+        .collect()
 }
 
 /// Build one shard: BFS the halo, assemble the local CSR (owned
@@ -667,43 +631,13 @@ mod tests {
     #[test]
     fn even_partition_covers_range() {
         let g = psi_datasets::generators::erdos_renyi(103, 300, 3, 1);
-        let cuts = partition(&g, 4, ShardBalance::EvenNodes);
+        let cuts = partition(&g, 4);
         assert_eq!(cuts.len(), 4);
         assert_eq!(cuts[0].0, 0);
         assert_eq!(cuts[3].1, 103);
         for w in cuts.windows(2) {
             assert_eq!(w[0].1, w[1].0, "contiguous");
         }
-    }
-
-    #[test]
-    fn label_aware_partition_covers_range_and_balances_rare_labels() {
-        // 90 nodes of label 0, 10 of label 1: a label-aware 2-cut puts
-        // roughly half the rare label in each shard, which an even cut
-        // (boundary at 50) cannot do when the rare nodes sit at the end.
-        let mut b = GraphBuilder::new();
-        for _ in 0..90 {
-            b.add_node(0);
-        }
-        for _ in 0..10 {
-            b.add_node(1);
-        }
-        b.add_edge(0, 99);
-        let g = match b.build() {
-            Ok(g) => g,
-            Err(e) => unreachable!("{e}"),
-        };
-        let cuts = partition(&g, 2, ShardBalance::LabelAware);
-        assert_eq!(cuts[0].0, 0);
-        assert_eq!(cuts[1].1, 100);
-        assert_eq!(cuts[0].1, cuts[1].0);
-        // Half the total weight sits exactly at the label boundary
-        // (node 90), far from the even-node midpoint (50).
-        assert!(
-            (88..=92).contains(&cuts[0].1),
-            "label-aware cut at {}",
-            cuts[0].1
-        );
     }
 
     #[test]

@@ -2,13 +2,19 @@
 //! timing, and forest fitting.
 //!
 //! `GraphContext::train_session` runs exactly once per query —
-//! regardless of executor or worker count — and produces a
-//! `TrainedSession`: the heuristic plan, the shuffled candidate split
-//! and, when ML pays, `Models` — the sampled plans, Models α and β and
-//! the step-budget tables. Below `min_candidates_for_ml`, or when
-//! every training node failed, the session has no models and its
-//! phase-A plan is exact. The session is shared read-only by every
-//! executor worker of the query.
+//! regardless of worker count — and produces a `TrainedSession`: the
+//! heuristic plan, the shuffled candidate split and, when ML pays,
+//! `Models` — the sampled plans, Models α and β and the step-budget
+//! tables. Below `min_candidates_for_ml`, or when every training node
+//! failed, the session has no models and its phase-A plan is exact.
+//! The session is shared read-only by every executor worker of the
+//! query.
+//!
+//! With more than one worker, the per-node ground-truth and
+//! plan-timing runs and both forests' trees run as pool tasks
+//! (`pool::scatter_map`); the rows fold in sample order and every
+//! random draw stays on the calling thread, so the models are
+//! bit-identical at every worker count.
 //!
 //! **Refit policy under graph evolution.** Sessions are never cached
 //! across queries, so an evolving deployment gets model refits for
@@ -19,17 +25,19 @@
 //! across queries, and those live in epoch-keyed caches that the
 //! update path retires.
 
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 use psi_graph::{NodeId, PivotedQuery};
-use psi_ml::forest::RandomForest;
-use psi_ml::{Classifier, Dataset};
+use psi_ml::forest::{ForestFit, RandomForest};
+use psi_ml::tree::DecisionTree;
+use psi_ml::Dataset;
 use psi_obs::{timed, Counter, Phase, Recorder};
 use psi_signature::SignatureStore;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::evaluator::{CompiledPlan, QueryContext, Verdict};
-use crate::fault::{eval_isolated, IsolatedOutcome, NodeMatcher};
+use crate::fault::{eval_isolated, IsolatedOutcome, PsiMatcher};
 use crate::plan::{heuristic_plan, sample_plans};
 use crate::report::FailureReport;
 use crate::smart::RunSpec;
@@ -37,6 +45,7 @@ use crate::Strategy;
 
 use super::context::GraphContext;
 use super::ladder::{stage_limits, Exact, NodeCost};
+use super::pool::scatter_map;
 
 /// Everything [`TrainedSession`]-building can conclude.
 pub(crate) enum TrainOutcome {
@@ -110,11 +119,38 @@ impl Models {
     }
 }
 
+/// One training node's row, filled by the per-node run and folded
+/// into the session in sample order.
+#[derive(Default)]
+struct TrainRow {
+    /// Steps, recovered panics and escalations of the node's runs.
+    cost: NodeCost,
+    truth: TrainTruth,
+    /// `(plan index, steps)` of every sampled plan that finished in the
+    /// node's last timing round: its method's row of the budget tables.
+    times: Vec<(usize, u64)>,
+}
+
+/// How one training node's runs ended.
+#[derive(Default)]
+enum TrainTruth {
+    /// The global deadline or cancel flag fired: training stops here.
+    #[default]
+    Stopped,
+    /// No exact attempt concluded (panics or per-node timeout).
+    Failed { reason: String, attempts: u32 },
+    /// Ground truth (Model α's label) and the cheapest plan (Model
+    /// β's).
+    Labeled { valid: bool, best_plan: usize },
+}
+
 impl GraphContext {
     /// Training phase (§4.2): sample training nodes, obtain ground
-    /// truth and plan timings, fit Models α and β. Runs exactly once
+    /// truth and plan timings, fit Models α and β — the per-node runs
+    /// and the trees over `spec.workers()` workers. Runs exactly once
     /// per query; the result is shared read-only across executor
-    /// workers. Wrapped in a [`Phase::Train`] span.
+    /// workers. Wrapped in a [`Phase::Train`] span on the calling
+    /// thread.
     pub(crate) fn train_session(
         &self,
         query: &PivotedQuery,
@@ -154,8 +190,7 @@ impl GraphContext {
                 failures: FailureReport::default(),
             }));
         }
-        let mut matcher = self.matcher(spec);
-        let m: &mut dyn NodeMatcher = &mut matcher;
+        let workers = spec.workers();
         let isolate = self.isolation(spec);
         let limits = &spec.limits;
         let mut rng = StdRng::seed_from_u64(self.config.seed);
@@ -176,42 +211,34 @@ impl GraphContext {
         let train_nodes = shuffled;
 
         // ---- Ground truth + plan timing on the training nodes ------
-        let mut valid = Vec::new();
-        let mut steps = 0u64;
-        let mut failures = FailureReport::default();
         let strategies = [
             Strategy::Optimistic { super_cap: Some(self.config.super_cap) },
             Strategy::Pessimistic,
         ];
-        // avg_steps[method][plan] from training runs.
-        let mut sum_steps = vec![vec![0u64; plans.len()]; 2];
-        let mut cnt_steps = vec![vec![0u64; plans.len()]; 2];
-        let mut alpha_rows: Vec<(NodeId, usize)> = Vec::with_capacity(n_train);
-        let mut beta_rows: Vec<(NodeId, usize)> = Vec::with_capacity(n_train);
-        'train: for &u in &train_nodes {
+        // One node's row, from its sample index alone (the scatter
+        // contract), so the rows are the same at every worker count.
+        let train_node = |m: &mut PsiMatcher, i: usize, row: &mut TrainRow, _: &dyn Recorder| {
+            let u = train_nodes[i];
+            row.cost = NodeCost::default();
+            row.times.clear();
             // True type via the exact pessimist (§4.2.1: "more stable
             // and performs better on average"), isolated and retried
             // so one broken training node cannot fail the query.
-            let mut cost = NodeCost::default();
-            let truth = self.settle_exact(&ctx, &heuristic, m, u, spec, &mut cost);
-            steps += cost.steps;
-            failures.panics_recovered += cost.panics_recovered;
-            failures.escalations += cost.escalations;
-            let (truth_verdict, s_truth) = match truth {
-                Exact::Settled(v, s) => (v, s),
-                // Only the global deadline/cancel — not a node fault —
-                // aborts training.
-                Exact::Stopped => return TrainOutcome::Interrupted { steps, failures },
-                Exact::Failed { reason, attempts } => {
-                    failures.record(u, reason, attempts);
-                    continue 'train;
-                }
-            };
+            let (truth_verdict, s_truth) =
+                match self.settle_exact(&ctx, &heuristic, m, u, spec, &mut row.cost) {
+                    Exact::Settled(v, s) => (v, s),
+                    // Only the global deadline/cancel — not a node
+                    // fault — aborts training.
+                    Exact::Stopped => {
+                        row.truth = TrainTruth::Stopped;
+                        return;
+                    }
+                    Exact::Failed { reason, attempts } => {
+                        row.truth = TrainTruth::Failed { reason, attempts };
+                        return;
+                    }
+                };
             let is_valid = truth_verdict == Verdict::Valid;
-            if is_valid {
-                valid.push(u);
-            }
-            alpha_rows.push((u, is_valid as usize));
             let method_idx = !is_valid as usize; // 0 = optimistic (valid), 1 = pessimistic
             // Best plan under escalating limits (§4.2.2). Bounded:
             // past MAX_PLAN_ESCALATIONS doublings (or when every plan
@@ -236,19 +263,18 @@ impl GraphContext {
                         let lim = stage_limits(limit, limits);
                         match eval_isolated(m, &ctx, plan, u, strategy, &lim, isolate) {
                             IsolatedOutcome::Finished(v, s) => {
-                                steps += s;
+                                row.cost.steps += s;
                                 Some((v, s))
                             }
                             IsolatedOutcome::Panicked(_) => {
-                                failures.panics_recovered += 1;
+                                row.cost.panics_recovered += 1;
                                 None
                             }
                         }
                     };
                     match outcome {
                         Some((v, s)) if v != Verdict::Interrupted => {
-                            sum_steps[method_idx][pi] += s;
-                            cnt_steps[method_idx][pi] += 1;
+                            row.times.push((pi, s));
                             if best.is_none_or(|(bs, _)| s < bs) {
                                 best = Some((s, pi));
                             }
@@ -265,18 +291,61 @@ impl GraphContext {
                             // The interruptions were the global limits,
                             // not the escalating step cap: doubling the
                             // cap would loop forever.
-                            return TrainOutcome::Interrupted { steps, failures };
+                            row.truth = TrainTruth::Stopped;
+                            return;
                         }
                         if !any_interrupted || rounds > MAX_PLAN_ESCALATIONS {
                             break 0;
                         }
-                        failures.escalations += 1;
+                        row.cost.escalations += 1;
                         limit = limit.saturating_mul(2);
                         first_round = false;
                     }
                 }
             };
-            beta_rows.push((u, best_plan));
+            row.truth = TrainTruth::Labeled { valid: is_valid, best_plan };
+        };
+
+        // Fold the rows in sample order; the first global stop ends
+        // training, as the stopped node's own run did.
+        let mut valid = Vec::new();
+        let mut steps = 0u64;
+        let mut failures = FailureReport::default();
+        // avg_steps[method][plan] from training runs.
+        let mut sum_steps = vec![vec![0u64; plans.len()]; 2];
+        let mut cnt_steps = vec![vec![0u64; plans.len()]; 2];
+        let mut alpha_rows: Vec<(NodeId, usize)> = Vec::with_capacity(n_train);
+        let mut beta_rows: Vec<(NodeId, usize)> = Vec::with_capacity(n_train);
+        let mut stopped = false;
+        let fold = |i: usize, row: &mut TrainRow| {
+            let u = train_nodes[i];
+            steps += row.cost.steps;
+            failures.panics_recovered += row.cost.panics_recovered;
+            failures.escalations += row.cost.escalations;
+            match std::mem::take(&mut row.truth) {
+                TrainTruth::Stopped => {
+                    stopped = true;
+                    return ControlFlow::Break(());
+                }
+                TrainTruth::Failed { reason, attempts } => failures.record(u, reason, attempts),
+                TrainTruth::Labeled { valid: is_valid, best_plan } => {
+                    if is_valid {
+                        valid.push(u);
+                    }
+                    let method_idx = !is_valid as usize;
+                    for &(pi, s) in &row.times {
+                        sum_steps[method_idx][pi] += s;
+                        cnt_steps[method_idx][pi] += 1;
+                    }
+                    alpha_rows.push((u, is_valid as usize));
+                    beta_rows.push((u, best_plan));
+                }
+            }
+            ControlFlow::Continue(())
+        };
+        scatter_map(train_nodes.len(), workers, rec, || self.matcher(spec), train_node, fold);
+        if stopped {
+            return TrainOutcome::Interrupted { steps, failures };
         }
 
         // ---- Fit the models -----------------------------------------
@@ -296,30 +365,41 @@ impl GraphContext {
             // dequantization target for compact storage.
             let mut row_buf = Vec::new();
             let mut feat = Vec::with_capacity(dim);
-            let mut alpha_ds = Dataset::with_capacity(dim, alpha_rows.len());
-            for &(u, label) in &alpha_rows {
-                feat.clear();
-                feat.extend_from_slice(self.sigs.row_view(u, &mut row_buf));
-                feat.push(self.sigs.row_score(u, pivot_row));
-                alpha_ds.push(&feat, label);
-            }
-            let mut alpha = RandomForest::new(self.config.forest);
-            alpha.fit(&alpha_ds, rng.gen());
-
-            let beta = if self.config.enable_beta && plans.len() > 1 {
-                let mut beta_ds = Dataset::with_capacity(dim, beta_rows.len());
-                for &(u, label) in &beta_rows {
+            let mut dataset = |rows: &[(NodeId, usize)]| {
+                let mut ds = Dataset::with_capacity(dim, rows.len());
+                for &(u, label) in rows {
                     feat.clear();
                     feat.extend_from_slice(self.sigs.row_view(u, &mut row_buf));
                     feat.push(self.sigs.row_score(u, pivot_row));
-                    beta_ds.push(&feat, label);
+                    ds.push(&feat, label);
                 }
-                let mut f = RandomForest::new(self.config.forest);
-                f.fit(&beta_ds, rng.gen());
-                Some(f)
-            } else {
-                None
+                ds
             };
+            let alpha_ds = dataset(&alpha_rows);
+            let beta_ds = (self.config.enable_beta && plans.len() > 1).then(|| dataset(&beta_rows));
+            // Both forests' bootstrap samples are drawn here, in the
+            // seed order of two sequential fits; their trees are then
+            // grown as one batch, α's first.
+            let forest = RandomForest::new(self.config.forest);
+            let alpha_fit = forest.bootstrap(&alpha_ds, rng.gen());
+            let beta_fit = beta_ds.as_ref().map(|ds| forest.bootstrap(ds, rng.gen()));
+            let fits: Vec<&ForestFit<'_>> = std::iter::once(&alpha_fit).chain(&beta_fit).collect();
+            let n = self.config.forest.n_trees;
+            let mut trees = Vec::with_capacity(fits.len() * n);
+            scatter_map(
+                fits.len() * n,
+                workers,
+                rec,
+                || (),
+                |_, i, tree: &mut Option<DecisionTree>, _| *tree = Some(fits[i / n].tree(i % n)),
+                |_, tree| {
+                    trees.extend(tree.take());
+                    ControlFlow::Continue(())
+                },
+            );
+            let beta_trees = trees.split_off(n);
+            let alpha = alpha_fit.finish(trees);
+            let beta = beta_fit.map(|fit| fit.finish(beta_trees));
 
             let global_avg = {
                 let total: u64 = sum_steps.iter().flatten().sum();

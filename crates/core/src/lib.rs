@@ -28,8 +28,8 @@
 //!
 //! **One run surface.** [`SmartPsi::run`](smart::SmartPsi::run) is the
 //! only way into any executor — the realist's one driver (one worker
-//! on the calling thread, or the work-stealing pool), the static
-//! splitter, the two-threaded baseline —
+//! on the calling thread, or the work-stealing pool) and the
+//! two-threaded baseline —
 //! and its [`RunSpec`], read together with the
 //! deployment's [`SmartPsiConfig`], is the only
 //! per-run settings struct. The single-strategy runners in [`single`]
@@ -71,7 +71,6 @@ pub use engine::service::{
     DrainReport, JobHandle, PsiService, ServiceStats, ABORTED_BY_SHUTDOWN_REASON,
     DEADLINE_EXPIRED_REASON, MAX_LIVE_SHAPES, QUERY_TOO_DEEP_REASON,
 };
-pub use engine::shard::ShardBalance;
 pub use evaluator::{NodeEvaluator, QueryContext, Verdict};
 pub use fault::{
     install_quiet_panic_hook, ChaosMatcher, FaultKind, FaultPlan, NodeMatcher, PsiMatcher,

@@ -35,8 +35,9 @@
 //!
 //! [`SmartPsi::run`] is the only way into any executor: the realist's
 //! one driver (on the calling thread with one worker, on the
-//! work-stealing pool with more), the static splitter and the §4.1
-//! two-thread baseline. Its builder-style [`RunSpec`]
+//! work-stealing pool with more — training, forest fitting, phase-A
+//! inference and the grab loop alike) and the §4.1 two-thread
+//! baseline. Its builder-style [`RunSpec`]
 //! (`.threads(n)`, `.two_thread()`, `.limits(..)`, `.faults(..)`,
 //! `.recorder(..)`), read together with the context's
 //! [`SmartPsiConfig`], is the only per-run settings struct. The result
@@ -55,9 +56,7 @@ use psi_signature::SigStore;
 
 use crate::engine::context::GraphContext;
 use crate::engine::deploy::DeploymentSpec;
-use crate::engine::exec::{
-    subset_or, unresolved_report, work_stealing, ExecutorKind, PredictionCache,
-};
+use crate::engine::exec::{unresolved_report, work_stealing, ExecutorKind, PredictionCache};
 use crate::engine::service::PsiService;
 use crate::fault::FaultPlan;
 use crate::limits::EvalLimits;
@@ -107,8 +106,10 @@ impl RunSpec {
     }
 
     /// Run the realist with `n` workers (`0` = one per available
-    /// hardware thread): `1` runs the driver's grab loop on the calling
-    /// thread, more run it on the work-stealing pool.
+    /// hardware thread): `1` runs the whole driver on the calling
+    /// thread; more run training's per-node runs, the forests' trees,
+    /// phase A's inferences and the grab loop on the work-stealing
+    /// pool, with the same result.
     pub fn threads(mut self, n: usize) -> Self {
         self.executor = ExecutorKind::WorkStealing;
         self.threads = match n {
@@ -126,11 +127,9 @@ impl RunSpec {
         self
     }
 
-    /// Run the static chunk-per-thread baseline with `n ≥ 1` threads.
-    pub fn static_chunks(mut self, n: usize) -> Self {
-        self.executor = ExecutorKind::StaticChunks;
-        self.threads = n;
-        self
+    /// The realist's worker count: `threads`, at least one.
+    pub(crate) fn workers(&self) -> usize {
+        self.threads.max(1)
     }
 
     /// Candidates per work-stealing queue grab (`0` = the default of
@@ -247,8 +246,8 @@ impl Default for SmartPsiReport {
 }
 
 impl SmartPsiReport {
-    /// The one merge: fold another report of the same query — a grab,
-    /// a requeued grab, a static chunk — into this one. Every field is
+    /// The one merge: fold another report of the same query — a grab
+    /// or a requeued grab — into this one. Every field is
     /// a sum, so merging is order-independent up to the final
     /// [`SmartPsiReport::sort`].
     pub(crate) fn absorb(&mut self, other: &SmartPsiReport) {
@@ -354,11 +353,7 @@ impl SmartPsi {
         };
         let ctx = &*self.ctx;
         let report = match spec.executor {
-            ExecutorKind::WorkStealing => {
-                let candidates = subset_or(ctx, query, spec.subset.as_deref());
-                work_stealing(ctx, query, candidates, spec.threads.max(1), spec, rec)
-            }
-            ExecutorKind::StaticChunks => ctx.static_chunks(query, spec, rec),
+            ExecutorKind::WorkStealing => work_stealing(ctx, query, spec, rec),
             ExecutorKind::TwoThread => ctx.two_thread(query, spec, rec),
         };
         self.finish(report, t0, spec.recorder.as_deref())

@@ -31,12 +31,11 @@ fn config(kind: SigStoreKind) -> SmartPsiConfig {
 }
 
 /// Engines to sweep in the differential runs: sequential, the §4.1
-/// two-thread baseline, static chunks, and the work-stealing pool.
+/// two-thread baseline, and the work-stealing pool.
 fn specs() -> Vec<RunSpec> {
     vec![
         RunSpec::new(),
         RunSpec::new().two_thread(),
-        RunSpec::new().static_chunks(3),
         RunSpec::new().threads(4),
     ]
 }

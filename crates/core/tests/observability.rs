@@ -139,12 +139,6 @@ fn work_stealing_roundtrips_and_matches_sequential() {
 }
 
 #[test]
-fn static_chunks_roundtrips() {
-    let (smart, q) = deployment();
-    roundtrip("static_chunks(3)", &smart, &q, &RunSpec::new().static_chunks(3));
-}
-
-#[test]
 fn tuned_work_stealing_roundtrips() {
     let (smart, q) = deployment();
     roundtrip(

@@ -31,8 +31,8 @@ use proptest::prelude::*;
 use psi_core::engine::proto::query_result_line;
 use psi_core::fault::{install_quiet_panic_hook, FaultKind, FaultPlan, ALWAYS, ONCE};
 use psi_core::{
-    DeploymentSpec, EvalLimits, GraphContext, PsiResult, PsiService, RunSpec, ShardBalance,
-    SmartPsi, SmartPsiConfig, UpdateError, QUERY_TOO_DEEP_REASON,
+    DeploymentSpec, EvalLimits, GraphContext, PsiResult, PsiService, RunSpec, SmartPsi,
+    SmartPsiConfig, UpdateError, QUERY_TOO_DEEP_REASON,
 };
 use psi_datasets::{generators, rwr};
 use psi_graph::dynamic::DynamicGraph;
@@ -176,30 +176,6 @@ fn fixed_partition_is_bit_identical_across_worker_counts_and_cache_warmth() {
         assert!(
             stats.cross_query_cache_hits > 0,
             "workers_per_shard={workers}: warm repeats must hit per-shard caches"
-        );
-    }
-}
-
-#[test]
-fn label_aware_cut_is_answer_equivalent() {
-    let (ctx, queries) = deployment(23);
-    let truth = ground_truth(&ctx, &queries);
-    let service = deploy(&ctx, DeploymentSpec::new().shards(3).balance(ShardBalance::LabelAware));
-    // The cut is still a contiguous cover of the node range.
-    let n = ctx.graph().node_count() as NodeId;
-    assert_eq!(service.owned_range(0).0, 0);
-    assert_eq!(service.owned_range(2).1, n);
-    for s in 0..2 {
-        assert_eq!(service.owned_range(s).1, service.owned_range(s + 1).0);
-    }
-    for (i, q) in queries.iter().enumerate() {
-        let merged = service
-            .submit(q.clone(), RunSpec::new())
-            .wait();
-        assert_eq!(
-            projection(&merged),
-            projection(&truth[i]),
-            "label-aware cut diverged on query {i}"
         );
     }
 }

@@ -81,23 +81,74 @@ impl RandomForest {
     }
 }
 
-impl Classifier for RandomForest {
-    fn fit(&mut self, data: &Dataset, seed: u64) {
+impl RandomForest {
+    /// The first half of a fit: draw every tree's bootstrap sample of
+    /// `data` from one RNG seeded with `seed`, in tree order. The trees
+    /// themselves are then independent — [`ForestFit::tree`] grows any
+    /// of them, in any order or in parallel — and
+    /// [`ForestFit::finish`] assembles the forest. [`Classifier::fit`]
+    /// is exactly these steps in order.
+    pub fn bootstrap<'d>(&self, data: &'d Dataset, seed: u64) -> ForestFit<'d> {
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
-        self.n_classes = data.n_classes();
-        let mut tree_cfg = self.config.tree;
+        let mut tree = self.config.tree;
         if self.config.sqrt_features {
-            tree_cfg.max_features = Some((data.dim() as f64).sqrt().ceil() as usize);
+            tree.max_features = Some((data.dim() as f64).sqrt().ceil() as usize);
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        self.trees = (0..self.config.n_trees)
-            .map(|i| {
-                let indices = data.bootstrap_indices(&mut rng);
-                let mut t = DecisionTree::new(tree_cfg);
-                t.fit_indices(data, &indices, seed.wrapping_add(i as u64 * 0x9e37_79b9));
-                t
-            })
+        let samples = (0..self.config.n_trees)
+            .map(|_| data.bootstrap_indices(&mut rng))
             .collect();
+        ForestFit {
+            data,
+            config: self.config,
+            tree,
+            seed,
+            samples,
+        }
+    }
+}
+
+/// A forest fit whose bootstrap samples are drawn
+/// ([`RandomForest::bootstrap`]) and whose trees are not yet grown.
+#[derive(Debug)]
+pub struct ForestFit<'d> {
+    data: &'d Dataset,
+    config: ForestConfig,
+    tree: TreeConfig,
+    seed: u64,
+    samples: Vec<Vec<usize>>,
+}
+
+impl ForestFit<'_> {
+    /// Number of trees to grow.
+    pub fn n_trees(&self) -> usize {
+        self.samples.len()
+    }
+
+    /// Grow tree `i` from its bootstrap sample and its index seed — a
+    /// pure function of the dataset, the sample and the seed.
+    pub fn tree(&self, i: usize) -> DecisionTree {
+        let mut t = DecisionTree::new(self.tree);
+        t.fit_indices(self.data, &self.samples[i], self.seed.wrapping_add(i as u64 * 0x9e37_79b9));
+        t
+    }
+
+    /// Assemble the forest from its grown trees, in tree order.
+    pub fn finish(self, trees: Vec<DecisionTree>) -> RandomForest {
+        assert_eq!(trees.len(), self.n_trees(), "one grown tree per sample");
+        RandomForest {
+            config: self.config,
+            trees,
+            n_classes: self.data.n_classes(),
+        }
+    }
+}
+
+impl Classifier for RandomForest {
+    fn fit(&mut self, data: &Dataset, seed: u64) {
+        let fit = self.bootstrap(data, seed);
+        let trees = (0..fit.n_trees()).map(|i| fit.tree(i)).collect();
+        *self = fit.finish(trees);
     }
 
     fn predict(&self, features: &[f32]) -> usize {
@@ -198,6 +249,50 @@ mod tests {
             rf_acc + 0.02 >= tree_acc,
             "forest {rf_acc} should not lose to tree {tree_acc}"
         );
+    }
+
+    #[test]
+    fn trees_grown_in_any_order_predict_what_fit_predicts() {
+        // A pool may finish a forest's trees in any order; growing them
+        // in reverse from the drawn samples must give the forest `fit`
+        // gives, on every training row and on random rows.
+        let datasets: Vec<Dataset> = {
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut dups = Dataset::new(3);
+            let mut constant = Dataset::new(3);
+            let mut single = Dataset::new(2);
+            for i in 0..60 {
+                // Few distinct values: many duplicate rows and ties.
+                let row = [(i % 4) as f32, (i % 3) as f32, rng.gen_range(0..2) as f32];
+                dups.push(&row, (i % 4 == 0) as usize + (i % 3 == 0) as usize);
+                constant.push(&[7.0, rng.gen_range(-1.0..1.0), (i % 5) as f32], i % 2);
+                single.push(&[rng.gen_range(0.0..1.0), i as f32], 0);
+            }
+            vec![dups, constant, single]
+        };
+        let mut rng = StdRng::seed_from_u64(9);
+        for (k, data) in datasets.iter().enumerate() {
+            for seed in [0u64, 1, 17, 0xdead_beef] {
+                let mut fitted = RandomForest::default();
+                fitted.fit(data, seed);
+                let fit = RandomForest::default().bootstrap(data, seed);
+                let mut trees: Vec<_> = (0..fit.n_trees()).rev().map(|i| fit.tree(i)).collect();
+                trees.reverse();
+                let reversed = fit.finish(trees);
+                assert_eq!(reversed.n_trees(), fitted.n_trees());
+                let random: Vec<Vec<f32>> = (0..50)
+                    .map(|_| (0..data.dim()).map(|_| rng.gen_range(-2.0..8.0)).collect())
+                    .collect();
+                let rows = (0..data.len()).map(|i| data.row(i).to_vec()).chain(random);
+                for row in rows {
+                    assert_eq!(
+                        reversed.predict_proba(&row),
+                        fitted.predict_proba(&row),
+                        "dataset {k} seed {seed} row {row:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

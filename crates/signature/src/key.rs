@@ -8,24 +8,51 @@
 //! The one encoding, [`SignatureKey::exact`], is bit-exact: only nodes
 //! with *identical* signature rows share a key (the paper's semantics).
 
-/// Hashable encoding of one signature row.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SignatureKey(Vec<u32>);
+use std::hash::{Hash, Hasher};
+
+use psi_graph::hash::FxHasher;
+
+/// Hashable encoding of one signature row. The row is hashed once, when
+/// the key is built: a key is probed, deduplicated and inserted into
+/// sharded maps several times per candidate, and rows run to a hundred
+/// words, so each later hash writes the stored `u64` instead.
+#[derive(Debug, Clone)]
+pub struct SignatureKey {
+    hash: u64,
+    bits: Vec<u32>,
+}
 
 impl SignatureKey {
     /// Bit-exact key: equal iff the rows are identical `f32`-wise.
     pub fn exact(row: &[f32]) -> Self {
-        Self(row.iter().map(|f| f.to_bits()).collect())
+        let bits: Vec<u32> = row.iter().map(|f| f.to_bits()).collect();
+        let mut h = FxHasher::default();
+        bits.hash(&mut h);
+        Self { hash: h.finish(), bits }
     }
 
     /// Length of the encoded row.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.bits.len()
     }
 
     /// Whether the key is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.bits.is_empty()
+    }
+}
+
+impl PartialEq for SignatureKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.bits == other.bits
+    }
+}
+
+impl Eq for SignatureKey {}
+
+impl Hash for SignatureKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
     }
 }
 

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use smartpsi::core::evaluator::{NodeEvaluator, QueryContext};
-use smartpsi::core::obs::Counter;
+use smartpsi::core::obs::{Counter, MetricsRecorder};
 use smartpsi::core::{
     heuristic_plan, EvalLimits, PsiResult, RunSpec, SmartPsi, SmartPsiConfig, Strategy, Verdict,
 };
@@ -44,11 +44,15 @@ fn deployment_with(cfg: SmartPsiConfig) -> (SmartPsi, PivotedQuery) {
 #[test]
 fn valid_set_is_identical_across_worker_counts_and_runs() {
     let (smart, q) = deployment();
-    let baseline = smart.run(&q, &RunSpec::new());
+    // A fresh recorder per run, so the recorder-only counters
+    // (`MlInferences`, `PrefilterPruned`) are this run's alone.
+    let recorded = |spec: RunSpec| smart.run(&q, &spec.recorder(Arc::new(MetricsRecorder::new())));
+    let baseline = recorded(RunSpec::new());
     assert!(baseline.candidates >= 10, "needs the ML path");
+    assert!(counter(&baseline, Counter::MlInferences) > 0, "the forests ran");
     for threads in [1usize, 2, 4, 8] {
         for run in 0..2 {
-            let r = smart.run(&q, &RunSpec::new().threads(threads));
+            let r = recorded(RunSpec::new().threads(threads));
             assert_eq!(
                 r.valid, baseline.valid,
                 "threads={threads} run={run}: valid set must be byte-identical"
@@ -57,7 +61,15 @@ fn valid_set_is_identical_across_worker_counts_and_runs() {
             // the whole result (steps and failures too) matches.
             assert_eq!(r, baseline, "threads={threads} run={run}: whole result");
             assert_eq!(r.unresolved, 0, "unlimited run resolves everything");
-            for c in [Counter::TrainedNodes, Counter::PredictedValid, Counter::CacheHits] {
+            // Phase A dedupes identical rows on the calling thread, so
+            // how many forest calls ran cannot depend on the schedule.
+            for c in [
+                Counter::TrainedNodes,
+                Counter::PredictedValid,
+                Counter::CacheHits,
+                Counter::MlInferences,
+                Counter::PrefilterPruned,
+            ] {
                 assert_eq!(
                     counter(&r, c),
                     counter(&baseline, c),
